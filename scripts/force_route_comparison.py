@@ -14,9 +14,10 @@ import argparse
 
 import numpy as np
 
+from casimir_toy.cli import energy_gradient_fd
 from casimir_toy.fock import TruncatedBasis, oracle_force
 from casimir_toy.model import CouplingSpec, ModelParams, validate
-from casimir_toy.quantum import casimir_force, lifshitz_force, vacuum_energy
+from casimir_toy.quantum import casimir_force, lifshitz_force
 
 
 def main() -> int:
@@ -54,7 +55,7 @@ def main() -> int:
         f_modes = casimir_force(model, y)
         f_corr = lifshitz_force(model, y)
         f_oracle = oracle_force(model, y, basis)
-        f_fd = -(vacuum_energy(model, y + h) - vacuum_energy(model, y - h)) / (2 * h)
+        f_fd = -energy_gradient_fd(model, y, h)
         print(f"{y:6.3f} {f_modes:16.9e} {f_corr:16.9e} {f_oracle:16.9e} {f_fd:16.9e}")
         scale = max(abs(f_modes), 1e-300)
         worst = max(

@@ -8,43 +8,13 @@ analytic claim against a truncated-Fock-space diagonalization, and evolves y
 under the quantum force.
 """
 
-from .classical import (
-    ClassicalTrajectory,
-    ModeAmplitudes,
-    PhaseState,
-    classical_force,
-    evolve_classical,
-    normal_mode_solution,
-)
-from .dynamics import DynamicsConfig, Trajectory, energy_audit, evolve
-from .fock import (
-    GroundStateResult,
-    TruncatedBasis,
-    build_hamiltonian,
-    ground_state,
-    oracle_observables,
-    verify_annihilation,
-)
-from .model import (
-    CouplingSpec,
-    ModelParams,
-    Spectrum,
-    ValidatedModel,
-    coupling_derivative,
-    coupling_value,
-    lab_coordinates,
-    normal_coordinates,
-    spectrum,
-    validate,
-)
+from .dynamics import DynamicsConfig, evolve
+from .fock import TruncatedBasis, ground_state, oracle_force, verify_annihilation
+from .model import CouplingSpec, ModelParams, validate
 from .quantum import (
-    BogoliubovCoeffs,
-    VacuumExpansion,
-    VacuumObservables,
     bogoliubov_coefficients,
     casimir_force,
     lifshitz_force,
-    mean_free_quanta,
     squeezed_vacuum_expansion,
     vacuum_energy,
     vacuum_fluctuations,
@@ -53,37 +23,16 @@ from .quantum import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BogoliubovCoeffs",
-    "ClassicalTrajectory",
     "CouplingSpec",
     "DynamicsConfig",
-    "GroundStateResult",
-    "ModeAmplitudes",
     "ModelParams",
-    "PhaseState",
-    "Spectrum",
-    "Trajectory",
     "TruncatedBasis",
-    "VacuumExpansion",
-    "VacuumObservables",
-    "ValidatedModel",
     "bogoliubov_coefficients",
-    "build_hamiltonian",
     "casimir_force",
-    "classical_force",
-    "coupling_derivative",
-    "coupling_value",
-    "energy_audit",
     "evolve",
-    "evolve_classical",
     "ground_state",
-    "lab_coordinates",
     "lifshitz_force",
-    "mean_free_quanta",
-    "normal_coordinates",
-    "normal_mode_solution",
-    "oracle_observables",
-    "spectrum",
+    "oracle_force",
     "squeezed_vacuum_expansion",
     "vacuum_energy",
     "vacuum_fluctuations",

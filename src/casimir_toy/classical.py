@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Spectrum, ValidatedModel, normal_coordinates
+from .model import Spectrum, ValidatedModel
 
 # Yoshida 4th-order composition coefficients.
 _W0 = -(2.0 ** (1.0 / 3.0)) / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -70,12 +70,6 @@ def classical_force(model: ValidatedModel, state: PhaseState) -> float:
     return -model.g_prime(state.y) * state.x1 * state.x2
 
 
-def classical_force_normal(model: ValidatedModel, state: PhaseState) -> float:
-    """Same force through normal coordinates: F = -g'(y)(x+^2 - x-^2)/2."""
-    xp, xm = normal_coordinates(state.x1, state.x2)
-    return -model.g_prime(state.y) * (xp**2 - xm**2) / 2.0
-
-
 def total_energy(model: ValidatedModel, state: PhaseState) -> float:
     kin = (state.p1**2 + state.p2**2) / (2.0 * model.m) + state.p_y**2 / (2.0 * model.M)
     pot = model.k * (state.x1**2 + state.x2**2) / 2.0 + model.g(state.y) * state.x1 * state.x2
@@ -126,21 +120,19 @@ def evolve_classical(
         t += dt
         rows.append((t, *q, *p))
 
-    arr = np.array(rows)
-    energy = np.array(
-        [
-            total_energy(model, PhaseState(r[1], r[2], r[3], r[4], r[5], r[6], r[0]))
-            for r in rows
-        ]
-    )
+    t, x1, x2, y, p1, p2, p_y = np.array(rows).T
+    # total_energy over every row at once; only g(y) is evaluated per row.
+    g = np.array([c.value_raw(v) for v in y])
+    kin = (p1 * p1 + p2 * p2) / (2.0 * model.m) + p_y * p_y / (2.0 * model.M)
+    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + g * x1 * x2
     return ClassicalTrajectory(
-        t=arr[:, 0],
-        x1=arr[:, 1],
-        x2=arr[:, 2],
-        y=arr[:, 3],
-        p1=arr[:, 4],
-        p2=arr[:, 5],
-        p_y=arr[:, 6],
-        energy=energy,
+        t=t,
+        x1=x1,
+        x2=x2,
+        y=y,
+        p1=p1,
+        p2=p2,
+        p_y=p_y,
+        energy=kin + pot,
         domain_exited=exited,
     )

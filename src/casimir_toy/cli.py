@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +48,14 @@ class GridConfig:
     y_max: float
     points: int
 
+    def __post_init__(self):
+        if self.points < 2:
+            raise ConfigError(f"grid.points must be >= 2, got {self.points}")
+        if not self.y_min < self.y_max:
+            raise ConfigError(
+                f"grid.y_min must be < grid.y_max, got [{self.y_min}, {self.y_max}]"
+            )
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -55,12 +63,25 @@ class OracleConfig:
     convergence_tol: float = 1e-6
     y: float | None = None
 
+    def __post_init__(self):
+        if self.n_max < 1:
+            raise ConfigError(f"oracle.n_max must be >= 1, got {self.n_max}")
+        if not self.convergence_tol > 0:
+            raise ConfigError(
+                f"oracle.convergence_tol must be > 0, got {self.convergence_tol}"
+            )
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    format: str = "csv"
     precision: int = 12
+
+    def __post_init__(self):
+        if not 6 <= self.precision <= 17:
+            raise ConfigError(
+                f"output.precision must be in [6, 17], got {self.precision}"
+            )
 
 
 @dataclass(frozen=True)
@@ -72,92 +93,121 @@ class RunConfig:
     output: OutputConfig
 
 
+_REQUIRED = object()
+
+
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"missing config field: {context}.{key}")
     return mapping[key]
 
 
+def _section(value, context: str, keys: tuple[str, ...]) -> dict:
+    """A JSON object with no keys outside keys; ConfigError naming the field."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{context} must be a JSON object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"unknown config field: {context}.{key}")
+    return value
+
+
+def _field(mapping: dict, key: str, context: str, convert, default=_REQUIRED):
+    """convert(mapping[key]), or default if absent; ConfigError naming the field."""
+    if key not in mapping and default is not _REQUIRED:
+        return default
+    value = _require(mapping, key, context)
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{context}.{key}: {exc}") from exc
+
+
+def _finite(value) -> float:
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {x}")
+    return x
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate the JSON config document; raises ConfigError naming the field."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    model_doc = _require(doc, "model", "config")
-    coupling_doc = _require(model_doc, "coupling", "model")
+    _section(doc, "config", ("model", "grid", "oracle", "dynamics", "output"))
+    model_doc = _section(
+        _require(doc, "model", "config"), "model", ("m", "M", "k", "hbar", "coupling")
+    )
+    cdoc = _section(
+        _require(model_doc, "coupling", "model"),
+        "model.coupling",
+        ("family", "g0", "lambda", "exponent", "y_min", "y_max"),
+    )
+    coupling = CouplingSpec(
+        family=_require(cdoc, "family", "model.coupling"),
+        g0=_field(cdoc, "g0", "model.coupling", _finite),
+        lam=_field(cdoc, "lambda", "model.coupling", _finite, 1.0),
+        exponent=_field(cdoc, "exponent", "model.coupling", int, 2),
+        y_min=_field(cdoc, "y_min", "model.coupling", _finite, 0.0),
+        y_max=_field(cdoc, "y_max", "model.coupling", _finite, 10.0),
+    )
+    params = ModelParams(
+        m=_field(model_doc, "m", "model", _finite),
+        M=_field(model_doc, "M", "model", _finite),
+        k=_field(model_doc, "k", "model", _finite),
+        hbar=_field(model_doc, "hbar", "model", _finite, 1.0),
+        coupling=coupling,
+    )
     try:
-        coupling = CouplingSpec(
-            family=_require(coupling_doc, "family", "model.coupling"),
-            g0=float(_require(coupling_doc, "g0", "model.coupling")),
-            lam=float(coupling_doc.get("lambda", 1.0)),
-            exponent=int(coupling_doc.get("exponent", 2)),
-            y_min=float(coupling_doc.get("y_min", 0.0)),
-            y_max=float(coupling_doc.get("y_max", 10.0)),
-        )
-        params = ModelParams(
-            m=float(_require(model_doc, "m", "model")),
-            M=float(_require(model_doc, "M", "model")),
-            k=float(_require(model_doc, "k", "model")),
-            hbar=float(model_doc.get("hbar", 1.0)),
-            coupling=coupling,
-        )
         model = validate(params)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed model section: {exc}") from exc
-    except CasimirToyError as exc:
+    except (CasimirToyError, OverflowError) as exc:
         raise ConfigError(f"invalid model: {exc}") from exc
 
     grid = None
     if "grid" in doc:
-        gdoc = doc["grid"]
+        gdoc = _section(doc["grid"], "grid", ("y_min", "y_max", "points"))
         grid = GridConfig(
-            y_min=float(_require(gdoc, "y_min", "grid")),
-            y_max=float(_require(gdoc, "y_max", "grid")),
-            points=int(_require(gdoc, "points", "grid")),
+            y_min=_field(gdoc, "y_min", "grid", _finite),
+            y_max=_field(gdoc, "y_max", "grid", _finite),
+            points=_field(gdoc, "points", "grid", int),
         )
-        if grid.points < 2:
-            raise ConfigError(f"grid.points must be >= 2, got {grid.points}")
         if grid.y_min < coupling.y_min or grid.y_max > coupling.y_max:
             raise ConfigError(
                 f"grid [{grid.y_min}, {grid.y_max}] not inside coupling domain "
                 f"[{coupling.y_min}, {coupling.y_max}]"
             )
 
-    odoc = doc.get("oracle", {})
+    odoc = _section(doc.get("oracle", {}), "oracle", ("n_max", "convergence_tol", "y"))
     oracle = OracleConfig(
-        n_max=int(odoc.get("n_max", 40)),
-        convergence_tol=float(odoc.get("convergence_tol", 1e-6)),
-        y=float(odoc["y"]) if "y" in odoc else None,
+        n_max=_field(odoc, "n_max", "oracle", int, 40),
+        convergence_tol=_field(odoc, "convergence_tol", "oracle", _finite, 1e-6),
+        y=_field(odoc, "y", "oracle", _finite, None),
     )
 
     dyn = None
     if "dynamics" in doc:
-        ddoc = doc["dynamics"]
+        ddoc = _section(
+            doc["dynamics"],
+            "dynamics",
+            ("y0", "v0", "dt", "t_max", "force_route", "oracle_n_max", "oracle_budget_s"),
+        )
         try:
             dyn = dynamics.DynamicsConfig(
-                y0=float(_require(ddoc, "y0", "dynamics")),
-                v0=float(_require(ddoc, "v0", "dynamics")),
-                dt=float(_require(ddoc, "dt", "dynamics")),
-                t_max=float(_require(ddoc, "t_max", "dynamics")),
+                y0=_field(ddoc, "y0", "dynamics", _finite),
+                v0=_field(ddoc, "v0", "dynamics", _finite),
+                dt=_field(ddoc, "dt", "dynamics", _finite),
+                t_max=_field(ddoc, "t_max", "dynamics", _finite),
                 force_route=ddoc.get("force_route", "casimir"),
-                oracle_n_max=int(ddoc.get("oracle_n_max", oracle.n_max)),
-                oracle_budget_s=float(ddoc.get("oracle_budget_s", 300.0)),
+                oracle_n_max=_field(ddoc, "oracle_n_max", "dynamics", int, oracle.n_max),
+                oracle_budget_s=_field(ddoc, "oracle_budget_s", "dynamics", _finite, 300.0),
             )
         except ValueError as exc:
-            raise ConfigError(f"invalid dynamics section: {exc}") from exc
+            # every DynamicsConfig message starts with the field name
+            raise ConfigError(f"dynamics.{exc}") from exc
 
-    outdoc = doc.get("output", {})
+    outdoc = _section(doc.get("output", {}), "output", ("directory", "precision"))
     output = OutputConfig(
-        directory=str(outdoc.get("directory", "out")),
-        format=str(outdoc.get("format", "csv")),
-        precision=int(outdoc.get("precision", 12)),
+        directory=_field(outdoc, "directory", "output", str, "out"),
+        precision=_field(outdoc, "precision", "output", int, 12),
     )
-    if output.format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be csv or json, got {output.format!r}")
-    if not 6 <= output.precision <= 17:
-        raise ConfigError(f"output.precision must be in [6, 17], got {output.precision}")
-
     return RunConfig(model=model, grid=grid, oracle=oracle, dyn=dyn, output=output)
 
 
@@ -172,17 +222,14 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _fmt(x: float, precision: int) -> str:
-    return format(x, f".{precision}g")
-
-
 def write_csv(path: Path, header: list[str], rows, precision: int) -> None:
     """RFC-4180-style CSV: '.' decimal separator, LF endings, fixed header."""
+    spec = f".{precision}g"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v, precision) for v in row) + "\n")
+            fh.write(",".join(format(v, spec) for v in row) + "\n")
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -455,20 +502,13 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.precision is not None:
-            if not 6 <= args.precision <= 17:
-                raise ConfigError(
-                    f"output.precision must be in [6, 17], got {args.precision}"
-                )
-            config = RunConfig(
-                model=config.model,
-                grid=config.grid,
-                oracle=config.oracle,
-                dyn=config.dyn,
-                output=OutputConfig(
-                    directory=config.output.directory,
-                    format=config.output.format,
-                    precision=args.precision,
-                ),
+            output = replace(config.output, precision=args.precision)
+            config = replace(config, output=output)
+        if config.model.adiabatic_warning:
+            print(
+                f"warning: M/m = {config.model.mass_ratio:g} is too small for the "
+                "adiabatic (slow-y) treatment",
+                file=sys.stderr,
             )
         outdir = _resolve_outdir(args, config)
 

@@ -42,6 +42,8 @@ class DynamicsConfig:
             raise ValueError(
                 f"force_route must be one of {FORCE_ROUTES}, got {self.force_route!r}"
             )
+        if self.oracle_n_max < 1:
+            raise ValueError(f"oracle_n_max must be >= 1, got {self.oracle_n_max}")
 
 
 @dataclass(frozen=True)

@@ -51,7 +51,6 @@ class TruncatedBasis:
 @dataclass(frozen=True)
 class OperatorMatrix:
     matrix: np.ndarray
-    label: str
     basis: TruncatedBasis
 
 
@@ -93,7 +92,7 @@ def build_hamiltonian(
     h = model.hbar * model.omega * (
         np.kron(num, eye) + np.kron(eye, num) + np.eye(basis.dim)
     ) + g * np.kron(x, x)
-    return OperatorMatrix(matrix=h, label="H", basis=basis)
+    return OperatorMatrix(matrix=h, basis=basis)
 
 
 def ground_state(op: OperatorMatrix) -> GroundStateResult:

@@ -12,8 +12,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConstraintViolationError, DomainError, NonPositiveParameterError
 
-FAMILIES = ("constant", "exponential", "inverse-power")
-
 # Below this mass ratio the adiabatic (slow-y) treatment is dubious.
 ADIABATIC_MASS_RATIO = 100.0
 
@@ -46,28 +44,40 @@ class CouplingSpec:
 
     def value_raw(self, y: float) -> float:
         """Family formula without the domain check (integrator substeps only)."""
-        if self.family == "constant":
-            return self.g0
-        if self.family == "exponential":
-            return self.g0 * math.exp(-y / self.lam)
-        if self.family == "inverse-power":
-            return self.g0 / (1.0 + (y / self.lam) ** self.exponent)
-        raise ConstraintViolationError(f"unknown coupling family {self.family!r}")
+        return self._formulas()[0](self, y)
 
     def derivative(self, y: float) -> float:
         self.check_domain(y)
         return self.derivative_raw(y)
 
     def derivative_raw(self, y: float) -> float:
-        if self.family == "constant":
-            return 0.0
-        if self.family == "exponential":
-            return -self.g0 / self.lam * math.exp(-y / self.lam)
-        if self.family == "inverse-power":
-            u = (y / self.lam) ** (self.exponent - 1)
-            denom = 1.0 + (y / self.lam) ** self.exponent
-            return -self.g0 * self.exponent * u / (self.lam * denom**2)
-        raise ConstraintViolationError(f"unknown coupling family {self.family!r}")
+        return self._formulas()[1](self, y)
+
+    def _formulas(self):
+        try:
+            return _FAMILY_FORMULAS[self.family]
+        except KeyError:
+            raise ConstraintViolationError(
+                f"unknown coupling family {self.family!r}"
+            ) from None
+
+
+# (g, g') per family, as functions of (spec, y).
+_FAMILY_FORMULAS = {
+    "constant": (lambda c, y: c.g0, lambda c, y: 0.0),
+    "exponential": (
+        lambda c, y: c.g0 * math.exp(-y / c.lam),
+        lambda c, y: -c.g0 / c.lam * math.exp(-y / c.lam),
+    ),
+    "inverse-power": (
+        lambda c, y: c.g0 / (1.0 + (y / c.lam) ** c.exponent),
+        lambda c, y: -c.g0
+        * c.exponent
+        * (y / c.lam) ** (c.exponent - 1)
+        / (c.lam * (1.0 + (y / c.lam) ** c.exponent) ** 2),
+    ),
+}
+FAMILIES = tuple(_FAMILY_FORMULAS)
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,7 @@ def validate(params: ModelParams) -> ValidatedModel:
             f"domain requires y_min < y_max, got [{c.y_min}, {c.y_max}]"
         )
     # All families are monotone non-increasing, so sup g = g(y_min).
-    g_sup = c.value(c.y_min) if c.family != "constant" else c.g0
+    g_sup = c.value(c.y_min)
     if not g_sup < params.k:
         raise ConstraintViolationError(
             f"g(y_min)={g_sup} >= k={params.k}: positivity constraint violated"
@@ -158,14 +168,6 @@ def validate(params: ModelParams) -> ValidatedModel:
     return ValidatedModel(
         m=params.m, M=params.M, k=params.k, hbar=params.hbar, coupling=c
     )
-
-
-def coupling_value(spec: CouplingSpec, y: float) -> float:
-    return spec.value(y)
-
-
-def coupling_derivative(spec: CouplingSpec, y: float) -> float:
-    return spec.derivative(y)
 
 
 def spectrum(model: ValidatedModel, y: float) -> Spectrum:

@@ -63,9 +63,19 @@ class VacuumExpansion:
 
 
 def vacuum_energy(model: ValidatedModel, y: float) -> float:
-    """Interacting effective-vacuum energy hbar(Omega+ + Omega-)/2."""
-    s = spectrum(model, y)
-    return model.hbar * (s.omega_plus + s.omega_minus) / 2.0
+    """Interacting effective-vacuum energy hbar(Omega+ + Omega-)/2, evaluated
+    as hbar omega + interaction_shift."""
+    return model.hbar * model.omega + interaction_shift(model, y)
+
+
+def interaction_shift(model: ValidatedModel, y: float) -> float:
+    """E_vac - hbar omega = -hbar omega u^2 / ((1 + sqrt(1 - u^2))(s + 2)),
+    with u = g/k and s = sqrt(1+u) + sqrt(1-u): cancellation-free, so it stays
+    negative even where it is below the rounding of E_vac itself."""
+    u = model.g(y) / model.k
+    s = math.sqrt(1.0 + u) + math.sqrt(1.0 - u)
+    root = math.sqrt(1.0 - u * u)
+    return -model.hbar * model.omega * u * u / ((1.0 + root) * (s + 2.0))
 
 
 def casimir_force(model: ValidatedModel, y: float) -> float:
@@ -89,21 +99,12 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
     s = spectrum(model, y)
     xp2 = model.hbar / (2.0 * model.m * s.omega_plus)
     xm2 = model.hbar / (2.0 * model.m * s.omega_minus)
-    # (xp2 - xm2)/2 via the same cancellation-free difference used for the
-    # force: Omega+^2 - Omega-^2 = 2g/m exactly.
-    x1x2 = -model.hbar * model.g(y) / (
-        2.0
-        * model.m**2
-        * s.omega_plus
-        * s.omega_minus
-        * (s.omega_plus + s.omega_minus)
-    )
     n1, n2 = mean_free_quanta(bogoliubov_coefficients(model, y))
     return VacuumObservables(
         E_vac=model.hbar * (s.omega_plus + s.omega_minus) / 2.0,
         x_plus_sq=xp2,
         x_minus_sq=xm2,
-        x1x2=x1x2,
+        x1x2=_x1x2(model, y, s),
         N1=n1,
         N2=n2,
     )
@@ -111,8 +112,14 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
 
 def lifshitz_force(model: ValidatedModel, y: float) -> float:
     """Fluctuation-route force -g'(y) <x1 x2>; no vacuum energy involved."""
-    obs = vacuum_fluctuations(model, y)
-    return -model.g_prime(y) * obs.x1x2
+    return -model.g_prime(y) * _x1x2(model, y, spectrum(model, y))
+
+
+def _x1x2(model: ValidatedModel, y: float, s: Spectrum) -> float:
+    """<x1 x2> = (<x+^2> - <x-^2>)/2 via the same cancellation-free difference
+    used for the force: Omega+^2 - Omega-^2 = 2g/m exactly."""
+    wp, wm = s.omega_plus, s.omega_minus
+    return -model.hbar * model.g(y) / (2.0 * model.m**2 * wp * wm * (wp + wm))
 
 
 def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs:

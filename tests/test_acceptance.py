@@ -17,22 +17,24 @@ from casimir_toy import (
     ModelParams,
     TruncatedBasis,
     bogoliubov_coefficients,
-    build_hamiltonian,
     casimir_force,
-    energy_audit,
     evolve,
     ground_state,
     lifshitz_force,
-    mean_free_quanta,
-    oracle_observables,
     squeezed_vacuum_expansion,
     vacuum_energy,
     validate,
     verify_annihilation,
 )
 from casimir_toy import cli
-from casimir_toy.fock import free_vacuum_correlation, ground_state_structure_checks
-from casimir_toy.quantum import bogoliubov_normalization
+from casimir_toy.dynamics import energy_audit
+from casimir_toy.fock import (
+    build_hamiltonian,
+    free_vacuum_correlation,
+    ground_state_structure_checks,
+    oracle_observables,
+)
+from casimir_toy.quantum import bogoliubov_normalization, mean_free_quanta
 from conftest import make_model
 
 
@@ -250,7 +252,7 @@ def test_criterion_10_determinism(tmp_path):
         "grid": {"y_min": 0.0, "y_max": 5.0, "points": 11},
         "oracle": {"n_max": 30, "convergence_tol": 1e-6},
         "dynamics": {"y0": 2.0, "v0": 0.0, "dt": 0.1, "t_max": 10.0},
-        "output": {"directory": "unused", "format": "csv", "precision": 12},
+        "output": {"directory": "unused", "precision": 12},
     }
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))

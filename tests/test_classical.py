@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from casimir_toy import (
+from casimir_toy.classical import (
     ModeAmplitudes,
     PhaseState,
     classical_force,
     evolve_classical,
     normal_mode_solution,
-    spectrum,
+    total_energy,
 )
-from casimir_toy.classical import classical_force_normal, total_energy
+from casimir_toy.model import normal_coordinates, spectrum
 from conftest import make_model
 
 
@@ -71,7 +71,8 @@ class TestClassicalForce:
         model = make_model()
         state = PhaseState(x1, x2, y, 0, 0, 0)
         lab = classical_force(model, state)
-        normal = classical_force_normal(model, state)
+        xp, xm = normal_coordinates(x1, x2)
+        normal = -model.g_prime(y) * (xp**2 - xm**2) / 2.0
         assert normal == pytest.approx(lab, rel=1e-12, abs=1e-15)
 
 
@@ -152,3 +153,14 @@ class TestTotalEnergy:
         # kinetic + k(x1^2 + x2^2)/2 + g(0) x1 x2
         expected = 2.0 + 9.0 / 2000.0 + 1.0 + 0.5 * (1.0) * (-1.0)
         assert total_energy(reference_model, state) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("family", ["constant", "exponential", "inverse-power"])
+    def test_trajectory_energy_column_matches_scalar(self, family):
+        model = make_model(family=family, g0=0.5, M=50.0, exponent=3)
+        initial = PhaseState(0.3, -0.7, 2.0, 0.1, 0.2, 1.5)
+        traj = evolve_classical(model, initial, dt=0.05, t_max=50.0)
+        scalar = [
+            total_energy(model, PhaseState(*row[1:], row[0]))
+            for row in zip(traj.t, traj.x1, traj.x2, traj.y, traj.p1, traj.p2, traj.p_y)
+        ]
+        np.testing.assert_allclose(traj.energy, scalar, rtol=1e-12, atol=0)

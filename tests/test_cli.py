@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ def reference_config(tmp_path, **overrides):
         "grid": {"y_min": 0.0, "y_max": 5.0, "points": 11},
         "oracle": {"n_max": 40, "convergence_tol": 1e-6},
         "dynamics": {"y0": 2.0, "v0": 0.0, "dt": 0.1, "t_max": 20.0},
-        "output": {"directory": str(tmp_path / "out"), "format": "csv", "precision": 12},
+        "output": {"directory": str(tmp_path / "out"), "precision": 12},
     }
     doc.update(overrides)
     path = tmp_path / "config.json"
@@ -71,6 +73,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("oracle.n_max", lambda d: d["oracle"].update(n_max=0)),
+            ("dynamics.oracle_n_max", lambda d: d["dynamics"].update(oracle_n_max=0)),
+            ("model", lambda d: d.update(model=None)),
+            ("grid", lambda d: d.update(grid=None)),
+            ("oracle", lambda d: d.update(oracle=[1])),
+            ("grid.y_min", lambda d: d["grid"].update(y_min="abc")),
+            ("grid.points", lambda d: d["grid"].update(points=1e400)),
+            ("oracle.n_max", lambda d: d["oracle"].update(n_max="x")),
+            ("output.precision", lambda d: d["output"].update(precision="x")),
+            ("dynamics.dt", lambda d: d["dynamics"].update(dt=math.nan)),
+            ("grid.y_min", lambda d: d["grid"].update(y_min=5.0, y_max=0.0)),
+            ("model.coupling.y_max", lambda d: d["model"]["coupling"].update(y_max=math.inf)),
+            ("oracle.convergence_tol", lambda d: d["oracle"].update(convergence_tol=-1)),
+            ("output.format", lambda d: d["output"].update(format="json")),
+            ("model.coupling.lamda", lambda d: d["model"]["coupling"].update(lamda=2.0)),
+            ("config.outputs", lambda d: d.update(outputs={})),
+        ],
+    )
+    def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
+        path, doc = reference_config(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)
         del doc["model"]["m"]
@@ -78,6 +108,27 @@ class TestConfigParsing:
         code = cli.main(["spectrum", "--config", str(path)])
         assert code == cli.EXIT_CONFIG
         assert "model.m" in capsys.readouterr().err
+
+
+class TestStderrNotes:
+    def test_adiabatic_warning_on_stderr_only(self, tmp_path, capsys):
+        path, doc = reference_config(tmp_path)
+        assert cli.main(["spectrum", "--config", str(path)]) == 0
+        quiet = capsys.readouterr()
+        assert quiet.err == ""
+        doc["model"]["M"] = 10.0
+        path.write_text(json.dumps(doc))
+        assert cli.main(["spectrum", "--config", str(path)]) == 0
+        warned = capsys.readouterr()
+        assert warned.out == quiet.out
+        assert len(warned.err.splitlines()) == 1
+        assert "M/m" in warned.err
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    exec(compile(block, "README.md", "exec"), {})
 
 
 class TestSpectrumCommand:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from casimir_toy import DynamicsConfig, energy_audit, evolve
-from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory
+from casimir_toy import DynamicsConfig, evolve
+from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory, energy_audit
 from casimir_toy.errors import EmptyTrajectoryError
 from conftest import make_model
 

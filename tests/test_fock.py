@@ -6,18 +6,18 @@ import pytest
 from casimir_toy import (
     TruncatedBasis,
     bogoliubov_coefficients,
-    build_hamiltonian,
     ground_state,
-    oracle_observables,
     squeezed_vacuum_expansion,
     vacuum_fluctuations,
     verify_annihilation,
 )
 from casimir_toy.errors import TruncationMismatchError
 from casimir_toy.fock import (
+    build_hamiltonian,
     free_vacuum_correlation,
     ground_state_structure_checks,
     oracle_force,
+    oracle_observables,
     position_matrix,
 )
 from conftest import make_model

@@ -3,21 +3,13 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from casimir_toy import (
-    CouplingSpec,
-    ModelParams,
-    coupling_derivative,
-    coupling_value,
-    lab_coordinates,
-    normal_coordinates,
-    spectrum,
-    validate,
-)
+from casimir_toy import CouplingSpec, ModelParams, validate
 from casimir_toy.errors import (
     ConstraintViolationError,
     DomainError,
     NonPositiveParameterError,
 )
+from casimir_toy.model import lab_coordinates, normal_coordinates, spectrum
 from conftest import make_model, valid_model_strategy
 
 
@@ -70,38 +62,38 @@ class TestValidate:
 class TestCoupling:
     def test_exponential_at_zero(self):
         spec = CouplingSpec("exponential", 0.5, 1.0)
-        assert coupling_value(spec, 0.0) == 0.5
+        assert spec.value(0.0) == 0.5
 
     def test_exponential_halves_at_ln2(self):
         spec = CouplingSpec("exponential", 0.5, 1.0)
-        assert coupling_value(spec, math.log(2)) == pytest.approx(0.25, rel=1e-14)
+        assert spec.value(math.log(2)) == pytest.approx(0.25, rel=1e-14)
 
     def test_inverse_power_at_lambda(self):
         spec = CouplingSpec("inverse-power", 0.5, 1.0, exponent=2)
-        assert coupling_value(spec, 1.0) == pytest.approx(0.25, rel=1e-14)
+        assert spec.value(1.0) == pytest.approx(0.25, rel=1e-14)
 
     def test_constant(self):
         spec = CouplingSpec("constant", 0.3)
-        assert coupling_value(spec, 7.7) == 0.3
-        assert coupling_derivative(spec, 7.7) == 0.0
+        assert spec.value(7.7) == 0.3
+        assert spec.derivative(7.7) == 0.0
 
     def test_outside_domain_raises(self):
         spec = CouplingSpec("exponential", 0.5, 1.0, y_min=0.0, y_max=10.0)
         with pytest.raises(DomainError):
-            coupling_value(spec, -0.1)
+            spec.value(-0.1)
         with pytest.raises(DomainError):
-            coupling_derivative(spec, 10.5)
+            spec.derivative(10.5)
 
     def test_exponential_derivative_at_zero(self):
         spec = CouplingSpec("exponential", 0.5, 1.0)
-        assert coupling_derivative(spec, 0.0) == pytest.approx(-0.5, rel=1e-14)
+        assert spec.derivative(0.0) == pytest.approx(-0.5, rel=1e-14)
 
     def test_inverse_power_derivative_matches_finite_difference(self):
         spec = CouplingSpec("inverse-power", 0.5, 1.0, exponent=2)
         h = 1e-5
-        fd = (coupling_value(spec, 1.0 + h) - coupling_value(spec, 1.0 - h)) / (2 * h)
-        assert coupling_derivative(spec, 1.0) == pytest.approx(fd, rel=1e-6)
-        assert coupling_derivative(spec, 1.0) == pytest.approx(-0.25, rel=1e-10)
+        fd = (spec.value(1.0 + h) - spec.value(1.0 - h)) / (2 * h)
+        assert spec.derivative(1.0) == pytest.approx(fd, rel=1e-6)
+        assert spec.derivative(1.0) == pytest.approx(-0.25, rel=1e-10)
 
     @given(
         family=st.sampled_from(["constant", "exponential", "inverse-power"]),
@@ -112,8 +104,8 @@ class TestCoupling:
     def test_derivative_matches_finite_difference_everywhere(self, family, g0, lam, y):
         spec = CouplingSpec(family, g0, lam, exponent=3)
         h = 1e-5 * lam
-        fd = (coupling_value(spec, y + h) - coupling_value(spec, y - h)) / (2 * h)
-        analytic = coupling_derivative(spec, y)
+        fd = (spec.value(y + h) - spec.value(y - h)) / (2 * h)
+        analytic = spec.derivative(y)
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 

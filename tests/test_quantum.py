@@ -5,17 +5,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casimir_toy import (
-    BogoliubovCoeffs,
     bogoliubov_coefficients,
     casimir_force,
     lifshitz_force,
-    mean_free_quanta,
     squeezed_vacuum_expansion,
     vacuum_energy,
     vacuum_fluctuations,
 )
 from casimir_toy.errors import DomainError, InvalidRatioError
-from casimir_toy.quantum import bogoliubov_normalization
+from casimir_toy.quantum import (
+    BogoliubovCoeffs,
+    bogoliubov_normalization,
+    interaction_shift,
+    mean_free_quanta,
+)
 from conftest import make_model, valid_model_strategy
 
 # closed-form references at k = m = hbar = 1, g = 0.5:
@@ -41,13 +44,27 @@ class TestVacuumEnergy:
 
     @given(valid_model_strategy())
     def test_interaction_lowers_vacuum_energy(self, model):
-        # sqrt(1+u) + sqrt(1-u) < 2 for u != 0
+        # sqrt(1+u) + sqrt(1-u) < 2 for u != 0.  The shift is asserted on
+        # directly: below u ~ 1e-8 it is under the rounding of E_vac itself.
         e_free = model.hbar * model.omega
-        e_int = vacuum_energy(model, model.coupling.y_min)
+        shift = interaction_shift(model, model.coupling.y_min)
         if model.g(model.coupling.y_min) > 1e-12:
-            assert e_int < e_free
+            assert shift < 0
         else:
-            assert e_int == pytest.approx(e_free, rel=1e-9)
+            assert shift == pytest.approx(0.0, abs=1e-9 * e_free)
+        assert vacuum_energy(model, model.coupling.y_min) == e_free + shift
+
+    def test_interaction_shift_matches_direct_difference(self, reference_model):
+        shift = interaction_shift(reference_model, 0.0)
+        assert shift == pytest.approx(E_VAC_REF - 1.0, rel=1e-13)
+
+    def test_interaction_shift_resolved_at_weak_coupling(self):
+        # u = 5e-10: E_vac - hbar omega rounds to 0, the shift is -u^2/8
+        model = make_model(family="constant", g0=1.5e-9, k=3.0)
+        u = 5e-10
+        assert vacuum_energy(model, 0.0) == model.omega
+        expected = -model.omega * u * u / 8
+        assert interaction_shift(model, 0.0) == pytest.approx(expected, rel=1e-12)
 
     def test_domain_error(self, reference_model):
         with pytest.raises(DomainError):
