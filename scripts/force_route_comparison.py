@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from casimir_toy.cli import energy_gradient_fd
-from casimir_toy.fock import TruncatedBasis, oracle_force
+from casimir_toy.fock import FockOracle, TruncatedBasis, oracle_force
 from casimir_toy.model import CouplingSpec, ModelParams, validate
 from casimir_toy.quantum import casimir_force, lifshitz_force
 
@@ -45,7 +45,7 @@ def main() -> int:
             ),
         )
     )
-    basis = TruncatedBasis(args.n_max)
+    oracle = FockOracle(model, TruncatedBasis(args.n_max))
     h = 1e-5
 
     print(f"family={args.family} g0={args.g0} lambda={args.lam} n_max={args.n_max}")
@@ -54,7 +54,7 @@ def main() -> int:
     for y in np.linspace(h, args.y_max, args.points):
         f_modes = casimir_force(model, y)
         f_corr = lifshitz_force(model, y)
-        f_oracle = oracle_force(model, y, basis)
+        f_oracle = oracle_force(oracle, y)
         f_fd = -energy_gradient_fd(model, y, h)
         print(f"{y:6.3f} {f_modes:16.9e} {f_corr:16.9e} {f_oracle:16.9e} {f_fd:16.9e}")
         scale = max(abs(f_modes), 1e-300)

@@ -11,7 +11,9 @@ from __future__ import annotations
 import argparse
 
 from casimir_toy.fock import (
+    FockOracle,
     TruncatedBasis,
+    ground_state,
     oracle_observables,
     verify_annihilation,
 )
@@ -53,7 +55,8 @@ def main() -> int:
     print(f"{'n_max':>6} {'rel err E0':>12} {'rel err x1x2':>13} {'rel err N1':>12} {'ann. residual':>14}")
     for n_max in range(4, args.max_cutoff + 1, 4):
         basis = TruncatedBasis(n_max)
-        obs = oracle_observables(model, y, basis)
+        oracle = FockOracle(model, basis)
+        obs = oracle_observables(oracle, ground_state(oracle, y))
         expansion = squeezed_vacuum_expansion(coeffs, "plus", N_max=max(n_max - 2, 0))
         residual = verify_annihilation(expansion, basis)
         print(

@@ -9,7 +9,13 @@ under the quantum force.
 """
 
 from .dynamics import DynamicsConfig, evolve
-from .fock import TruncatedBasis, ground_state, oracle_force, verify_annihilation
+from .fock import (
+    FockOracle,
+    TruncatedBasis,
+    ground_state,
+    oracle_force,
+    verify_annihilation,
+)
 from .model import CouplingSpec, ModelParams, validate
 from .quantum import (
     bogoliubov_coefficients,
@@ -25,6 +31,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CouplingSpec",
     "DynamicsConfig",
+    "FockOracle",
     "ModelParams",
     "TruncatedBasis",
     "bogoliubov_coefficients",

@@ -130,6 +130,14 @@ def _finite(value) -> float:
     return x
 
 
+def _integer(value) -> int:
+    """int(value), refusing a fractional part: 40.0 passes, 40.7 does not."""
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"must be an integer, got {value}")
+    return n
+
+
 def parse_config(doc: dict) -> RunConfig:
     """Validate the JSON config document; raises ConfigError naming the field."""
     _section(doc, "config", ("model", "grid", "oracle", "dynamics", "output"))
@@ -145,7 +153,7 @@ def parse_config(doc: dict) -> RunConfig:
         family=_require(cdoc, "family", "model.coupling"),
         g0=_field(cdoc, "g0", "model.coupling", _finite),
         lam=_field(cdoc, "lambda", "model.coupling", _finite, 1.0),
-        exponent=_field(cdoc, "exponent", "model.coupling", int, 2),
+        exponent=_field(cdoc, "exponent", "model.coupling", _integer, 2),
         y_min=_field(cdoc, "y_min", "model.coupling", _finite, 0.0),
         y_max=_field(cdoc, "y_max", "model.coupling", _finite, 10.0),
     )
@@ -167,7 +175,7 @@ def parse_config(doc: dict) -> RunConfig:
         grid = GridConfig(
             y_min=_field(gdoc, "y_min", "grid", _finite),
             y_max=_field(gdoc, "y_max", "grid", _finite),
-            points=_field(gdoc, "points", "grid", int),
+            points=_field(gdoc, "points", "grid", _integer),
         )
         if grid.y_min < coupling.y_min or grid.y_max > coupling.y_max:
             raise ConfigError(
@@ -177,7 +185,7 @@ def parse_config(doc: dict) -> RunConfig:
 
     odoc = _section(doc.get("oracle", {}), "oracle", ("n_max", "convergence_tol", "y"))
     oracle = OracleConfig(
-        n_max=_field(odoc, "n_max", "oracle", int, 40),
+        n_max=_field(odoc, "n_max", "oracle", _integer, 40),
         convergence_tol=_field(odoc, "convergence_tol", "oracle", _finite, 1e-6),
         y=_field(odoc, "y", "oracle", _finite, None),
     )
@@ -196,7 +204,7 @@ def parse_config(doc: dict) -> RunConfig:
                 dt=_field(ddoc, "dt", "dynamics", _finite),
                 t_max=_field(ddoc, "t_max", "dynamics", _finite),
                 force_route=ddoc.get("force_route", "casimir"),
-                oracle_n_max=_field(ddoc, "oracle_n_max", "dynamics", int, oracle.n_max),
+                oracle_n_max=_field(ddoc, "oracle_n_max", "dynamics", _integer, oracle.n_max),
                 oracle_budget_s=_field(ddoc, "oracle_budget_s", "dynamics", _finite, 300.0),
             )
         except ValueError as exc:
@@ -206,7 +214,7 @@ def parse_config(doc: dict) -> RunConfig:
     outdoc = _section(doc.get("output", {}), "output", ("directory", "precision"))
     output = OutputConfig(
         directory=_field(outdoc, "directory", "output", str, "out"),
-        precision=_field(outdoc, "precision", "output", int, 12),
+        precision=_field(outdoc, "precision", "output", _integer, 12),
     )
     return RunConfig(model=model, grid=grid, oracle=oracle, dyn=dyn, output=output)
 
@@ -286,7 +294,9 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
     model = config.model
     lam = model.coupling.lam if model.coupling.family != "constant" else 1.0
     h = 1e-4 * lam
-    basis = fock.TruncatedBasis(config.oracle.n_max) if with_oracle else None
+    oracle = None
+    if with_oracle:
+        oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle.n_max))
     header = ["y", "E_vac", "F_casimir", "F_lifshitz", "F_finite_diff"]
     if with_oracle:
         header.append("F_oracle")
@@ -298,7 +308,7 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
         fd = -energy_gradient_fd(model, y, h)
         row = [y, e, fc, fl, fd]
         if with_oracle:
-            row.append(fock.oracle_force(model, y, basis))
+            row.append(fock.oracle_force(oracle, y))
         rows.append(row)
     path = outdir / "force_curve.csv"
     write_csv(path, header, rows, config.output.precision)
@@ -341,9 +351,10 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
         y = config.grid.y_min if config.grid else model.coupling.y_min
     tol = oc.convergence_tol
     basis = fock.TruncatedBasis(oc.n_max)
+    oracle = fock.FockOracle(model, basis)
 
-    gs = fock.ground_state(fock.build_hamiltonian(model, y, basis))
-    obs = fock.oracle_observables(model, y, basis, gs=gs)
+    gs = fock.ground_state(oracle, y)
+    obs = fock.oracle_observables(oracle, gs)
     analytic = quantum.vacuum_fluctuations(model, y)
     coeffs = quantum.bogoliubov_coefficients(model, y)
 
@@ -382,6 +393,8 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
         "annihilation_residuals": residuals,
         "symmetry_violation": report_struct.symmetry_violation,
         "odd_parity_mass": report_struct.odd_parity_mass,
+        "residual_norm": gs.residual_norm,
+        "edge_mass": gs.edge_mass(),
         "pass": passed,
     }
     path = outdir / "oracle_check.json"
@@ -429,6 +442,13 @@ def reference_casimir_report(
     return report
 
 
+def _order(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-toy",
@@ -457,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--pair-y", type=float, default=None, help="y at which to emit the pair distribution"
     )
     p.add_argument(
-        "--pair-n-max", type=int, default=20, help="pair-distribution truncation order"
+        "--pair-n-max", type=_order, default=20, help="pair-distribution truncation order"
     )
 
     p = sub.add_parser("oracle-check", help="analytic-vs-oracle verification report")

@@ -8,13 +8,12 @@ quantity is E_total = p_y^2 / 2M + E_vac(y).
 
 from __future__ import annotations
 
+import functools
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg
 
 from . import fock, quantum
 from .errors import EmptyTrajectoryError
@@ -77,36 +76,17 @@ def _route_functions(model: ValidatedModel, config: DynamicsConfig):
             lambda y: quantum.lifshitz_force(model, y),
             lambda y: quantum.vacuum_energy(model, y),
         )
-    # Oracle route: H(y) = H0 + g(y) V with fixed H0, V, so precompute both
-    # and find the lowest eigenpair per step (warm-started Lanczos).
-    basis = fock.TruncatedBasis(config.oracle_n_max)
-    eye = np.eye(basis.n_max + 1)
-    num = basis.number()
-    x = fock.position_matrix(model, basis)
-    h0 = sparse.csr_matrix(
-        model.hbar * model.omega * (np.kron(num, eye) + np.kron(eye, num) + np.eye(basis.dim))
-    )
-    v_int = sparse.csr_matrix(np.kron(x, x))
-    state = {"v0": None}
-
-    def oracle_pair(y):
-        h = h0 + model.g(y) * v_int
-        vals, vecs = sparse.linalg.eigsh(h, k=1, which="SA", v0=state["v0"])
-        vec = vecs[:, 0]
-        state["v0"] = vec
-        x1x2 = float(vec @ (v_int @ vec))
-        return -model.g_prime(y) * x1x2, float(vals[0])
+    # Oracle route: one FockOracle for the run, so each step's Lanczos solve
+    # starts from the previous step's ground state (the first from |0,0>).
+    oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle_n_max))
 
     # Cache the (force, energy) pair so each step costs one diagonalization.
-    cache: dict[float, tuple[float, float]] = {}
+    @functools.lru_cache(maxsize=1)
+    def oracle_pair(y):
+        obs = fock.oracle_observables(oracle, fock.ground_state(oracle, y))
+        return -model.g_prime(y) * obs.x1x2, obs.E_vac
 
-    def cached(y):
-        if y not in cache:
-            cache.clear()
-            cache[y] = oracle_pair(y)
-        return cache[y]
-
-    return (lambda y: cached(y)[0], lambda y: cached(y)[1])
+    return (lambda y: oracle_pair(y)[0], lambda y: oracle_pair(y)[1])
 
 
 def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:

@@ -1,8 +1,13 @@
 """Brute-force oracle in a truncated two-mode Fock basis.
 
-Builds H = hbar omega (N1 + N2 + 1) + g(y) x1 x2 as a dense symmetric matrix
-over product states |n, n'> with n, n' <= n_max, diagonalizes it, and exposes
-ground-state observables for checking every closed-form result independently.
+H(y) = hbar omega (N1 + N2 + 1) + g(y) x1 x2 over product states |n, n'>
+with n, n' <= n_max.  A FockOracle holds, for one basis, the diagonal of
+H0 = hbar omega (N1 + N2 + 1) and the sparse V = x (x) x; ground_state finds
+the lowest eigenpair of H0 + g(y) V by sparse Lanczos (ARPACK eigsh).  The
+first solve of an oracle starts from |0,0>, each later one from the previous
+ground state, so a grid sweep or a trajectory is warm-started and reruns stay
+deterministic.  Observables are contracted on the amplitude table c[n, n']
+(e.g. <x1 x2> = sum c o (x c x)), never on matrices of side (n_max+1)^2.
 """
 
 from __future__ import annotations
@@ -11,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.sparse as sparse
+import scipy.sparse.linalg
 
 from .errors import NoConvergenceError, TruncationMismatchError
 from .model import ValidatedModel
@@ -44,9 +50,6 @@ class TruncatedBasis:
         """Single-mode lowering matrix a with a|n> = sqrt(n)|n-1>."""
         return np.diag(np.sqrt(np.arange(1, self.n_max + 1)), k=1)
 
-    def number(self) -> np.ndarray:
-        return np.diag(np.arange(self.n_max + 1, dtype=float))
-
 
 @dataclass(frozen=True)
 class OperatorMatrix:
@@ -66,6 +69,12 @@ class GroundStateResult:
         side = self.n_max + 1
         return self.amplitudes.reshape(side, side)
 
+    def edge_mass(self) -> float:
+        """Sum of c[n, n']^2 over n = n_max or n' = n_max: the weight on the
+        basis edge, a truncation estimate that needs no analytic answer."""
+        table = self.amplitude_table()
+        return float(np.sum(table[-1, :] ** 2) + np.sum(table[:-1, -1] ** 2))
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -81,70 +90,96 @@ def position_matrix(model: ValidatedModel, basis: TruncatedBasis) -> np.ndarray:
     return math.sqrt(model.hbar / (2.0 * model.m * model.omega)) * (a + a.T)
 
 
+class FockOracle:
+    """H(y) = H0 + g(y) V on one basis, and where its next solve starts.
+
+    Build one per (model, basis) and pass it to ground_state for every y of a
+    sweep: each solve starts from the ground state of the one before.
+    """
+
+    def __init__(self, model: ValidatedModel, basis: TruncatedBasis):
+        self.model = model
+        self.basis = basis
+        n = np.arange(basis.n_max + 1, dtype=float)
+        h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0).ravel()
+        self.x = position_matrix(model, basis)
+        x = sparse.csr_matrix(self.x)
+        # H0 is diagonal and V = x (x) x has a zero diagonal, so H(y) has the
+        # fixed pattern of H0 + V, and each solve only refills its values.
+        self._pattern = (sparse.diags(h0) + sparse.kron(x, x)).tocsr()
+        rows = np.repeat(np.arange(basis.dim), np.diff(self._pattern.indptr))
+        on_diag = self._pattern.indices == rows
+        self._h0_values = np.where(on_diag, self._pattern.data, 0.0)
+        self._v_values = np.where(on_diag, 0.0, self._pattern.data)
+        self.start = np.zeros(basis.dim)
+        self.start[0] = 1.0  # |0,0>
+
+    def hamiltonian(self, y: float) -> sparse.csr_matrix:
+        h = self._pattern.copy()
+        h.data = self._h0_values + self.model.g(y) * self._v_values
+        return h
+
+
 def build_hamiltonian(
     model: ValidatedModel, y: float, basis: TruncatedBasis
 ) -> OperatorMatrix:
-    """Fixed-y effective Hamiltonian in the free product basis."""
-    g = model.g(y)
-    eye = np.eye(basis.n_max + 1)
-    num = basis.number()
-    x = position_matrix(model, basis)
-    h = model.hbar * model.omega * (
-        np.kron(num, eye) + np.kron(eye, num) + np.eye(basis.dim)
-    ) + g * np.kron(x, x)
-    return OperatorMatrix(matrix=h, basis=basis)
+    """Dense view of the oracle's H(y), for auditing its matrix elements."""
+    return OperatorMatrix(
+        matrix=FockOracle(model, basis).hamiltonian(y).toarray(), basis=basis
+    )
 
 
-def ground_state(op: OperatorMatrix) -> GroundStateResult:
-    """Lowest eigenpair by dense symmetric diagonalization.
+def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
+    """Lowest eigenpair of H(y) by Lanczos, started from the oracle's last
+    ground state (|0,0> on its first solve).
 
     The eigenvector sign is fixed so the |0,0> amplitude is positive.
     """
-    h = op.matrix
+    h = oracle.hamiltonian(y)
     try:
-        vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
+        vals, vecs = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=oracle.start)
+    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
         raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
     e0 = float(vals[0])
     v = vecs[:, 0]
     if v[0] < 0:
         v = -v
+    oracle.start = v
     residual = float(np.linalg.norm(h @ v - e0 * v))
     return GroundStateResult(
-        E0=e0, amplitudes=v, residual_norm=residual, n_max=op.basis.n_max
+        E0=e0, amplitudes=v, residual_norm=residual, n_max=oracle.basis.n_max
     )
 
 
-def oracle_observables(
-    model: ValidatedModel,
-    y: float,
-    basis: TruncatedBasis,
-    gs: GroundStateResult | None = None,
-) -> VacuumObservables:
-    """Ground-state expectation values evaluated numerically."""
-    if gs is None:
-        gs = ground_state(build_hamiltonian(model, y, basis))
-    v = gs.amplitudes
-    eye = np.eye(basis.n_max + 1)
-    x = position_matrix(model, basis)
-    num = basis.number()
-    x1x2 = float(v @ np.kron(x, x) @ v)
-    x1_sq = float(v @ np.kron(x @ x, eye) @ v)
-    x2_sq = float(v @ np.kron(eye, x @ x) @ v)
+def _x1x2(table: np.ndarray, x: np.ndarray) -> float:
+    """<x1 x2> of the state with amplitudes table[n, n']: x1 acts on rows."""
+    return float(np.sum(table * (x @ table @ x)))
+
+
+def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:
+    """Expectation values in a ground state of the oracle."""
+    c = gs.amplitude_table()
+    x = oracle.x
+    x1x2 = _x1x2(c, x)
+    x1_sq = float(np.sum(c * (x @ x @ c)))
+    x2_sq = float(np.sum(c * (c @ x @ x)))
+    p = c * c
+    n = np.arange(gs.n_max + 1)
     # x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2
     return VacuumObservables(
         E_vac=gs.E0,
         x_plus_sq=(x1_sq + x2_sq) / 2.0 + x1x2,
         x_minus_sq=(x1_sq + x2_sq) / 2.0 - x1x2,
         x1x2=x1x2,
-        N1=float(v @ np.kron(num, eye) @ v),
-        N2=float(v @ np.kron(eye, num) @ v),
+        N1=float(n @ p.sum(axis=1)),
+        N2=float(n @ p.sum(axis=0)),
     )
 
 
-def oracle_force(model: ValidatedModel, y: float, basis: TruncatedBasis) -> float:
+def oracle_force(oracle: FockOracle, y: float) -> float:
     """F = -g'(y) <x1 x2> in the numerical ground state."""
-    return -model.g_prime(y) * oracle_observables(model, y, basis).x1x2
+    gs = ground_state(oracle, y)
+    return -oracle.model.g_prime(y) * _x1x2(gs.amplitude_table(), oracle.x)
 
 
 def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> float:
@@ -159,15 +194,14 @@ def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> fl
             f"N_max={expansion.N_max} exceeds basis n_max={basis.n_max}"
         )
     side = basis.n_max + 1
-    state = np.zeros(basis.dim)
-    for n, c in enumerate(expansion.coefficients):
-        state[basis.index(n, n)] = c
+    state = np.zeros((side, side))
+    pairs = np.arange(expansion.N_max + 1)
+    state[pairs, pairs] = expansion.coefficients
     a = basis.lowering()
-    eye = np.eye(side)
-    op = expansion.alpha * (np.kron(a, eye) + np.kron(eye, a)) + expansion.beta * (
-        np.kron(a.T, eye) + np.kron(eye, a.T)
+    # a1 acts on the row index, a2 on the column index
+    residual = expansion.alpha * (a @ state + state @ a.T) + expansion.beta * (
+        a.T @ state + state @ a
     )
-    residual = (op @ state).reshape(side, side)
     interior = residual[: basis.n_max, : basis.n_max]
     return float(np.linalg.norm(interior))
 
@@ -211,8 +245,6 @@ def free_vacuum_correlation(
     norm = np.linalg.norm(psi2)
     if not math.isclose(norm, 1.0, rel_tol=1e-9):
         raise ValueError(f"psi2 must be normalized, got ||psi2|| = {norm}")
-    vac = np.zeros(basis.n_max + 1)
-    vac[0] = 1.0
-    state = np.kron(vac, psi2)
-    x = position_matrix(model, basis)
-    return float(state @ np.kron(x, x) @ state)
+    table = np.zeros((basis.n_max + 1, basis.n_max + 1))
+    table[0] = psi2
+    return _x1x2(table, position_matrix(model, basis))

@@ -101,7 +101,7 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
     xm2 = model.hbar / (2.0 * model.m * s.omega_minus)
     n1, n2 = mean_free_quanta(bogoliubov_coefficients(model, y))
     return VacuumObservables(
-        E_vac=model.hbar * (s.omega_plus + s.omega_minus) / 2.0,
+        E_vac=vacuum_energy(model, y),
         x_plus_sq=xp2,
         x_minus_sq=xm2,
         x1x2=_x1x2(model, y, s),

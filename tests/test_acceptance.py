@@ -29,7 +29,7 @@ from casimir_toy import (
 from casimir_toy import cli
 from casimir_toy.dynamics import energy_audit
 from casimir_toy.fock import (
-    build_hamiltonian,
+    FockOracle,
     free_vacuum_correlation,
     ground_state_structure_checks,
     oracle_observables,
@@ -94,8 +94,9 @@ def test_criterion_3_oracle_convergence():
     model = make_model()
     tic = time.perf_counter()
     basis = TruncatedBasis(40)
-    gs = ground_state(build_hamiltonian(model, 0.0, basis))
-    obs = oracle_observables(model, 0.0, basis, gs=gs)
+    oracle = FockOracle(model, basis)
+    gs = ground_state(oracle, 0.0)
+    obs = oracle_observables(oracle, gs)
     elapsed = time.perf_counter() - tic
     # analytic closed forms are the predictions under test
     e_pred = vacuum_energy(model, 0.0)
@@ -182,7 +183,7 @@ def test_criterion_5_squeezed_vacuum_expansion():
 
 def test_criterion_6_ground_state_structure():
     model = make_model()
-    gs = ground_state(build_hamiltonian(model, 0.0, TruncatedBasis(40)))
+    gs = ground_state(FockOracle(model, TruncatedBasis(40)), 0.0)
     rep = ground_state_structure_checks(gs)
     report(
         "criterion 6: exchange symmetry < 1e-10 and odd-parity mass < 1e-20",

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from casimir_toy.classical import (
     ModeAmplitudes,
@@ -67,13 +67,19 @@ class TestClassicalForce:
         x2=st.floats(min_value=-5, max_value=5),
         y=st.floats(min_value=0.0, max_value=10.0),
     )
+    @example(x1=4.375, x2=1e-5, y=0.0)
     def test_normal_coordinate_identity(self, x1, x2, y):
         model = make_model()
         state = PhaseState(x1, x2, y, 0, 0, 0)
         lab = classical_force(model, state)
         xp, xm = normal_coordinates(x1, x2)
         normal = -model.g_prime(y) * (xp**2 - xm**2) / 2.0
-        assert normal == pytest.approx(lab, rel=1e-12, abs=1e-15)
+        # x+^2 - x-^2 cancels when |x2| << |x1|: once x+- are rounded, the
+        # difference is only good to a few eps of x+^2 + x-^2 = x1^2 + x2^2.
+        # tiny covers results that fall into the subnormal range.
+        eps = np.finfo(float).eps
+        bound = 8 * eps * abs(model.g_prime(y)) * (x1**2 + x2**2)
+        assert abs(normal - lab) <= bound + np.finfo(float).tiny
 
 
 class TestEvolveClassical:

@@ -92,6 +92,8 @@ class TestConfigParsing:
             ("output.format", lambda d: d["output"].update(format="json")),
             ("model.coupling.lamda", lambda d: d["model"]["coupling"].update(lamda=2.0)),
             ("config.outputs", lambda d: d.update(outputs={})),
+            ("oracle.n_max", lambda d: d["oracle"].update(n_max=40.7)),
+            ("model.coupling.exponent", lambda d: d["model"]["coupling"].update(exponent=2.5)),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
@@ -100,6 +102,20 @@ class TestConfigParsing:
         path.write_text(json.dumps(doc))
         assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    def test_integral_float_accepted(self, tmp_path):
+        path, doc = reference_config(tmp_path)
+        doc["oracle"]["n_max"] = 40.0
+        path.write_text(json.dumps(doc))
+        n_max = cli.load_config(str(path)).oracle.n_max
+        assert n_max == 40 and isinstance(n_max, int)
+
+    def test_negative_pair_n_max_exits_2_naming_flag(self, tmp_path, capsys):
+        path, _ = reference_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vacuum-content", "--config", str(path), "--pair-n-max", "-1"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--pair-n-max" in capsys.readouterr().err
 
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)
@@ -227,6 +243,8 @@ class TestOracleCheckCommand:
         assert report["symmetry_violation"] < 1e-10
         assert report["odd_parity_mass"] < 1e-20
         assert len(report["annihilation_residuals"]) > 0
+        assert report["residual_norm"] < 1e-12
+        assert report["edge_mass"] < 1e-30
 
     def test_under_truncated_fails(self, tmp_path):
         path, doc = reference_config(tmp_path)
@@ -236,6 +254,7 @@ class TestOracleCheckCommand:
         assert code == cli.EXIT_VERIFICATION
         report = json.loads((tmp_path / "out" / "oracle_check.json").read_text())
         assert report["pass"] is False
+        assert report["edge_mass"] > 1e-6
 
     def test_domain_error_exit_code(self, tmp_path):
         path, _ = reference_config(tmp_path)
@@ -316,6 +335,21 @@ class TestDeterminismAndOverrides:
             ) == 0
         assert (a / "force_curve.csv").read_bytes() == (b / "force_curve.csv").read_bytes()
         assert (a / "oracle_check.json").read_bytes() == (b / "oracle_check.json").read_bytes()
+
+    def test_oracle_routes_byte_identical_reruns(self, tmp_path):
+        path, doc = reference_config(tmp_path)
+        # far out, where F is small enough that solver noise reaches 12 digits
+        doc["oracle"]["n_max"] = 20
+        doc["dynamics"].update(y0=8.0, force_route="oracle", t_max=10.0)
+        path.write_text(json.dumps(doc))
+        outputs = []
+        for run in ("a", "b"):
+            outdir = tmp_path / run
+            for argv in (["force-curve", "--with-oracle"], ["evolve"]):
+                assert cli.main([*argv, "--config", str(path), "--output-dir", str(outdir)]) == 0
+            outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert set(outputs[0]) == {"force_curve.csv", "trajectory.csv"}
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         path, _ = reference_config(tmp_path)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from casimir_toy import (
     TruncatedBasis,
@@ -13,6 +14,7 @@ from casimir_toy import (
 )
 from casimir_toy.errors import TruncationMismatchError
 from casimir_toy.fock import (
+    FockOracle,
     build_hamiltonian,
     free_vacuum_correlation,
     ground_state_structure_checks,
@@ -27,7 +29,7 @@ from conftest import make_model
 def reference_ground_state():
     model = make_model()
     basis = TruncatedBasis(40)
-    return model, basis, ground_state(build_hamiltonian(model, 0.0, basis))
+    return model, basis, ground_state(FockOracle(model, basis), 0.0)
 
 
 class TestTruncatedBasis:
@@ -98,7 +100,7 @@ class TestBuildHamiltonian:
 class TestGroundState:
     def test_free_ground_state(self):
         model = make_model(g0=0.0)
-        gs = ground_state(build_hamiltonian(model, 0.0, TruncatedBasis(8)))
+        gs = ground_state(FockOracle(model, TruncatedBasis(8)), 0.0)
         assert gs.E0 == pytest.approx(1.0, rel=1e-12)
         assert gs.amplitudes[0] == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(gs.amplitudes[1:]) < 1e-12
@@ -117,9 +119,7 @@ class TestGroundState:
     def test_variational_monotonicity(self, reference_model):
         energies = []
         for n_max in (4, 8, 12, 16, 20):
-            gs = ground_state(
-                build_hamiltonian(reference_model, 0.0, TruncatedBasis(n_max))
-            )
+            gs = ground_state(FockOracle(reference_model, TruncatedBasis(n_max)), 0.0)
             energies.append(gs.E0)
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-14)
@@ -132,13 +132,14 @@ class TestGroundState:
 class TestOracleObservables:
     def test_free_case(self):
         model = make_model(g0=0.0)
-        obs = oracle_observables(model, 0.0, TruncatedBasis(8))
+        oracle = FockOracle(model, TruncatedBasis(8))
+        obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         assert abs(obs.x1x2) < 1e-14
         assert abs(obs.N1) < 1e-14 and abs(obs.N2) < 1e-14
 
     def test_reference_values_match_analytic(self, reference_model):
-        basis = TruncatedBasis(40)
-        obs = oracle_observables(reference_model, 0.0, basis)
+        oracle = FockOracle(reference_model, TruncatedBasis(40))
+        obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         analytic = vacuum_fluctuations(reference_model, 0.0)
         assert obs.E_vac == pytest.approx(analytic.E_vac, rel=1e-6)
         assert obs.x1x2 == pytest.approx(analytic.x1x2, rel=1e-6)
@@ -147,13 +148,14 @@ class TestOracleObservables:
         assert obs.N1 == pytest.approx(analytic.N1, rel=1e-6)
 
     def test_exchange_symmetry_of_quanta(self, reference_model):
-        obs = oracle_observables(reference_model, 0.0, TruncatedBasis(20))
+        oracle = FockOracle(reference_model, TruncatedBasis(20))
+        obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         assert abs(obs.N1 - obs.N2) < 1e-10
 
     def test_oracle_force_matches_analytic(self, reference_model):
         from casimir_toy import lifshitz_force
 
-        f = oracle_force(reference_model, 0.0, TruncatedBasis(30))
+        f = oracle_force(FockOracle(reference_model, TruncatedBasis(30)), 0.0)
         assert f == pytest.approx(lifshitz_force(reference_model, 0.0), rel=1e-6)
 
 
@@ -214,7 +216,7 @@ class TestVerifyAnnihilation:
 class TestGroundStateStructure:
     def test_free_case_single_amplitude(self):
         model = make_model(g0=0.0)
-        gs = ground_state(build_hamiltonian(model, 0.0, TruncatedBasis(6)))
+        gs = ground_state(FockOracle(model, TruncatedBasis(6)), 0.0)
         report = ground_state_structure_checks(gs)
         assert report.symmetry_violation < 1e-12
         assert report.odd_parity_mass < 1e-24
@@ -268,3 +270,77 @@ class TestFreeVacuumCorrelation:
         basis = TruncatedBasis(5)
         with pytest.raises(ValueError):
             free_vacuum_correlation(reference_model, basis, np.ones(6))
+
+
+def dense_reference(model, y, n_max):
+    """E0 and observables from a dense kron-built H and scipy.linalg.eigh."""
+    side = n_max + 1
+    a = np.diag(np.sqrt(np.arange(1.0, side)), k=1)
+    x = math.sqrt(model.hbar / (2 * model.m * model.omega)) * (a + a.T)
+    num = np.diag(np.arange(side, dtype=float))
+    eye = np.eye(side)
+    h = model.hbar * model.omega * (
+        np.kron(num, eye) + np.kron(eye, num) + np.eye(side**2)
+    ) + model.g(y) * np.kron(x, x)
+    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
+    v = vecs[:, 0]
+
+    def expect(op):
+        return float(v @ op @ v)
+
+    x1_sq, x2_sq = expect(np.kron(x @ x, eye)), expect(np.kron(eye, x @ x))
+    x1x2 = expect(np.kron(x, x))
+    return float(vals[0]), {
+        "x1x2": x1x2,
+        "x_plus_sq": (x1_sq + x2_sq) / 2 + x1x2,
+        "x_minus_sq": (x1_sq + x2_sq) / 2 - x1x2,
+        "N1": expect(np.kron(num, eye)),
+        "N2": expect(np.kron(eye, num)),
+    }
+
+
+def assert_matches(gs, obs, e0, expected):
+    assert gs.E0 == pytest.approx(e0, rel=1e-13)
+    for name, value in expected.items():
+        assert getattr(obs, name) == pytest.approx(value, rel=1e-12, abs=1e-15), name
+
+
+FAMILIES = ("constant", "exponential", "inverse-power")
+
+
+class TestSparseOracle:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_max", [1, 4, 12, 24])
+    def test_matches_dense_eigh(self, family, n_max):
+        model = make_model(g0=0.6, family=family)
+        oracle = FockOracle(model, TruncatedBasis(n_max))
+        gs = ground_state(oracle, 0.4)
+        e0, expected = dense_reference(model, 0.4, n_max)
+        assert_matches(gs, oracle_observables(oracle, gs), e0, expected)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_warm_started_grid_matches_cold_solves(self, family):
+        model = make_model(g0=0.6, family=family)
+        basis = TruncatedBasis(16)
+        warm = FockOracle(model, basis)
+        for y in np.linspace(0.0, 3.0, 7):
+            gs = ground_state(warm, y)
+            cold = FockOracle(model, basis)
+            gs_cold = ground_state(cold, y)
+            obs_cold = oracle_observables(cold, gs_cold)
+            expected = {name: getattr(obs_cold, name)
+                        for name in ("x1x2", "x_plus_sq", "x_minus_sq", "N1", "N2")}
+            assert_matches(gs, oracle_observables(warm, gs), gs_cold.E0, expected)
+
+    def test_dense_view_is_the_sparse_hamiltonian(self, reference_model):
+        basis = TruncatedBasis(6)
+        oracle = FockOracle(reference_model, basis)
+        dense = build_hamiltonian(reference_model, 0.7, basis).matrix
+        assert np.array_equal(dense, oracle.hamiltonian(0.7).toarray())
+
+    def test_edge_mass_tracks_truncation(self, reference_model):
+        def edge(n_max):
+            return ground_state(FockOracle(reference_model, TruncatedBasis(n_max)), 0.0).edge_mass()
+
+        assert edge(2) > 1e-6
+        assert edge(30) < 1e-20
