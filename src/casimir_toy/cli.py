@@ -16,10 +16,13 @@ flags override config fields.  The output directory resolves as
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -32,7 +35,7 @@ from .errors import (
     DomainError,
     NonPositiveSeparationError,
 )
-from .model import CouplingSpec, ModelParams, ValidatedModel, spectrum, validate
+from .model import ModelParams, ValidatedModel, spectrum, validate
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,10 +53,10 @@ class GridConfig:
 
     def __post_init__(self):
         if self.points < 2:
-            raise ConfigError(f"grid.points must be >= 2, got {self.points}")
+            raise ValueError(f"points must be >= 2, got {self.points}")
         if not self.y_min < self.y_max:
-            raise ConfigError(
-                f"grid.y_min must be < grid.y_max, got [{self.y_min}, {self.y_max}]"
+            raise ValueError(
+                f"y_min must be < grid.y_max, got [{self.y_min}, {self.y_max}]"
             )
 
 
@@ -65,11 +68,9 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.n_max < 1:
-            raise ConfigError(f"oracle.n_max must be >= 1, got {self.n_max}")
+            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
         if not self.convergence_tol > 0:
-            raise ConfigError(
-                f"oracle.convergence_tol must be > 0, got {self.convergence_tol}"
-            )
+            raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +80,7 @@ class OutputConfig:
 
     def __post_init__(self):
         if not 6 <= self.precision <= 17:
-            raise ConfigError(
-                f"output.precision must be in [6, 17], got {self.precision}"
-            )
+            raise ValueError(f"precision must be in [6, 17], got {self.precision}")
 
 
 @dataclass(frozen=True)
@@ -89,134 +88,115 @@ class RunConfig:
     model: ValidatedModel
     grid: GridConfig | None
     oracle: OracleConfig
-    dyn: dynamics.DynamicsConfig | None
+    dynamics: dynamics.DynamicsConfig | None
     output: OutputConfig
 
 
-_REQUIRED = object()
+# Field name -> JSON key, where the two differ.
+_JSON_KEYS = {"lam": "lambda"}
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing config field: {context}.{key}")
-    return mapping[key]
+def _finite(value, path: str) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ConfigError(f"{path} must be a finite JSON number, got {value!r}")
 
 
-def _section(value, context: str, keys: tuple[str, ...]) -> dict:
-    """A JSON object with no keys outside keys; ConfigError naming the field."""
+def _integer(value, path: str) -> int:
+    """An integral JSON number: 40 and 40.0 pass, 40.7 does not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{path} must be an integral JSON number, got {value!r}")
+
+
+def _string(value, path: str) -> str:
+    if isinstance(value, str):
+        return value
+    raise ConfigError(f"{path} must be a JSON string, got {value!r}")
+
+
+# Field type -> converter of a JSON value.
+_CONVERT = {float: _finite, float | None: _finite, int: _integer, str: _string}
+
+
+def _object(value, context: str, keys) -> None:
+    """Require a JSON object with no keys outside keys; ConfigError naming the field."""
     if not isinstance(value, dict):
         raise ConfigError(f"{context} must be a JSON object, got {value!r}")
     for key in value:
         if key not in keys:
             raise ConfigError(f"unknown config field: {context}.{key}")
-    return value
 
 
-def _field(mapping: dict, key: str, context: str, convert, default=_REQUIRED):
-    """convert(mapping[key]), or default if absent; ConfigError naming the field."""
-    if key not in mapping and default is not _REQUIRED:
-        return default
-    value = _require(mapping, key, context)
+@functools.cache
+def _fields(cls) -> dict:
+    """JSON key -> (field, converter) of dataclass cls; resolving the
+    annotations costs more than loading a section, so it is done once."""
+    types = typing.get_type_hints(cls)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        tp = types[f.name]
+        convert = functools.partial(_load, tp) if dataclasses.is_dataclass(tp) else _CONVERT[tp]
+        fields[_JSON_KEYS.get(f.name, f.name)] = f, convert
+    return fields
+
+
+def _load(cls, value, context: str, **defaults):
+    """Read the JSON object value into dataclass cls by cls's own fields.
+
+    A key naming no field is refused; a field with no default in cls or in
+    defaults is required; each value must have its field's JSON type.  cls's
+    own check raises ValueError starting with the field name.  Every error is
+    a ConfigError naming the field as context.key.
+    """
+    fields = _fields(cls)
+    _object(value, context, fields)
+    kwargs = dict(defaults)
+    for key, (f, convert) in fields.items():
+        path = f"{context}.{key}"
+        if key in value:
+            kwargs[f.name] = convert(value[key], path)
+        elif f.default is dataclasses.MISSING and f.name not in kwargs:
+            raise ConfigError(f"missing config field: {path}")
     try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{context}.{key}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{context}.{exc}") from exc
 
 
-def _finite(value) -> float:
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"must be finite, got {x}")
-    return x
-
-
-def _integer(value) -> int:
-    """int(value), refusing a fractional part: 40.0 passes, 40.7 does not."""
-    n = int(value)
-    if isinstance(value, float) and n != value:
-        raise ValueError(f"must be an integer, got {value}")
-    return n
-
-
-def parse_config(doc: dict) -> RunConfig:
+def parse_config(doc) -> RunConfig:
     """Validate the JSON config document; raises ConfigError naming the field."""
-    _section(doc, "config", ("model", "grid", "oracle", "dynamics", "output"))
-    model_doc = _section(
-        _require(doc, "model", "config"), "model", ("m", "M", "k", "hbar", "coupling")
-    )
-    cdoc = _section(
-        _require(model_doc, "coupling", "model"),
-        "model.coupling",
-        ("family", "g0", "lambda", "exponent", "y_min", "y_max"),
-    )
-    coupling = CouplingSpec(
-        family=_require(cdoc, "family", "model.coupling"),
-        g0=_field(cdoc, "g0", "model.coupling", _finite),
-        lam=_field(cdoc, "lambda", "model.coupling", _finite, 1.0),
-        exponent=_field(cdoc, "exponent", "model.coupling", _integer, 2),
-        y_min=_field(cdoc, "y_min", "model.coupling", _finite, 0.0),
-        y_max=_field(cdoc, "y_max", "model.coupling", _finite, 10.0),
-    )
-    params = ModelParams(
-        m=_field(model_doc, "m", "model", _finite),
-        M=_field(model_doc, "M", "model", _finite),
-        k=_field(model_doc, "k", "model", _finite),
-        hbar=_field(model_doc, "hbar", "model", _finite, 1.0),
-        coupling=coupling,
-    )
+    _object(doc, "config", {f.name for f in dataclasses.fields(RunConfig)})
+    if "model" not in doc:
+        raise ConfigError("missing config field: config.model")
+    params = _load(ModelParams, doc["model"], "model")
     try:
         model = validate(params)
-    except (CasimirToyError, OverflowError) as exc:
-        raise ConfigError(f"invalid model: {exc}") from exc
+    except CasimirToyError as exc:  # its message names the fields
+        raise ConfigError(str(exc)) from exc
 
     grid = None
     if "grid" in doc:
-        gdoc = _section(doc["grid"], "grid", ("y_min", "y_max", "points"))
-        grid = GridConfig(
-            y_min=_field(gdoc, "y_min", "grid", _finite),
-            y_max=_field(gdoc, "y_max", "grid", _finite),
-            points=_field(gdoc, "points", "grid", _integer),
-        )
-        if grid.y_min < coupling.y_min or grid.y_max > coupling.y_max:
+        grid = _load(GridConfig, doc["grid"], "grid")
+        c = model.coupling
+        if grid.y_min < c.y_min or grid.y_max > c.y_max:
             raise ConfigError(
-                f"grid [{grid.y_min}, {grid.y_max}] not inside coupling domain "
-                f"[{coupling.y_min}, {coupling.y_max}]"
+                f"grid [grid.y_min, grid.y_max] = [{grid.y_min}, {grid.y_max}] not "
+                "inside the coupling domain [model.coupling.y_min, "
+                f"model.coupling.y_max] = [{c.y_min}, {c.y_max}]"
             )
-
-    odoc = _section(doc.get("oracle", {}), "oracle", ("n_max", "convergence_tol", "y"))
-    oracle = OracleConfig(
-        n_max=_field(odoc, "n_max", "oracle", _integer, 40),
-        convergence_tol=_field(odoc, "convergence_tol", "oracle", _finite, 1e-6),
-        y=_field(odoc, "y", "oracle", _finite, None),
-    )
-
+    oracle = _load(OracleConfig, doc.get("oracle", {}), "oracle")
     dyn = None
     if "dynamics" in doc:
-        ddoc = _section(
-            doc["dynamics"],
-            "dynamics",
-            ("y0", "v0", "dt", "t_max", "force_route", "oracle_n_max", "oracle_budget_s"),
+        # The CLI's default dynamics.oracle_n_max is oracle.n_max.
+        dyn = _load(
+            dynamics.DynamicsConfig, doc["dynamics"], "dynamics", oracle_n_max=oracle.n_max
         )
-        try:
-            dyn = dynamics.DynamicsConfig(
-                y0=_field(ddoc, "y0", "dynamics", _finite),
-                v0=_field(ddoc, "v0", "dynamics", _finite),
-                dt=_field(ddoc, "dt", "dynamics", _finite),
-                t_max=_field(ddoc, "t_max", "dynamics", _finite),
-                force_route=ddoc.get("force_route", "casimir"),
-                oracle_n_max=_field(ddoc, "oracle_n_max", "dynamics", _integer, oracle.n_max),
-                oracle_budget_s=_field(ddoc, "oracle_budget_s", "dynamics", _finite, 300.0),
-            )
-        except ValueError as exc:
-            # every DynamicsConfig message starts with the field name
-            raise ConfigError(f"dynamics.{exc}") from exc
-
-    outdoc = _section(doc.get("output", {}), "output", ("directory", "precision"))
-    output = OutputConfig(
-        directory=_field(outdoc, "directory", "output", str, "out"),
-        precision=_field(outdoc, "precision", "output", _integer, 12),
-    )
-    return RunConfig(model=model, grid=grid, oracle=oracle, dyn=dyn, output=output)
+    output = _load(OutputConfig, doc.get("output", {}), "output")
+    return RunConfig(model=model, grid=grid, oracle=oracle, dynamics=dyn, output=output)
 
 
 def load_config(path: str) -> RunConfig:
@@ -225,7 +205,8 @@ def load_config(path: str) -> RunConfig:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, bad UTF-8, or an integer past Python's digit limit
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -252,7 +233,7 @@ def _grid_values(grid: GridConfig) -> np.ndarray:
 
 
 def _need(config: RunConfig, section: str):
-    value = getattr(config, "dyn" if section == "dynamics" else section)
+    value = getattr(config, section)
     if value is None:
         raise ConfigError(f"missing config field: {section}")
     return value
@@ -403,8 +384,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
 
 
 def cmd_evolve(config: RunConfig, outdir: Path) -> tuple[Path, dynamics.Trajectory]:
-    dyn = _need(config, "dynamics")
-    traj = dynamics.evolve(config.model, dyn)
+    traj = dynamics.evolve(config.model, _need(config, "dynamics"))
     rows = zip(traj.t, traj.y, traj.p_y, traj.F, traj.E_vac, traj.E_total)
     path = outdir / "trajectory.csv"
     write_csv(
@@ -522,7 +502,10 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.precision is not None:
-            output = replace(config.output, precision=args.precision)
+            try:
+                output = replace(config.output, precision=args.precision)
+            except ValueError as exc:
+                raise ConfigError(f"--precision: {exc}") from exc
             config = replace(config, output=output)
         if config.model.adiabatic_warning:
             print(

@@ -8,7 +8,6 @@ quantity is E_total = p_y^2 / 2M + E_vac(y).
 
 from __future__ import annotations
 
-import functools
 import time
 import warnings
 from dataclasses import dataclass
@@ -21,6 +20,9 @@ from .model import ValidatedModel
 
 FORCE_ROUTES = ("casimir", "lifshitz", "oracle")
 
+# Projected oracle-route runtime (s) above which evolve warns.
+ORACLE_BUDGET_S = 300.0
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -30,7 +32,6 @@ class DynamicsConfig:
     t_max: float
     force_route: str = "casimir"
     oracle_n_max: int = 20
-    oracle_budget_s: float = 300.0
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -61,67 +62,63 @@ class Trajectory:
 
 
 class OracleTooSlowWarning(UserWarning):
-    """Projected oracle-route runtime exceeds the configured budget."""
+    """Projected oracle-route runtime exceeds ORACLE_BUDGET_S."""
 
 
-def _route_functions(model: ValidatedModel, config: DynamicsConfig):
-    """Return (force(y), vacuum_energy(y)) for the selected route."""
+def _route(model: ValidatedModel, config: DynamicsConfig):
+    """The selected route as one function y -> (force, E_vac)."""
+    if config.force_route == "oracle":
+        # One FockOracle for the run, so each step's Lanczos solve starts
+        # from the previous step's ground state (the first from |0,0>).
+        oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle_n_max))
+
+        def oracle_route(y):
+            obs = fock.oracle_observables(oracle, fock.ground_state(oracle, y))
+            return -model.g_prime(y) * obs.x1x2, obs.E_vac
+
+        return oracle_route
+    # Looked up when the route is built, so functions patched onto the
+    # quantum module are the ones called.
     if config.force_route == "casimir":
-        return (
-            lambda y: quantum.casimir_force(model, y),
-            lambda y: quantum.vacuum_energy(model, y),
-        )
-    if config.force_route == "lifshitz":
-        return (
-            lambda y: quantum.lifshitz_force(model, y),
-            lambda y: quantum.vacuum_energy(model, y),
-        )
-    # Oracle route: one FockOracle for the run, so each step's Lanczos solve
-    # starts from the previous step's ground state (the first from |0,0>).
-    oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle_n_max))
-
-    # Cache the (force, energy) pair so each step costs one diagonalization.
-    @functools.lru_cache(maxsize=1)
-    def oracle_pair(y):
-        obs = fock.oracle_observables(oracle, fock.ground_state(oracle, y))
-        return -model.g_prime(y) * obs.x1x2, obs.E_vac
-
-    return (lambda y: oracle_pair(y)[0], lambda y: oracle_pair(y)[1])
+        force = quantum.casimir_force
+    else:
+        force = quantum.lifshitz_force
+    energy = quantum.vacuum_energy
+    return lambda y: (force(model, y), energy(model, y))
 
 
 def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
     """Leapfrog (kick-drift-kick) integration of the heavy coordinate.
 
     Emits a row per step; stops at t_max or on domain exit (flagged).  When
-    force_route='oracle' and the projected runtime exceeds the budget, an
+    force_route='oracle' and the projected runtime exceeds ORACLE_BUDGET_S, an
     OracleTooSlowWarning is issued and the trajectory is flagged, but the run
     proceeds.
     """
     c = model.coupling
     c.check_domain(config.y0)
-    force_fn, evac_fn = _route_functions(model, config)
+    route = _route(model, config)
     n_steps = int(round(config.t_max / config.dt))
     dt = config.dt
     big_m = model.M
 
     advisory = False
     tic = time.perf_counter()
-    f = force_fn(config.y0)
+    f, evac = route(config.y0)
     first_eval = time.perf_counter() - tic
     if config.force_route == "oracle":
-        projected = first_eval * 2.0 * n_steps
-        if projected > config.oracle_budget_s:
+        projected = first_eval * n_steps
+        if projected > ORACLE_BUDGET_S:
             advisory = True
             warnings.warn(
                 f"projected oracle-route runtime {projected:.1f}s exceeds "
-                f"budget {config.oracle_budget_s:.1f}s",
+                f"budget {ORACLE_BUDGET_S:.1f}s",
                 OracleTooSlowWarning,
             )
 
     y = config.y0
     p = big_m * config.v0
     t = 0.0
-    evac = evac_fn(y)
     rows = [(t, y, p, f, evac, p * p / (2 * big_m) + evac)]
     exited = False
     for _ in range(n_steps):
@@ -130,11 +127,10 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
         if not (c.y_min <= y_new <= c.y_max):
             exited = True
             break
-        f = force_fn(y_new)
+        f, evac = route(y_new)
         p = p_half + 0.5 * dt * f
         y = y_new
         t += dt
-        evac = evac_fn(y)
         rows.append((t, y, p, f, evac, p * p / (2 * big_m) + evac))
 
     arr = np.array(rows)

@@ -131,39 +131,52 @@ class Spectrum:
 def validate(params: ModelParams) -> ValidatedModel:
     """Check all model invariants and return an immutable validated model.
 
-    Raises NonPositiveParameterError or ConstraintViolationError naming the
-    offending quantity.
+    Raises NonPositiveParameterError or ConstraintViolationError naming every
+    quantity involved by its config path (model.m, model.coupling.g0, ...).
     """
     for name in ("m", "M", "k", "hbar"):
         if not getattr(params, name) > 0:
-            raise NonPositiveParameterError(f"{name} must be > 0, got {getattr(params, name)}")
+            raise NonPositiveParameterError(
+                f"model.{name} must be > 0, got {getattr(params, name)}"
+            )
     c = params.coupling
     if c.family not in FAMILIES:
         raise ConstraintViolationError(
-            f"coupling family must be one of {FAMILIES}, got {c.family!r}"
+            f"model.coupling.family must be one of {FAMILIES}, got {c.family!r}"
         )
     if c.g0 < 0:
-        raise ConstraintViolationError(f"g0 must be >= 0, got {c.g0}")
+        raise ConstraintViolationError(f"model.coupling.g0 must be >= 0, got {c.g0}")
     if c.family != "constant" and not c.lam > 0:
-        raise NonPositiveParameterError(f"lambda must be > 0, got {c.lam}")
+        raise NonPositiveParameterError(f"model.coupling.lambda must be > 0, got {c.lam}")
     if c.family == "inverse-power":
         if not (isinstance(c.exponent, int) and c.exponent >= 1):
             raise ConstraintViolationError(
-                f"inverse-power exponent must be a positive integer, got {c.exponent}"
+                "model.coupling.exponent must be a positive integer for the "
+                f"inverse-power family, got {c.exponent}"
             )
         if c.y_min < 0:
             raise ConstraintViolationError(
-                f"inverse-power family requires y_min >= 0, got {c.y_min}"
+                "model.coupling.y_min must be >= 0 when model.coupling.family is "
+                f"'inverse-power', got {c.y_min}"
             )
     if not c.y_min < c.y_max:
         raise ConstraintViolationError(
-            f"domain requires y_min < y_max, got [{c.y_min}, {c.y_max}]"
+            "domain requires model.coupling.y_min < model.coupling.y_max, "
+            f"got [{c.y_min}, {c.y_max}]"
         )
     # All families are monotone non-increasing, so sup g = g(y_min).
-    g_sup = c.value(c.y_min)
+    g_sup_name = (
+        "g(model.coupling.y_min) of model.coupling.family, model.coupling.g0, "
+        "model.coupling.lambda and model.coupling.exponent"
+    )
+    try:
+        g_sup = c.value(c.y_min)
+    except OverflowError:
+        raise ConstraintViolationError(f"{g_sup_name} overflows float64") from None
     if not g_sup < params.k:
         raise ConstraintViolationError(
-            f"g(y_min)={g_sup} >= k={params.k}: positivity constraint violated"
+            f"{g_sup_name} = {g_sup} must be < model.k = {params.k}: "
+            "positivity constraint violated"
         )
     return ValidatedModel(
         m=params.m, M=params.M, k=params.k, hbar=params.hbar, coupling=c

@@ -1,13 +1,29 @@
+import contextlib
+import copy
+import dataclasses
+import io
 import json
 import math
 import re
+import tempfile
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from casimir_toy import cli
+from casimir_toy import DynamicsConfig, ModelParams, cli
 from casimir_toy.errors import ConfigError, NonPositiveSeparationError
+
+ROOT = Path(__file__).resolve().parent.parent
+SECTIONS = {
+    "model": ModelParams,
+    "grid": cli.GridConfig,
+    "oracle": cli.OracleConfig,
+    "dynamics": DynamicsConfig,
+    "output": cli.OutputConfig,
+}
 
 
 def reference_config(tmp_path, **overrides):
@@ -28,6 +44,29 @@ def reference_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path, doc
+
+
+def field_paths(sections=SECTIONS, prefix=""):
+    """Dotted path of every section and field the config accepts, by the
+    dataclasses' own fields (the field lam is the JSON key lambda)."""
+    for name, cls in sections.items():
+        path = prefix + name
+        yield path
+        types = typing.get_type_hints(cls)
+        fields = {"lambda" if f.name == "lam" else f.name: types[f.name]
+                  for f in dataclasses.fields(cls)}
+        for key, tp in fields.items():
+            if dataclasses.is_dataclass(tp):
+                yield from field_paths({key: tp}, path + ".")
+            else:
+                yield f"{path}.{key}"
+
+
+def doc_paths(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from doc_paths(value, f"{prefix}{key}.")
 
 
 def read_csv(path):
@@ -94,6 +133,34 @@ class TestConfigParsing:
             ("config.outputs", lambda d: d.update(outputs={})),
             ("oracle.n_max", lambda d: d["oracle"].update(n_max=40.7)),
             ("model.coupling.exponent", lambda d: d["model"]["coupling"].update(exponent=2.5)),
+            pytest.param("model.m", lambda d: d["model"].update(m="1.0"), id="model.m-str"),
+            pytest.param("model.M", lambda d: d["model"].update(M=True), id="model.M-bool"),
+            pytest.param(
+                "oracle.n_max", lambda d: d["oracle"].update(n_max="40"), id="oracle.n_max-str"
+            ),
+            pytest.param(
+                "grid.points", lambda d: d["grid"].update(points="101"), id="grid.points-str"
+            ),
+            pytest.param(
+                "output.directory",
+                lambda d: d["output"].update(directory=5),
+                id="output.directory-int",
+            ),
+            pytest.param(
+                "model.coupling.family",
+                lambda d: d["model"]["coupling"].update(family=5),
+                id="model.coupling.family-int",
+            ),
+            pytest.param(
+                "model.coupling.g0",
+                lambda d: d["model"]["coupling"].update(g0=2.0),
+                id="model.coupling.g0-above-k",
+            ),
+            pytest.param(
+                "model.coupling.y_min",
+                lambda d: d["model"]["coupling"].update(y_min=-1e300),
+                id="model.coupling.y_min-overflow",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
@@ -102,6 +169,13 @@ class TestConfigParsing:
         path.write_text(json.dumps(doc))
         assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+    def test_precision_flag_out_of_range_exits_2(self, tmp_path, capsys):
+        path, _ = reference_config(tmp_path)
+        code = cli.main(["spectrum", "--config", str(path), "--precision", "3"])
+        assert code == cli.EXIT_CONFIG
+        assert "precision" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_integral_float_accepted(self, tmp_path):
         path, doc = reference_config(tmp_path)
@@ -126,6 +200,74 @@ class TestConfigParsing:
         assert "model.m" in capsys.readouterr().err
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+CONFIG_PATHS = ["config", *field_paths()]
+
+
+def reference_with(path, value):
+    """configs/reference.json with value at the dotted path ("config": the whole document)."""
+    doc = json.loads((ROOT / "configs" / "reference.json").read_text())
+    if path == "config":
+        return value
+    *parents, key = path.split(".")
+    node = doc
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    return doc
+
+
+def refusal(path, doc):
+    """The ConfigError message for doc, or None if it parses; a refusal names path."""
+    try:
+        cli.parse_config(copy.deepcopy(doc))
+    except ConfigError as exc:
+        if path != "config":
+            assert path in str(exc)
+        return str(exc)
+    return None
+
+
+@settings(deadline=None)
+@given(value=JSON_VALUES, run_path=st.sampled_from(CONFIG_PATHS))
+def test_any_json_value_in_any_field_parses_or_is_named(value, run_path):
+    """Any JSON value (floats include +-1e400 = +-inf) at any one config path
+    either parses or is a ConfigError naming that path, and the CLI exits 0
+    or 2 accordingly (run at one of the paths per example)."""
+    for path in CONFIG_PATHS:
+        refusal(path, reference_with(path, value))
+    doc = reference_with(run_path, value)
+    refused = refusal(run_path, doc)
+    if refused is None and run_path == "grid.points" and value > 10_000:
+        return  # valid, but a table this long is a run's size, not a config check
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        code = cli.main(["spectrum", "--config", str(config), "--output-dir", tmp])
+    if refused is None:
+        assert code == cli.EXIT_OK
+    else:
+        assert code == cli.EXIT_CONFIG
+        assert refused in err.getvalue()
+
+
+def test_readme_schema_is_the_accepted_schema():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"```jsonc\n(.*?)```", readme, re.S)
+    doc = json.loads(re.sub(r"//.*", "", block))
+    cli.parse_config(doc)
+    assert {f.name for f in dataclasses.fields(cli.RunConfig)} == set(SECTIONS)
+    assert set(doc_paths(doc)) == set(field_paths())
+
+
 class TestStderrNotes:
     def test_adiabatic_warning_on_stderr_only(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)
@@ -142,7 +284,7 @@ class TestStderrNotes:
 
 
 def test_readme_library_example_runs():
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_toy import DynamicsConfig, evolve
+from casimir_toy import DynamicsConfig, dynamics, evolve
 from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory, energy_audit
 from casimir_toy.errors import EmptyTrajectoryError
 from conftest import make_model
@@ -77,10 +77,10 @@ class TestEvolve:
         assert traj.domain_exited
         assert traj.t[-1] < 100.0
 
-    def test_oracle_too_slow_advisory(self, reference_model):
+    def test_oracle_too_slow_advisory(self, reference_model, monkeypatch):
+        monkeypatch.setattr(dynamics, "ORACLE_BUDGET_S", 1e-9)
         config = DynamicsConfig(
-            y0=0.5, v0=0.0, dt=0.1, t_max=2.0,
-            force_route="oracle", oracle_n_max=30, oracle_budget_s=1e-9,
+            y0=0.5, v0=0.0, dt=0.1, t_max=2.0, force_route="oracle", oracle_n_max=30,
         )
         with pytest.warns(OracleTooSlowWarning):
             traj = evolve(reference_model, config)
