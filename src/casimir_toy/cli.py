@@ -44,6 +44,12 @@ EXIT_VERIFICATION = 4
 
 OUTPUT_DIR_ENV = "CASIMIR_TOY_OUTPUT_DIR"
 
+# Most rows a table command writes: about 80 MB of spectrum.csv.
+MAX_GRID_POINTS = 1_000_000
+# Step of force-curve's finite difference, in units of the coupling's decay
+# length (of y for the constant family).
+FD_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class GridConfig:
@@ -52,8 +58,10 @@ class GridConfig:
     points: int
 
     def __post_init__(self):
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
+        if not 2 <= self.points <= MAX_GRID_POINTS:
+            raise ValueError(
+                f"points must be in [2, {MAX_GRID_POINTS}], got {self.points}"
+            )
         if not self.y_min < self.y_max:
             raise ValueError(
                 f"y_min must be < grid.y_max, got [{self.y_min}, {self.y_max}]"
@@ -79,6 +87,8 @@ class OutputConfig:
     precision: int = 12
 
     def __post_init__(self):
+        if "\0" in self.directory:
+            raise ValueError(f"directory must not contain a NUL byte, got {self.directory!r}")
         if not 6 <= self.precision <= 17:
             raise ValueError(f"precision must be in [6, 17], got {self.precision}")
 
@@ -177,6 +187,11 @@ def parse_config(doc) -> RunConfig:
         model = validate(params)
     except CasimirToyError as exc:  # its message names the fields
         raise ConfigError(str(exc)) from exc
+    if _fd_step(model) < sys.float_info.min:
+        raise ConfigError(
+            f"model.coupling.lambda = {model.coupling.lam!r} is too small: the "
+            f"finite-difference step {FD_STEP} * lambda underflows"
+        )
 
     grid = None
     if "grid" in doc:
@@ -270,11 +285,15 @@ def energy_gradient_fd(model: ValidatedModel, y: float, h: float) -> float:
     return -(4 * (e(y - h) - e0) - (e(y - 2 * h) - e0)) / (2 * h)
 
 
+def _fd_step(model: ValidatedModel) -> float:
+    c = model.coupling
+    return FD_STEP * (c.lam if c.family != "constant" else 1.0)
+
+
 def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) -> Path:
     grid = _need(config, "grid")
     model = config.model
-    lam = model.coupling.lam if model.coupling.family != "constant" else 1.0
-    h = 1e-4 * lam
+    h = _fd_step(model)
     oracle = None
     if with_oracle:
         oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle.n_max))
@@ -375,6 +394,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
         "symmetry_violation": report_struct.symmetry_violation,
         "odd_parity_mass": report_struct.odd_parity_mass,
         "residual_norm": gs.residual_norm,
+        "solver_steps": gs.steps,
         "edge_mass": gs.edge_mass(),
         "pass": passed,
     }

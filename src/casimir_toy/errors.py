@@ -26,7 +26,7 @@ class TruncationMismatchError(CasimirToyError):
 
 
 class NoConvergenceError(CasimirToyError):
-    """Eigensolver failed to converge."""
+    """The Lanczos basis filled the whole space without meeting its stop test."""
 
 
 class EmptyTrajectoryError(CasimirToyError):

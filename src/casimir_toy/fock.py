@@ -1,13 +1,18 @@
 """Brute-force oracle in a truncated two-mode Fock basis.
 
 H(y) = hbar omega (N1 + N2 + 1) + g(y) x1 x2 over product states |n, n'>
-with n, n' <= n_max.  A FockOracle holds, for one basis, the diagonal of
-H0 = hbar omega (N1 + N2 + 1) and the sparse V = x (x) x; ground_state finds
-the lowest eigenpair of H0 + g(y) V by sparse Lanczos (ARPACK eigsh).  The
-first solve of an oracle starts from |0,0>, each later one from the previous
-ground state, so a grid sweep or a trajectory is warm-started and reruns stay
-deterministic.  Observables are contracted on the amplitude table c[n, n']
-(e.g. <x1 x2> = sum c o (x c x)), never on matrices of side (n_max+1)^2.
+with n, n' <= n_max.  A state is held as its amplitude table c[n, n'], and a
+FockOracle applies H to it as H0 o c + g(y) x c x, where H0[n, n'] =
+hbar omega (n + n' + 1) and x is the single-mode position matrix; no matrix
+of side (n_max+1)^2 is built.  ground_state finds the lowest eigenpair by
+Lanczos with full reorthogonalization (numpy only).  The first solve of an
+oracle starts from |0,0>, each later one from the previous ground state, so a
+grid sweep or a trajectory is warm-started and reruns stay deterministic.
+From |0,0>, every Krylov vector stays exchange-symmetric (to rounding) with
+its odd-parity amplitudes exactly zero (x changes n by +-1), so the solve
+keeps to that sector without an index map; ground_state_structure_checks
+measures both.
+Observables are contracted on the table (e.g. <x1 x2> = sum c o (x c x)).
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
-import scipy.sparse.linalg
 
 from .errors import NoConvergenceError, TruncationMismatchError
 from .model import ValidatedModel
@@ -63,6 +66,7 @@ class GroundStateResult:
     amplitudes: np.ndarray
     residual_norm: float
     n_max: int
+    steps: int
 
     def amplitude_table(self) -> np.ndarray:
         """Amplitudes reshaped to c[n, n']."""
@@ -101,53 +105,105 @@ class FockOracle:
         self.model = model
         self.basis = basis
         n = np.arange(basis.n_max + 1, dtype=float)
-        h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0).ravel()
+        self.h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0)
         self.x = position_matrix(model, basis)
-        x = sparse.csr_matrix(self.x)
-        # H0 is diagonal and V = x (x) x has a zero diagonal, so H(y) has the
-        # fixed pattern of H0 + V, and each solve only refills its values.
-        self._pattern = (sparse.diags(h0) + sparse.kron(x, x)).tocsr()
-        rows = np.repeat(np.arange(basis.dim), np.diff(self._pattern.indptr))
-        on_diag = self._pattern.indices == rows
-        self._h0_values = np.where(on_diag, self._pattern.data, 0.0)
-        self._v_values = np.where(on_diag, 0.0, self._pattern.data)
-        self.start = np.zeros(basis.dim)
-        self.start[0] = 1.0  # |0,0>
+        self.start = np.zeros_like(self.h0)
+        self.start[0, 0] = 1.0  # |0,0>
 
-    def hamiltonian(self, y: float) -> sparse.csr_matrix:
-        h = self._pattern.copy()
-        h.data = self._h0_values + self.model.g(y) * self._v_values
-        return h
+    def apply(self, g: float, c: np.ndarray) -> np.ndarray:
+        """H0 + g V applied to amplitude tables c[..., n, n']: V = x (x) x acts
+        as x c x, x1 on the rows and x2 on the columns."""
+        return self.h0 * c + g * (self.x @ c @ self.x)
 
 
 def build_hamiltonian(
     model: ValidatedModel, y: float, basis: TruncatedBasis
 ) -> OperatorMatrix:
-    """Dense view of the oracle's H(y), for auditing its matrix elements."""
-    return OperatorMatrix(
-        matrix=FockOracle(model, basis).hamiltonian(y).toarray(), basis=basis
-    )
+    """Dense view of the oracle's H(y), for auditing its matrix elements:
+    column j is the oracle's H applied to basis state j."""
+    side = basis.n_max + 1
+    units = np.eye(basis.dim).reshape(basis.dim, side, side)
+    columns = FockOracle(model, basis).apply(model.g(y), units)
+    return OperatorMatrix(matrix=columns.reshape(basis.dim, basis.dim).T, basis=basis)
+
+
+# A solve stops when the Ritz residual estimate beta_k |s_k| of the lowest
+# Ritz pair is at most RITZ_TOL |theta_0|.  A looser stop saves a few steps
+# per warm solve, but the relative error of a small <x1 x2> grows as
+# RITZ_TOL / (g/k): at g/k = 1e-9 it was 3e-9 with 1e-13, 3e-14 with epsilon.
+RITZ_TOL = float(np.finfo(float).eps)
+
+
+def _lanczos(matvec, start: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Lowest eigenpair of a symmetric operator by Lanczos from start.
+
+    Every new Krylov vector is orthogonalized against all earlier ones in two
+    classical Gram-Schmidt passes (one pass lets the basis lose
+    orthogonality and the stop test is never met), so the tridiagonal T_k
+    holds Ritz values with no spurious copies.  T_k is diagonalized at
+    k = 1, 2, ..., 8, 10, 12, 15, ... (next check at k + max(1, k // 4)):
+    an eigh of T_k after every step made grid sweeps slower than ARPACK.
+    The solve stops when beta_k |s_k| <= RITZ_TOL |theta_0|, which an exact
+    breakdown (beta_k = 0) meets.  Returns (theta_0, Ritz vector, k).
+    Raises NoConvergenceError if the basis fills the whole space first.
+    """
+    dim = start.size
+    cap = min(dim, 16)
+    krylov = np.empty((cap, dim))
+    t = np.zeros((cap, cap))  # T_k is t[:k, :k]
+    q = start.ravel() / np.linalg.norm(start)
+    k, check, b = 0, 1, 0.0
+    while True:
+        if k == cap:
+            cap = min(2 * cap, dim)
+            krylov = np.concatenate([krylov, np.empty((cap - k, dim))])
+            t = np.pad(t, (0, cap - k))
+        if k:
+            t[k - 1, k] = t[k, k - 1] = b
+        krylov[k] = q
+        w = matvec(q)
+        t[k, k] = q @ w
+        k += 1
+        basis = krylov[:k]
+        for _ in range(2):
+            w -= (basis @ w) @ basis
+        b = float(np.linalg.norm(w))
+        if k == check or k == dim or b == 0.0:
+            theta, s = np.linalg.eigh(t[:k, :k])
+            if b * abs(s[-1, 0]) <= RITZ_TOL * abs(theta[0]):
+                return float(theta[0]), s[:, 0] @ basis, k
+            if k == dim:
+                raise NoConvergenceError(
+                    f"Lanczos basis reached dimension {dim} with Ritz residual "
+                    f"{b * abs(s[-1, 0]):.3e} > {RITZ_TOL:.3e} |E0|"
+                )
+            check = k + max(1, k // 4)
+        q = w / b
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) by Lanczos, started from the oracle's last
     ground state (|0,0> on its first solve).
 
-    The eigenvector sign is fixed so the |0,0> amplitude is positive.
+    The eigenvector is normalized with its |0,0> amplitude positive;
+    residual_norm is ||H v - E0 v|| by the same H, and steps the size of the
+    Krylov basis.
     """
-    h = oracle.hamiltonian(y)
-    try:
-        vals, vecs = scipy.sparse.linalg.eigsh(h, k=1, which="SA", v0=oracle.start)
-    except scipy.sparse.linalg.ArpackError as exc:  # pragma: no cover
-        raise NoConvergenceError(f"eigensolver failed: {exc}") from exc
-    e0 = float(vals[0])
-    v = vecs[:, 0]
+    side = oracle.basis.n_max + 1
+    g = oracle.model.g(y)
+
+    def matvec(v):
+        return oracle.apply(g, v.reshape(side, side)).ravel()
+
+    e0, v, steps = _lanczos(matvec, oracle.start)
+    v /= np.linalg.norm(v)
     if v[0] < 0:
         v = -v
-    oracle.start = v
-    residual = float(np.linalg.norm(h @ v - e0 * v))
+    oracle.start = v.reshape(side, side)
+    residual = float(np.linalg.norm(matvec(v) - e0 * v))
     return GroundStateResult(
-        E0=e0, amplitudes=v, residual_norm=residual, n_max=oracle.basis.n_max
+        E0=e0, amplitudes=v, residual_norm=residual, n_max=oracle.basis.n_max,
+        steps=steps,
     )
 
 

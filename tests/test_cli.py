@@ -5,6 +5,8 @@ import io
 import json
 import math
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 from pathlib import Path
@@ -160,6 +162,19 @@ class TestConfigParsing:
                 "model.coupling.y_min",
                 lambda d: d["model"]["coupling"].update(y_min=-1e300),
                 id="model.coupling.y_min-overflow",
+            ),
+            pytest.param(
+                "grid.points", lambda d: d["grid"].update(points=1e20), id="grid.points-1e20"
+            ),
+            pytest.param(
+                "model.coupling.lambda",
+                lambda d: d["model"]["coupling"].update({"lambda": 1e-321}),
+                id="model.coupling.lambda-fd-step-underflow",
+            ),
+            pytest.param(
+                "output.directory",
+                lambda d: d["output"].update(directory="a\u0000b"),
+                id="output.directory-nul",
             ),
         ],
     )
@@ -388,6 +403,36 @@ class TestOracleCheckCommand:
         assert report["residual_norm"] < 1e-12
         assert report["edge_mass"] < 1e-30
 
+    def test_reference_report_matches_eigsh_values(self, tmp_path):
+        # configs/reference.json as the ARPACK eigsh solve reported it; the
+        # solver-dependent figures sit at rounding level, so they are
+        # compared with absolute tolerances
+        eigsh = {
+            "E0_oracle": 0.9659258262890664,
+            "rel_err_energy": 1.9539586689733446e-15,
+            "rel_err_x1x2": 1.85743932176809e-16,
+            "rel_err_N": 8.536930668598029e-16,
+            "residual_norm": 1.8108949100571183e-15,
+            "symmetry_violation": 2.6020852139652106e-18,
+            "edge_mass": 1.3087089701943524e-39,
+        }
+        tolerance = {"E0_oracle": 1e-14, "edge_mass": 1e-30, "symmetry_violation": 1e-15}
+        config = ROOT / "configs" / "reference.json"
+        assert cli.main(["oracle-check", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oracle_check.json").read_text())
+        for name, value in eigsh.items():
+            assert abs(report[name] - value) <= tolerance.get(name, 1e-14), name
+        assert report["E0_analytic"] == 0.9659258262890683
+        assert report["annihilation_residuals"] == {
+            "10": 3.7085289707900424e-11,
+            "15": 4.705837254965972e-16,
+            "20": 4.916115948666909e-18,
+            "5": 2.603353118814089e-06,
+        }
+        assert report["odd_parity_mass"] == 0.0
+        assert report["pass"] is True
+        assert isinstance(report["solver_steps"], int) and 1 <= report["solver_steps"] <= 100
+
     def test_under_truncated_fails(self, tmp_path):
         path, doc = reference_config(tmp_path)
         doc["oracle"]["n_max"] = 2
@@ -461,6 +506,24 @@ class TestReferenceCasimir:
         report = json.loads(capsys.readouterr().out)
         assert "note" in report
         assert cli.main(["reference-casimir", "--y", "-1.0"]) == cli.EXIT_DOMAIN
+
+
+def test_commands_run_without_importing_scipy(tmp_path):
+    path, _ = reference_config(tmp_path)
+    child = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from casimir_toy import cli\n"
+        "for command in ('spectrum', 'oracle-check'):\n"
+        "    assert cli.main([command, '--config', sys.argv[2]]) == 0, command\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", child, str(ROOT / "src"), str(path)],
+        capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "out" / "oracle_check.json").is_file()
 
 
 class TestDeterminismAndOverrides:

@@ -1,18 +1,23 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
 import scipy.linalg
 
 from casimir_toy import (
+    DynamicsConfig,
     TruncatedBasis,
     bogoliubov_coefficients,
+    dynamics,
+    evolve,
+    fock,
     ground_state,
     squeezed_vacuum_expansion,
     vacuum_fluctuations,
     verify_annihilation,
 )
-from casimir_toy.errors import TruncationMismatchError
+from casimir_toy.errors import NoConvergenceError, TruncationMismatchError
 from casimir_toy.fock import (
     FockOracle,
     build_hamiltonian,
@@ -272,24 +277,32 @@ class TestFreeVacuumCorrelation:
             free_vacuum_correlation(reference_model, basis, np.ones(6))
 
 
-def dense_reference(model, y, n_max):
-    """E0 and observables from a dense kron-built H and scipy.linalg.eigh."""
+def dense_parts(model, n_max):
+    """H0, V = x (x) x, x and N of H(y) = H0 + g(y) V, built densely from
+    Kronecker products."""
     side = n_max + 1
     a = np.diag(np.sqrt(np.arange(1.0, side)), k=1)
     x = math.sqrt(model.hbar / (2 * model.m * model.omega)) * (a + a.T)
     num = np.diag(np.arange(side, dtype=float))
     eye = np.eye(side)
-    h = model.hbar * model.omega * (
+    h0 = model.hbar * model.omega * (
         np.kron(num, eye) + np.kron(eye, num) + np.eye(side**2)
-    ) + model.g(y) * np.kron(x, x)
-    vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
+    )
+    return h0, np.kron(x, x), x, num
+
+
+def dense_reference(model, y, n_max):
+    """E0 and observables from a dense kron-built H and scipy.linalg.eigh."""
+    h0, v_op, x, num = dense_parts(model, n_max)
+    eye = np.eye(n_max + 1)
+    vals, vecs = scipy.linalg.eigh(h0 + model.g(y) * v_op, subset_by_index=[0, 0])
     v = vecs[:, 0]
 
     def expect(op):
         return float(v @ op @ v)
 
     x1_sq, x2_sq = expect(np.kron(x @ x, eye)), expect(np.kron(eye, x @ x))
-    x1x2 = expect(np.kron(x, x))
+    x1x2 = expect(v_op)
     return float(vals[0]), {
         "x1x2": x1x2,
         "x_plus_sq": (x1_sq + x2_sq) / 2 + x1x2,
@@ -333,10 +346,14 @@ class TestSparseOracle:
             assert_matches(gs, oracle_observables(warm, gs), gs_cold.E0, expected)
 
     def test_dense_view_is_the_sparse_hamiltonian(self, reference_model):
+        # the audit view, the oracle's table matvec and a Kronecker-built H agree
         basis = TruncatedBasis(6)
-        oracle = FockOracle(reference_model, basis)
-        dense = build_hamiltonian(reference_model, 0.7, basis).matrix
-        assert np.array_equal(dense, oracle.hamiltonian(0.7).toarray())
+        h0, v_op, _, _ = dense_parts(reference_model, 6)
+        h = h0 + reference_model.g(0.7) * v_op
+        assert np.array_equal(build_hamiltonian(reference_model, 0.7, basis).matrix, h)
+        c = np.random.default_rng(3).normal(size=(7, 7))
+        applied = FockOracle(reference_model, basis).apply(reference_model.g(0.7), c)
+        np.testing.assert_allclose(applied.ravel(), h @ c.ravel(), rtol=0, atol=1e-13)
 
     def test_edge_mass_tracks_truncation(self, reference_model):
         def edge(n_max):
@@ -344,3 +361,63 @@ class TestSparseOracle:
 
         assert edge(2) > 1e-6
         assert edge(30) < 1e-20
+
+
+class TestLanczos:
+    def test_warm_start_takes_few_steps(self, reference_model):
+        # 300-point slow sweep, each solve started from the last ground state:
+        # the cold first solve takes 41 steps at both cutoffs, the warm ones
+        # a median of 12 (n_max=20) and 18 (n_max=40); the bounds allow one
+        # more convergence check
+        for n_max, bound in ((20, 15), (40, 22)):
+            oracle = FockOracle(reference_model, TruncatedBasis(n_max))
+            steps = [ground_state(oracle, y).steps for y in np.linspace(1.0, 1.03, 300)]
+            assert steps[0] > bound
+            assert statistics.median(steps) <= bound
+
+    def test_converged_start_stops_after_one_step(self, constant_model):
+        oracle = FockOracle(constant_model, TruncatedBasis(20))
+        ground_state(oracle, 0.0)
+        assert ground_state(oracle, 1.0).steps == 1
+
+    def test_no_convergence_when_the_basis_fills_the_space(self, reference_model, monkeypatch):
+        # with a zero tolerance only an exact breakdown stops a solve; from a
+        # random start the Krylov basis fills all 16 dimensions first
+        monkeypatch.setattr(fock, "RITZ_TOL", 0.0)
+        oracle = FockOracle(reference_model, TruncatedBasis(3))
+        oracle.start = np.random.default_rng(1).normal(size=(4, 4))
+        with pytest.raises(NoConvergenceError, match="dimension 16"):
+            ground_state(oracle, 0.5)
+
+    def test_oracle_route_trajectory_matches_dense_eigh(self, reference_model, monkeypatch):
+        # 1000 oracle-route steps at n_max=20 against a route that diagonalizes
+        # H(y) densely at every step, in its exchange-symmetric even-parity
+        # block (where the ground state lies; the full 441 x 441 eigh would
+        # take 10 s).  Both this solver and ARPACK eigsh stay within 6e-15.
+        n_max = 20
+        side = n_max + 1
+        pairs = [(n, m) for n in range(side) for m in range(n, side) if (n + m) % 2 == 0]
+        block = np.zeros((side * side, len(pairs)))
+        for j, (n, m) in enumerate(pairs):
+            block[n * side + m, j] = block[m * side + n, j] = 1.0
+        block /= np.linalg.norm(block, axis=0)
+        h0, v_op, _, _ = dense_parts(reference_model, n_max)
+        h0, v_op = block.T @ h0 @ block, block.T @ v_op @ block
+
+        def dense_route(y):
+            vals, vecs = scipy.linalg.eigh(
+                h0 + reference_model.g(y) * v_op, subset_by_index=[0, 0]
+            )
+            u = vecs[:, 0]
+            return -reference_model.g_prime(y) * float(u @ v_op @ u), float(vals[0])
+
+        config = DynamicsConfig(
+            y0=1.0, v0=0.0, dt=0.1, t_max=100.0, force_route="oracle", oracle_n_max=n_max
+        )
+        oracle = evolve(reference_model, config)
+        monkeypatch.setattr(dynamics, "_route", lambda model, config: dense_route)
+        dense = evolve(reference_model, config)
+        assert len(oracle) == len(dense) == 1001
+        for name in ("y", "p_y", "F", "E_vac", "E_total"):
+            a, b = getattr(oracle, name), getattr(dense, name)
+            assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
