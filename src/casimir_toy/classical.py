@@ -1,4 +1,4 @@
-"""Classical solutions, classical force, and full coupled dynamics.
+"""Full coupled classical dynamics.
 
 The classical force on y is F = -g'(y) x1 x2, which vanishes identically in
 the classical ground state x1 = x2 = 0.  evolve_classical integrates the full
@@ -8,12 +8,11 @@ leapfrog steps (Yoshida splitting), so total energy is the adiabaticity audit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Spectrum, ValidatedModel
+from .model import ValidatedModel
 
 # Yoshida 4th-order composition coefficients.
 _W0 = -(2.0 ** (1.0 / 3.0)) / (2.0 - 2.0 ** (1.0 / 3.0))
@@ -34,14 +33,6 @@ class PhaseState:
 
 
 @dataclass(frozen=True)
-class ModeAmplitudes:
-    c_plus: float
-    c_minus: float
-    phi_plus: float = 0.0
-    phi_minus: float = 0.0
-
-
-@dataclass(frozen=True)
 class ClassicalTrajectory:
     """Columns of the sampled flow; domain_exited marks a truncated run."""
 
@@ -54,20 +45,6 @@ class ClassicalTrajectory:
     p_y: np.ndarray
     energy: np.ndarray
     domain_exited: bool = False
-
-
-def normal_mode_solution(
-    spec: Spectrum, amps: ModeAmplitudes, t: float
-) -> tuple[float, float]:
-    """Adiabatic (fixed-y) two-mode solution in real cosine form."""
-    plus = amps.c_plus * math.cos(spec.omega_plus * t + amps.phi_plus)
-    minus = amps.c_minus * math.cos(spec.omega_minus * t + amps.phi_minus)
-    return plus + minus, plus - minus
-
-
-def classical_force(model: ValidatedModel, state: PhaseState) -> float:
-    """F = -g'(y) x1 x2."""
-    return -model.g_prime(state.y) * state.x1 * state.x2
 
 
 def total_energy(model: ValidatedModel, state: PhaseState) -> float:

@@ -44,8 +44,6 @@ EXIT_VERIFICATION = 4
 
 OUTPUT_DIR_ENV = "CASIMIR_TOY_OUTPUT_DIR"
 
-# Most rows a table command writes: about 80 MB of spectrum.csv.
-MAX_GRID_POINTS = 1_000_000
 # Step of force-curve's finite difference, in units of the coupling's decay
 # length (of y for the constant family).
 FD_STEP = 1e-4
@@ -58,9 +56,9 @@ class GridConfig:
     points: int
 
     def __post_init__(self):
-        if not 2 <= self.points <= MAX_GRID_POINTS:
+        if not 2 <= self.points <= dynamics.MAX_ROWS:
             raise ValueError(
-                f"points must be in [2, {MAX_GRID_POINTS}], got {self.points}"
+                f"points must be in [2, {dynamics.MAX_ROWS}], got {self.points}"
             )
         if not self.y_min < self.y_max:
             raise ValueError(
@@ -371,8 +369,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
             exp = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=n)
             residuals[str(n)] = fock.verify_annihilation(exp, basis)
 
-    ratio = -coeffs.beta_1p / coeffs.alpha_1p
-    report_struct = fock.ground_state_structure_checks(gs, pair_ratio=ratio)
+    report_struct = fock.ground_state_structure_checks(gs)
 
     passed = (
         rel_energy < tol
@@ -449,6 +446,20 @@ def _order(text: str) -> int:
     return n
 
 
+def _real(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return x
+
+
+def _positive(text: str) -> float:
+    x = _real(text)
+    if not x > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text}")
+    return x
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-toy",
@@ -489,10 +500,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "reference-casimir", help="perfect-conductor plate formula (reference only)"
     )
-    p.add_argument("--y", type=float, required=True, help="plate separation")
-    p.add_argument("--area", type=float, default=None, help="plate area")
-    p.add_argument("--c", type=float, default=1.0, help="speed of light")
-    p.add_argument("--hbar", type=float, default=1.0, help="reduced Planck constant")
+    p.add_argument("--y", type=_real, required=True, help="plate separation")
+    p.add_argument("--area", type=_positive, default=None, help="plate area")
+    p.add_argument("--c", type=_positive, default=1.0, help="speed of light")
+    p.add_argument("--hbar", type=_positive, default=1.0, help="reduced Planck constant")
     return parser
 
 

@@ -22,6 +22,9 @@ FORCE_ROUTES = ("casimir", "lifshitz", "oracle")
 
 # Projected oracle-route runtime (s) above which evolve warns.
 ORACLE_BUDGET_S = 300.0
+# Most rows a CSV artifact gets (about 80 MB of spectrum.csv): the bound on
+# grid.points and on the step count t_max / dt.
+MAX_ROWS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -38,6 +41,11 @@ class DynamicsConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if self.t_max <= 0:
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not self.t_max / self.dt <= MAX_ROWS:
+            raise ValueError(
+                f"t_max / dynamics.dt must be <= {MAX_ROWS} steps, "
+                f"got {self.t_max} / {self.dt}"
+            )
         if self.force_route not in FORCE_ROUTES:
             raise ValueError(
                 f"force_route must be one of {FORCE_ROUTES}, got {self.force_route!r}"

@@ -41,14 +41,6 @@ class TruncatedBasis:
     def dim(self) -> int:
         return (self.n_max + 1) ** 2
 
-    def index(self, n: int, n_prime: int) -> int:
-        if not (0 <= n <= self.n_max and 0 <= n_prime <= self.n_max):
-            raise IndexError(f"({n}, {n_prime}) outside basis with n_max={self.n_max}")
-        return n * (self.n_max + 1) + n_prime
-
-    def occupations(self, idx: int) -> tuple[int, int]:
-        return divmod(idx, self.n_max + 1)
-
     def lowering(self) -> np.ndarray:
         """Single-mode lowering matrix a with a|n> = sqrt(n)|n-1>."""
         return np.diag(np.sqrt(np.arange(1, self.n_max + 1)), k=1)
@@ -62,30 +54,24 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """E0 and the amplitude table c[n, n'] of a ground state."""
+
     E0: float
     amplitudes: np.ndarray
     residual_norm: float
-    n_max: int
     steps: int
-
-    def amplitude_table(self) -> np.ndarray:
-        """Amplitudes reshaped to c[n, n']."""
-        side = self.n_max + 1
-        return self.amplitudes.reshape(side, side)
 
     def edge_mass(self) -> float:
         """Sum of c[n, n']^2 over n = n_max or n' = n_max: the weight on the
         basis edge, a truncation estimate that needs no analytic answer."""
-        table = self.amplitude_table()
-        return float(np.sum(table[-1, :] ** 2) + np.sum(table[:-1, -1] ** 2))
+        c = self.amplitudes
+        return float(np.sum(c[-1, :] ** 2) + np.sum(c[:-1, -1] ** 2))
 
 
 @dataclass(frozen=True)
 class StructureReport:
     symmetry_violation: float
     odd_parity_mass: float
-    diagonal_ratios: np.ndarray
-    predicted_ratios: np.ndarray
 
 
 def position_matrix(model: ValidatedModel, basis: TruncatedBasis) -> np.ndarray:
@@ -202,8 +188,7 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     oracle.start = v.reshape(side, side)
     residual = float(np.linalg.norm(matvec(v) - e0 * v))
     return GroundStateResult(
-        E0=e0, amplitudes=v, residual_norm=residual, n_max=oracle.basis.n_max,
-        steps=steps,
+        E0=e0, amplitudes=oracle.start, residual_norm=residual, steps=steps
     )
 
 
@@ -214,13 +199,13 @@ def _x1x2(table: np.ndarray, x: np.ndarray) -> float:
 
 def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:
     """Expectation values in a ground state of the oracle."""
-    c = gs.amplitude_table()
+    c = gs.amplitudes
     x = oracle.x
     x1x2 = _x1x2(c, x)
     x1_sq = float(np.sum(c * (x @ x @ c)))
     x2_sq = float(np.sum(c * (c @ x @ x)))
     p = c * c
-    n = np.arange(gs.n_max + 1)
+    n = np.arange(len(c))
     # x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2
     return VacuumObservables(
         E_vac=gs.E0,
@@ -235,7 +220,7 @@ def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObser
 def oracle_force(oracle: FockOracle, y: float) -> float:
     """F = -g'(y) <x1 x2> in the numerical ground state."""
     gs = ground_state(oracle, y)
-    return -oracle.model.g_prime(y) * _x1x2(gs.amplitude_table(), oracle.x)
+    return -oracle.model.g_prime(y) * _x1x2(gs.amplitudes, oracle.x)
 
 
 def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> float:
@@ -262,32 +247,18 @@ def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> fl
     return float(np.linalg.norm(interior))
 
 
-def ground_state_structure_checks(
-    result: GroundStateResult, pair_ratio: float | None = None
-) -> StructureReport:
+def ground_state_structure_checks(result: GroundStateResult) -> StructureReport:
     """Audit the numerical ground-state amplitudes.
 
-    Checks exchange symmetry c[n,n'] = c[n',n], the vanishing of odd
-    total-occupation amplitudes (the interaction changes n + n' by 0 or +-2),
-    and reports how the diagonal amplitudes c[n,n]/c[0,0] compare with the
-    single-branch geometric prediction (if pair_ratio = -beta/alpha is given).
+    Checks exchange symmetry c[n,n'] = c[n',n] and the vanishing of odd
+    total-occupation amplitudes (the interaction changes n + n' by 0 or +-2).
     """
-    table = result.amplitude_table()
-    symmetry = float(np.max(np.abs(table - table.T)))
-    n = np.arange(result.n_max + 1)
+    c = result.amplitudes
+    n = np.arange(len(c))
     odd = (n[:, None] + n[None, :]) % 2 == 1
-    odd_mass = float(np.sum(table[odd] ** 2))
-    diag = np.diag(table)
-    ratios = diag / diag[0]
-    if pair_ratio is None:
-        predicted = np.full_like(ratios, np.nan)
-    else:
-        predicted = pair_ratio ** np.arange(result.n_max + 1)
     return StructureReport(
-        symmetry_violation=symmetry,
-        odd_parity_mass=odd_mass,
-        diagonal_ratios=ratios,
-        predicted_ratios=predicted,
+        symmetry_violation=float(np.max(np.abs(c - c.T))),
+        odd_parity_mass=float(np.sum(c[odd] ** 2)),
     )
 
 

@@ -120,10 +120,9 @@ class ValidatedModel:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Frequencies at a fixed y: free omega, coupling omega_g, normal Omega+-."""
+    """Frequencies at a fixed y: free omega, normal Omega+-."""
 
     omega: float
-    omega_g: float
     omega_plus: float
     omega_minus: float
 
@@ -186,23 +185,8 @@ def validate(params: ModelParams) -> ValidatedModel:
 def spectrum(model: ValidatedModel, y: float) -> Spectrum:
     """Normal-mode frequencies Omega+- = sqrt((k +- g(y))/m) at fixed y."""
     g = model.g(y)
-    omega = math.sqrt(model.k / model.m)
-    omega_g = math.sqrt(g / model.m)
     return Spectrum(
-        omega=omega,
-        omega_g=omega_g,
+        omega=model.omega,
         omega_plus=math.sqrt((model.k + g) / model.m),
         omega_minus=math.sqrt((model.k - g) / model.m),
     )
-
-
-def normal_coordinates(x1: float, x2: float) -> tuple[float, float]:
-    """Lab -> normal coordinates: x+- = (x1 +- x2)/sqrt(2)."""
-    s = math.sqrt(0.5)
-    return s * (x1 + x2), s * (x1 - x2)
-
-
-def lab_coordinates(x_plus: float, x_minus: float) -> tuple[float, float]:
-    """Normal -> lab coordinates: x1 = (x+ + x-)/sqrt(2), x2 = (x+ - x-)/sqrt(2)."""
-    s = math.sqrt(0.5)
-    return s * (x_plus + x_minus), s * (x_plus - x_minus)

@@ -57,10 +57,6 @@ class VacuumExpansion:
     N_max: int
     tail: float
 
-    @property
-    def ratio(self) -> float:
-        return self.beta / self.alpha
-
 
 def vacuum_energy(model: ValidatedModel, y: float) -> float:
     """Interacting effective-vacuum energy hbar(Omega+ + Omega-)/2, evaluated

@@ -2,84 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
 
-from casimir_toy.classical import (
-    ModeAmplitudes,
-    PhaseState,
-    classical_force,
-    evolve_classical,
-    normal_mode_solution,
-    total_energy,
-)
-from casimir_toy.model import normal_coordinates, spectrum
+from casimir_toy.classical import PhaseState, evolve_classical, total_energy
+from casimir_toy.model import spectrum
 from conftest import make_model
-
-
-class TestNormalModeSolution:
-    def test_symmetric_mode_locks_coordinates(self, reference_model):
-        s = spectrum(reference_model, 0.0)
-        amps = ModeAmplitudes(c_plus=0.7, c_minus=0.0, phi_plus=0.2)
-        for t in np.linspace(0, 20, 50):
-            x1, x2 = normal_mode_solution(s, amps, t)
-            assert x1 == pytest.approx(x2, abs=1e-15)
-
-    def test_antisymmetric_mode(self, reference_model):
-        s = spectrum(reference_model, 0.0)
-        amps = ModeAmplitudes(c_plus=0.0, c_minus=0.4)
-        for t in np.linspace(0, 20, 50):
-            x1, x2 = normal_mode_solution(s, amps, t)
-            assert x1 == pytest.approx(-x2, abs=1e-15)
-
-    def test_rest_solution(self, reference_model):
-        s = spectrum(reference_model, 0.0)
-        amps = ModeAmplitudes(0.0, 0.0)
-        assert normal_mode_solution(s, amps, 3.7) == (0.0, 0.0)
-
-    def test_frequencies_enter_each_mode(self, reference_model):
-        s = spectrum(reference_model, 0.0)
-        # quarter period of the plus mode sends a pure plus solution to zero
-        amps = ModeAmplitudes(c_plus=1.0, c_minus=0.0)
-        t = math.pi / (2 * s.omega_plus)
-        x1, _ = normal_mode_solution(s, amps, t)
-        assert x1 == pytest.approx(0.0, abs=1e-12)
-
-
-class TestClassicalForce:
-    def test_vanishes_when_either_coordinate_is_zero(self, reference_model):
-        for x1, x2 in [(0.0, 1.3), (2.1, 0.0), (0.0, 0.0)]:
-            state = PhaseState(x1, x2, 1.0, 0, 0, 0)
-            assert classical_force(reference_model, state) == 0.0
-
-    def test_reference_value(self, reference_model):
-        state = PhaseState(1.0, 1.0, 0.0, 0, 0, 0)
-        assert classical_force(reference_model, state) == pytest.approx(0.5, rel=1e-14)
-
-    def test_odd_in_x2(self, reference_model):
-        base = PhaseState(0.8, 0.6, 1.0, 0, 0, 0)
-        flipped = PhaseState(0.8, -0.6, 1.0, 0, 0, 0)
-        assert classical_force(reference_model, base) == pytest.approx(
-            -classical_force(reference_model, flipped), rel=1e-14
-        )
-
-    @given(
-        x1=st.floats(min_value=-5, max_value=5),
-        x2=st.floats(min_value=-5, max_value=5),
-        y=st.floats(min_value=0.0, max_value=10.0),
-    )
-    @example(x1=4.375, x2=1e-5, y=0.0)
-    def test_normal_coordinate_identity(self, x1, x2, y):
-        model = make_model()
-        state = PhaseState(x1, x2, y, 0, 0, 0)
-        lab = classical_force(model, state)
-        xp, xm = normal_coordinates(x1, x2)
-        normal = -model.g_prime(y) * (xp**2 - xm**2) / 2.0
-        # x+^2 - x-^2 cancels when |x2| << |x1|: once x+- are rounded, the
-        # difference is only good to a few eps of x+^2 + x-^2 = x1^2 + x2^2.
-        # tiny covers results that fall into the subnormal range.
-        eps = np.finfo(float).eps
-        bound = 8 * eps * abs(model.g_prime(y)) * (x1**2 + x2**2)
-        assert abs(normal - lab) <= bound + np.finfo(float).tiny
 
 
 class TestEvolveClassical:

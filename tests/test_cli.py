@@ -176,6 +176,16 @@ class TestConfigParsing:
                 lambda d: d["output"].update(directory="a\u0000b"),
                 id="output.directory-nul",
             ),
+            pytest.param(
+                "dynamics.t_max / dynamics.dt",
+                lambda d: d["dynamics"].update(dt=1e-300, t_max=1e300),
+                id="dynamics.steps-overflow",
+            ),
+            pytest.param(
+                "dynamics.t_max / dynamics.dt",
+                lambda d: d["dynamics"].update(dt=1e-3, t_max=1e12),
+                id="dynamics.steps-1e15",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
@@ -506,6 +516,26 @@ class TestReferenceCasimir:
         report = json.loads(capsys.readouterr().out)
         assert "note" in report
         assert cli.main(["reference-casimir", "--y", "-1.0"]) == cli.EXIT_DOMAIN
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--y", "nan"),
+            ("--y", "inf"),
+            ("--area", "0"),
+            ("--area", "nan"),
+            ("--c", "-1"),
+            ("--c", "inf"),
+            ("--hbar", "-1"),
+            ("--hbar", "0"),
+        ],
+    )
+    def test_invalid_flag_exits_2_naming_it(self, capsys, flag, value):
+        argv = ["reference-casimir", "--y", "1.0", f"{flag}={value}"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_commands_run_without_importing_scipy(tmp_path):

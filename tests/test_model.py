@@ -9,7 +9,7 @@ from casimir_toy.errors import (
     DomainError,
     NonPositiveParameterError,
 )
-from casimir_toy.model import lab_coordinates, normal_coordinates, spectrum
+from casimir_toy.model import spectrum
 from conftest import make_model, valid_model_strategy
 
 
@@ -134,31 +134,6 @@ class TestSpectrum:
             2 * s.omega**2, rel=1e-12
         )
         assert s.omega_plus**2 - s.omega_minus**2 == pytest.approx(
-            2 * s.omega_g**2, rel=1e-12, abs=1e-12
+            2 * model.g(y) / model.m, rel=1e-12, abs=1e-12
         )
         assert s.omega_plus >= s.omega >= s.omega_minus > 0
-
-
-class TestNormalCoordinates:
-    def test_symmetric_mode(self):
-        assert normal_coordinates(1.0, 1.0) == pytest.approx((math.sqrt(2), 0.0))
-
-    def test_antisymmetric_mode(self):
-        assert normal_coordinates(1.0, -1.0) == pytest.approx((0.0, math.sqrt(2)))
-
-    def test_round_trip_example(self):
-        assert lab_coordinates(*normal_coordinates(0.3, -0.7)) == pytest.approx(
-            (0.3, -0.7), abs=1e-15
-        )
-
-    @given(
-        st.floats(min_value=-1e3, max_value=1e3),
-        st.floats(min_value=-1e3, max_value=1e3),
-    )
-    def test_round_trip_identity(self, x1, x2):
-        r1, r2 = lab_coordinates(*normal_coordinates(x1, x2))
-        # cancellation in (x_plus - x_minus) bounds the error by the input
-        # norm, not by the individual coordinate magnitudes
-        scale = max(1.0, abs(x1), abs(x2))
-        assert abs(r1 - x1) < 1e-14 * scale
-        assert abs(r2 - x2) < 1e-14 * scale

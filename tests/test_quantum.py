@@ -198,7 +198,7 @@ class TestSqueezedVacuumExpansion:
         exp = squeezed_vacuum_expansion(
             bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=10
         )
-        assert exp.ratio == pytest.approx(0.1010205, abs=5e-7)
+        assert exp.beta / exp.alpha == pytest.approx(0.1010205, abs=5e-7)
         assert exp.c0 == pytest.approx(0.9948843, abs=5e-7)
         assert exp.coefficients[1] == pytest.approx(-0.1005037, abs=5e-7)
 
@@ -226,7 +226,7 @@ class TestSqueezedVacuumExpansion:
             bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=12
         )
         for n, c in enumerate(exp.coefficients):
-            assert c == pytest.approx(exp.c0 * (-exp.ratio) ** n, rel=1e-13)
+            assert c == pytest.approx(exp.c0 * (-exp.beta / exp.alpha) ** n, rel=1e-13)
 
     def test_invalid_ratio_guard(self):
         corrupt = BogoliubovCoeffs(
