@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import step_count
 from .model import ValidatedModel
 
 # Yoshida 4th-order composition coefficients.
@@ -59,19 +60,20 @@ def evolve_classical(
     """Symplectic integration of the full coupled Hamiltonian flow.
 
     Stops early (domain_exited=True) if y leaves the coupling domain; the
-    rows accumulated so far are returned.
+    rows accumulated so far are returned.  ValueError if dt <= 0 or
+    t_max / dt is above dynamics.MAX_ROWS steps.
     """
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     c = model.coupling
     c.check_domain(initial.y)
-    n_steps = int(round(t_max / dt))
+    n_steps = step_count(t_max, dt)
     q = np.array([initial.x1, initial.x2, initial.y])
     p = np.array([initial.p1, initial.p2, initial.p_y])
     masses = np.array([model.m, model.m, model.M])
 
     def forces(q):
-        x1, x2, y = q
+        x1, x2, y = q.tolist()  # Python floats: faster scalar arithmetic, same bits
         g = c.value_raw(y)
         return np.array(
             [

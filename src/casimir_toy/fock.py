@@ -192,7 +192,7 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     )
 
 
-def _x1x2(table: np.ndarray, x: np.ndarray) -> float:
+def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
     """<x1 x2> of the state with amplitudes table[n, n']: x1 acts on rows."""
     return float(np.sum(table * (x @ table @ x)))
 
@@ -201,7 +201,7 @@ def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObser
     """Expectation values in a ground state of the oracle."""
     c = gs.amplitudes
     x = oracle.x
-    x1x2 = _x1x2(c, x)
+    x1x2 = cross_correlation(c, x)
     x1_sq = float(np.sum(c * (x @ x @ c)))
     x2_sq = float(np.sum(c * (c @ x @ x)))
     p = c * c
@@ -220,7 +220,7 @@ def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObser
 def oracle_force(oracle: FockOracle, y: float) -> float:
     """F = -g'(y) <x1 x2> in the numerical ground state."""
     gs = ground_state(oracle, y)
-    return -oracle.model.g_prime(y) * _x1x2(gs.amplitudes, oracle.x)
+    return -oracle.model.g_prime(y) * cross_correlation(gs.amplitudes, oracle.x)
 
 
 def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> float:
@@ -274,4 +274,4 @@ def free_vacuum_correlation(
         raise ValueError(f"psi2 must be normalized, got ||psi2|| = {norm}")
     table = np.zeros((basis.n_max + 1, basis.n_max + 1))
     table[0] = psi2
-    return _x1x2(table, position_matrix(model, basis))
+    return cross_correlation(table, position_matrix(model, basis))

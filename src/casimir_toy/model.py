@@ -3,6 +3,9 @@
 Two identical oscillators (mass m, spring k) are coupled through g(y) x1 x2,
 where y is a heavy coordinate of mass M.  Everything else in the package is
 derived from the normal-mode frequencies computed here.
+
+The closed-form functions here and in quantum take y as one float or as an
+array of points (a whole grid); each picks math or numpy once per call.
 """
 
 from __future__ import annotations
@@ -10,10 +13,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConstraintViolationError, DomainError, NonPositiveParameterError
 
 # Below this mass ratio the adiabatic (slow-y) treatment is dubious.
 ADIABATIC_MASS_RATIO = 100.0
+
+
+def _array_module(v):
+    """numpy for an array v, math for a float: the library a closed-form
+    formula evaluates v with.  math keeps the per-float calls of a trajectory
+    fast; numpy evaluates a whole grid in one call."""
+    return np if isinstance(v, np.ndarray) else math
 
 
 @dataclass(frozen=True)
@@ -23,6 +35,9 @@ class CouplingSpec:
     constant        g(y) = g0
     exponential     g(y) = g0 * exp(-y / lam)
     inverse-power   g(y) = g0 / (1 + (y / lam) ** exponent)
+
+    value, derivative and their _raw forms take y as a float or an array;
+    the constant family returns one float either way.
     """
 
     family: str
@@ -32,26 +47,34 @@ class CouplingSpec:
     y_min: float = 0.0
     y_max: float = 10.0
 
-    def check_domain(self, y: float) -> None:
-        if not (self.y_min <= y <= self.y_max):
+    def check_domain(self, y):
+        """DomainError unless y, or every point of an array y, is in the
+        domain.  Returns _array_module(y), so a checked evaluation picks math
+        or numpy once."""
+        if isinstance(y, np.ndarray):
+            lo, hi, xp = y.min(), y.max(), np
+        else:
+            lo = hi = y
+            xp = math
+        if not (self.y_min <= lo and hi <= self.y_max):
             raise DomainError(
-                f"y={y} outside coupling domain [{self.y_min}, {self.y_max}]"
+                f"y={hi if self.y_min <= lo else lo} outside coupling domain "
+                f"[{self.y_min}, {self.y_max}]"
             )
+        return xp
 
-    def value(self, y: float) -> float:
-        self.check_domain(y)
-        return self.value_raw(y)
+    def value(self, y):
+        return self._formulas()[0](self, y, self.check_domain(y))
 
-    def value_raw(self, y: float) -> float:
+    def value_raw(self, y):
         """Family formula without the domain check (integrator substeps only)."""
-        return self._formulas()[0](self, y)
+        return self._formulas()[0](self, y, _array_module(y))
 
-    def derivative(self, y: float) -> float:
-        self.check_domain(y)
-        return self.derivative_raw(y)
+    def derivative(self, y):
+        return self._formulas()[1](self, y, self.check_domain(y))
 
-    def derivative_raw(self, y: float) -> float:
-        return self._formulas()[1](self, y)
+    def derivative_raw(self, y):
+        return self._formulas()[1](self, y, _array_module(y))
 
     def _formulas(self):
         try:
@@ -62,16 +85,16 @@ class CouplingSpec:
             ) from None
 
 
-# (g, g') per family, as functions of (spec, y).
+# (g, g') per family, as functions of (spec, y, math or numpy).
 _FAMILY_FORMULAS = {
-    "constant": (lambda c, y: c.g0, lambda c, y: 0.0),
+    "constant": (lambda c, y, xp: c.g0, lambda c, y, xp: 0.0),
     "exponential": (
-        lambda c, y: c.g0 * math.exp(-y / c.lam),
-        lambda c, y: -c.g0 / c.lam * math.exp(-y / c.lam),
+        lambda c, y, xp: c.g0 * xp.exp(-y / c.lam),
+        lambda c, y, xp: -c.g0 / c.lam * xp.exp(-y / c.lam),
     ),
     "inverse-power": (
-        lambda c, y: c.g0 / (1.0 + (y / c.lam) ** c.exponent),
-        lambda c, y: -c.g0
+        lambda c, y, xp: c.g0 / (1.0 + (y / c.lam) ** c.exponent),
+        lambda c, y, xp: -c.g0
         * c.exponent
         * (y / c.lam) ** (c.exponent - 1)
         / (c.lam * (1.0 + (y / c.lam) ** c.exponent) ** 2),
@@ -98,23 +121,21 @@ class ValidatedModel:
     k: float
     hbar: float
     coupling: CouplingSpec
+    omega: float = field(init=False)
     mass_ratio: float = field(init=False)
     adiabatic_warning: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "omega", math.sqrt(self.k / self.m))
         object.__setattr__(self, "mass_ratio", self.M / self.m)
         object.__setattr__(
             self, "adiabatic_warning", self.mass_ratio < ADIABATIC_MASS_RATIO
         )
 
-    @property
-    def omega(self) -> float:
-        return math.sqrt(self.k / self.m)
-
-    def g(self, y: float) -> float:
+    def g(self, y):
         return self.coupling.value(y)
 
-    def g_prime(self, y: float) -> float:
+    def g_prime(self, y):
         return self.coupling.derivative(y)
 
 
@@ -177,16 +198,27 @@ def validate(params: ModelParams) -> ValidatedModel:
             f"{g_sup_name} = {g_sup} must be < model.k = {params.k}: "
             "positivity constraint violated"
         )
+    # A grid's numpy evaluation would warn and write inf rows.
+    if not (params.k + g_sup) / params.m < math.inf:
+        raise ConstraintViolationError(
+            "(model.k + g(model.coupling.y_min)) / model.m, the largest "
+            "Omega+^2, overflows float64"
+        )
     return ValidatedModel(
         m=params.m, M=params.M, k=params.k, hbar=params.hbar, coupling=c
     )
 
 
-def spectrum(model: ValidatedModel, y: float) -> Spectrum:
-    """Normal-mode frequencies Omega+- = sqrt((k +- g(y))/m) at fixed y."""
+def normal_modes(model: ValidatedModel, y) -> tuple:
+    """(g(y), Omega+, Omega-) with Omega+- = sqrt((k +- g(y))/m): the numbers
+    behind spectrum, without building its record, which costs more than the
+    arithmetic in a per-step force evaluation."""
     g = model.g(y)
-    return Spectrum(
-        omega=model.omega,
-        omega_plus=math.sqrt((model.k + g) / model.m),
-        omega_minus=math.sqrt((model.k - g) / model.m),
-    )
+    xp = _array_module(g)
+    return g, xp.sqrt((model.k + g) / model.m), xp.sqrt((model.k - g) / model.m)
+
+
+def spectrum(model: ValidatedModel, y) -> Spectrum:
+    """Normal-mode frequencies Omega+- = sqrt((k +- g(y))/m) at fixed y."""
+    _, plus, minus = normal_modes(model, y)
+    return Spectrum(omega=model.omega, omega_plus=plus, omega_minus=minus)

@@ -7,18 +7,18 @@ Two independent routes to the force on the heavy coordinate:
 
 and the Bogoliubov structure of the interacting vacuum: coefficients
 alpha/beta, mean free-quanta numbers, and the geometric pair expansion of the
-two-mode squeezed vacuum.
+two-mode squeezed vacuum.  Like model, each function takes y as one float or
+as an array of points.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRatioError
-from .model import Spectrum, ValidatedModel, spectrum
+from .model import ValidatedModel, _array_module, normal_modes, spectrum
 
 
 @dataclass(frozen=True)
@@ -48,6 +48,8 @@ class VacuumExpansion:
     """Pair expansion |0~> = c0 sum_n (-beta/alpha)^n |n,n>, truncated at N_max.
 
     tail is the exact geometric mass beyond N_max, so sum(c_n^2) + tail == 1.
+    For arrays of coefficients, alpha, beta, c0 and tail are arrays too and
+    coefficients has one row of N_max + 1 per point.
     """
 
     alpha: float
@@ -69,8 +71,9 @@ def interaction_shift(model: ValidatedModel, y: float) -> float:
     with u = g/k and s = sqrt(1+u) + sqrt(1-u): cancellation-free, so it stays
     negative even where it is below the rounding of E_vac itself."""
     u = model.g(y) / model.k
-    s = math.sqrt(1.0 + u) + math.sqrt(1.0 - u)
-    root = math.sqrt(1.0 - u * u)
+    xp = _array_module(u)
+    s = xp.sqrt(1.0 + u) + xp.sqrt(1.0 - u)
+    root = xp.sqrt(1.0 - u * u)
     return -model.hbar * model.omega * u * u / ((1.0 + root) * (s + 2.0))
 
 
@@ -81,26 +84,23 @@ def casimir_force(model: ValidatedModel, y: float) -> float:
     1/Omega- - 1/Omega+ = 2g / (m Omega+ Omega- (Omega+ + Omega-)),
     which is exact because Omega+^2 - Omega-^2 = 2g/m.
     """
-    s = spectrum(model, y)
+    g, wp, wm = normal_modes(model, y)
     gp = model.g_prime(y)
-    g = model.g(y)
-    inv_diff = 2.0 * g / (
-        model.m * s.omega_plus * s.omega_minus * (s.omega_plus + s.omega_minus)
-    )
+    inv_diff = 2.0 * g / (model.m * wp * wm * (wp + wm))
     return model.hbar * gp / (4.0 * model.m) * inv_diff
 
 
 def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
     """Ground-state second moments and mean free-quanta numbers at fixed y."""
-    s = spectrum(model, y)
-    xp2 = model.hbar / (2.0 * model.m * s.omega_plus)
-    xm2 = model.hbar / (2.0 * model.m * s.omega_minus)
+    g, wp, wm = normal_modes(model, y)
+    xp2 = model.hbar / (2.0 * model.m * wp)
+    xm2 = model.hbar / (2.0 * model.m * wm)
     n1, n2 = mean_free_quanta(bogoliubov_coefficients(model, y))
     return VacuumObservables(
         E_vac=vacuum_energy(model, y),
         x_plus_sq=xp2,
         x_minus_sq=xm2,
-        x1x2=_x1x2(model, y, s),
+        x1x2=_x1x2(model, g, wp, wm),
         N1=n1,
         N2=n2,
     )
@@ -108,14 +108,13 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
 
 def lifshitz_force(model: ValidatedModel, y: float) -> float:
     """Fluctuation-route force -g'(y) <x1 x2>; no vacuum energy involved."""
-    return -model.g_prime(y) * _x1x2(model, y, spectrum(model, y))
+    return -model.g_prime(y) * _x1x2(model, *normal_modes(model, y))
 
 
-def _x1x2(model: ValidatedModel, y: float, s: Spectrum) -> float:
+def _x1x2(model: ValidatedModel, g, wp, wm):
     """<x1 x2> = (<x+^2> - <x-^2>)/2 via the same cancellation-free difference
     used for the force: Omega+^2 - Omega-^2 = 2g/m exactly."""
-    wp, wm = s.omega_plus, s.omega_minus
-    return -model.hbar * model.g(y) / (2.0 * model.m**2 * wp * wm * (wp + wm))
+    return -model.hbar * g / (2.0 * model.m**2 * wp * wm * (wp + wm))
 
 
 def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs:
@@ -142,7 +141,7 @@ def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs
 
 
 def _branch_coeffs(big_omega: float, omega: float) -> tuple[float, float]:
-    denom = 2.0 * math.sqrt(2.0 * big_omega * omega)
+    denom = 2.0 * _array_module(big_omega).sqrt(2.0 * big_omega * omega)
     return (big_omega + omega) / denom, (big_omega - omega) / denom
 
 
@@ -183,10 +182,11 @@ def squeezed_vacuum_expansion(
     else:
         raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
     r = beta / alpha
-    if not abs(r) < 1.0:
-        raise InvalidRatioError(f"|beta/alpha| = {abs(r)} >= 1")
-    c0 = math.sqrt(1.0 - r * r)
-    coefficients = c0 * (-r) ** np.arange(N_max + 1)
+    if not np.all(abs(r) < 1.0):
+        raise InvalidRatioError(f"|beta/alpha| = {np.max(abs(r))} >= 1")
+    c0 = _array_module(r).sqrt(1.0 - r * r)
+    n = np.arange(N_max + 1)
+    coefficients = np.asarray(c0)[..., None] * np.asarray(-r)[..., None] ** n
     tail = r ** (2 * (N_max + 1))  # = c0^2 * r^(2N+2) / (1 - r^2)
     return VacuumExpansion(
         alpha=alpha, beta=beta, c0=c0, coefficients=coefficients, N_max=N_max, tail=tail

@@ -167,6 +167,9 @@ class TestConfigParsing:
                 "grid.points", lambda d: d["grid"].update(points=1e20), id="grid.points-1e20"
             ),
             pytest.param(
+                "model.m", lambda d: d["model"].update(m=5e-324), id="model.m-omega-overflow"
+            ),
+            pytest.param(
                 "model.coupling.lambda",
                 lambda d: d["model"]["coupling"].update({"lambda": 1e-321}),
                 id="model.coupling.lambda-fd-step-underflow",
@@ -536,6 +539,21 @@ class TestReferenceCasimir:
             cli.main(argv)
         assert exc.value.code == cli.EXIT_CONFIG
         assert f"argument {flag}:" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--y", "1e300"], "--y"),
+            (["--y", "1e-100"], "--y"),
+            (["--y", "1e-6", "--area", "1e300"], "--area"),
+        ],
+    )
+    def test_result_outside_float_range_exits_2_naming_flag(self, capsys, flags, named):
+        assert cli.main(["reference-casimir", *flags]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument {named}:" in out.err
 
 
 def test_commands_run_without_importing_scipy(tmp_path):
