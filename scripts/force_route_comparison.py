@@ -15,7 +15,7 @@ import argparse
 import numpy as np
 
 from casimir_toy.cli import energy_gradient_fd
-from casimir_toy.fock import FockOracle, TruncatedBasis, oracle_force
+from casimir_toy.fock import FockOracle, oracle_force
 from casimir_toy.model import CouplingSpec, ModelParams, validate
 from casimir_toy.quantum import casimir_force, lifshitz_force
 
@@ -45,7 +45,7 @@ def main() -> int:
             ),
         )
     )
-    oracle = FockOracle(model, TruncatedBasis(args.n_max))
+    oracle = FockOracle(model, args.n_max)
     h = 1e-5
 
     print(f"family={args.family} g0={args.g0} lambda={args.lam} n_max={args.n_max}")

@@ -12,7 +12,6 @@ import argparse
 
 from casimir_toy.fock import (
     FockOracle,
-    TruncatedBasis,
     ground_state,
     oracle_observables,
     verify_annihilation,
@@ -54,11 +53,10 @@ def main() -> int:
     print(f"g0={args.g0} y={y}: E_vac={e_ref:.12f} <x1x2>={x1x2_ref:.12f} <N1>={n_ref:.6e}")
     print(f"{'n_max':>6} {'rel err E0':>12} {'rel err x1x2':>13} {'rel err N1':>12} {'ann. residual':>14}")
     for n_max in range(4, args.max_cutoff + 1, 4):
-        basis = TruncatedBasis(n_max)
-        oracle = FockOracle(model, basis)
+        oracle = FockOracle(model, n_max)
         obs = oracle_observables(oracle, ground_state(oracle, y))
         expansion = squeezed_vacuum_expansion(coeffs, "plus", N_max=max(n_max - 2, 0))
-        residual = verify_annihilation(expansion, basis)
+        residual = verify_annihilation(expansion, n_max)
         print(
             f"{n_max:6d} {abs(obs.E_vac - e_ref) / e_ref:12.3e}"
             f" {abs(obs.x1x2 - x1x2_ref) / abs(x1x2_ref):13.3e}"

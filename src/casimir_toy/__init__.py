@@ -11,7 +11,6 @@ under the quantum force.
 from .dynamics import DynamicsConfig, evolve
 from .fock import (
     FockOracle,
-    TruncatedBasis,
     ground_state,
     oracle_force,
     verify_annihilation,
@@ -33,7 +32,6 @@ __all__ = [
     "DynamicsConfig",
     "FockOracle",
     "ModelParams",
-    "TruncatedBasis",
     "bogoliubov_coefficients",
     "casimir_force",
     "evolve",

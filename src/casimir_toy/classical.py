@@ -87,8 +87,7 @@ def evolve_classical(
     exited = False
     t = initial.t
     for _ in range(n_steps):
-        q_new, p_new = q.copy(), p.copy()
-        q_new = q_new + _DRIFT[0] * dt * p_new / masses
+        q_new, p_new = q + _DRIFT[0] * dt * p / masses, p
         for j in range(3):
             p_new = p_new + _KICK[j] * dt * forces(q_new)
             q_new = q_new + _DRIFT[j + 1] * dt * p_new / masses
@@ -100,10 +99,9 @@ def evolve_classical(
         rows.append((t, *q, *p))
 
     t, x1, x2, y, p1, p2, p_y = np.array(rows).T
-    # total_energy over every row at once; only g(y) is evaluated per row.
-    g = np.array([c.value_raw(v) for v in y])
+    # total_energy over every row at once
     kin = (p1 * p1 + p2 * p2) / (2.0 * model.m) + p_y * p_y / (2.0 * model.M)
-    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + g * x1 * x2
+    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + c.value_raw(y) * x1 * x2
     return ClassicalTrajectory(
         t=t,
         x1=x1,

@@ -279,8 +279,8 @@ def cmd_spectrum(config: RunConfig, outdir: Path) -> Path:
     model = config.model
 
     def columns(y):
-        s = spectrum(model, y)
-        return model.g(y), s.omega, s.omega_plus, s.omega_minus
+        g, wp, wm = spectrum(model, y)
+        return g, model.omega, wp, wm
 
     path = outdir / "spectrum.csv"
     write_csv(
@@ -331,11 +331,9 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
     grid = _need(config, "grid")
     model = config.model
     h = _fd_step(model)
-    oracle = None
-    if with_oracle:
-        oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle.n_max))
     header = ["y", "E_vac", "F_casimir", "F_lifshitz", "F_finite_diff"]
     if with_oracle:
+        oracle = fock.FockOracle(model, config.oracle.n_max)
         header.append("F_oracle")
 
     def columns(y):
@@ -394,8 +392,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
     if y is None:
         y = config.grid.y_min if config.grid else model.coupling.y_min
     tol = oc.convergence_tol
-    basis = fock.TruncatedBasis(oc.n_max)
-    oracle = fock.FockOracle(model, basis)
+    oracle = fock.FockOracle(model, oc.n_max)
 
     gs = fock.ground_state(oracle, y)
     obs = fock.oracle_observables(oracle, gs)
@@ -411,9 +408,9 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
 
     residuals = {}
     for n in (5, 10, 15, 20):
-        if n <= basis.n_max - 2:
+        if n <= oc.n_max - 2:
             exp = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=n)
-            residuals[str(n)] = fock.verify_annihilation(exp, basis)
+            residuals[str(n)] = fock.verify_annihilation(exp, oc.n_max)
 
     report_struct = fock.ground_state_structure_checks(gs)
 

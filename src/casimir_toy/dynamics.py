@@ -85,7 +85,7 @@ def _route(model: ValidatedModel, config: DynamicsConfig):
     if config.force_route == "oracle":
         # One FockOracle for the run, so each step's Lanczos solve starts
         # from the previous step's ground state (the first from |0,0>).
-        oracle = fock.FockOracle(model, fock.TruncatedBasis(config.oracle_n_max))
+        oracle = fock.FockOracle(model, config.oracle_n_max)
 
         def oracle_route(y):
             gs = fock.ground_state(oracle, y)

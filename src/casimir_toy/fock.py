@@ -27,29 +27,14 @@ from .model import ValidatedModel
 from .quantum import VacuumExpansion, VacuumObservables
 
 
-@dataclass(frozen=True)
-class TruncatedBasis:
-    """Product basis |n, n'> with per-mode cutoff n_max; flat index n*(n_max+1)+n'."""
-
-    n_max: int
-
-    def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
-
-    @property
-    def dim(self) -> int:
-        return (self.n_max + 1) ** 2
-
-    def lowering(self) -> np.ndarray:
-        """Single-mode lowering matrix a with a|n> = sqrt(n)|n-1>."""
-        return np.diag(np.sqrt(np.arange(1, self.n_max + 1)), k=1)
+def _lowering(n_max: int) -> np.ndarray:
+    """Single-mode lowering matrix a with a|n> = sqrt(n)|n-1>, n <= n_max."""
+    return np.diag(np.sqrt(np.arange(1, n_max + 1)), k=1)
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
     matrix: np.ndarray
-    basis: TruncatedBasis
 
 
 @dataclass(frozen=True)
@@ -74,25 +59,27 @@ class StructureReport:
     odd_parity_mass: float
 
 
-def position_matrix(model: ValidatedModel, basis: TruncatedBasis) -> np.ndarray:
+def position_matrix(model: ValidatedModel, n_max: int) -> np.ndarray:
     """Single-mode x = sqrt(hbar/(2 m omega)) (a' + a)."""
-    a = basis.lowering()
+    a = _lowering(n_max)
     return math.sqrt(model.hbar / (2.0 * model.m * model.omega)) * (a + a.T)
 
 
 class FockOracle:
-    """H(y) = H0 + g(y) V on one basis, and where its next solve starts.
+    """H(y) = H0 + g(y) V for n, n' <= n_max, and where its next solve starts.
 
-    Build one per (model, basis) and pass it to ground_state for every y of a
+    Build one per (model, n_max) and pass it to ground_state for every y of a
     sweep: each solve starts from the ground state of the one before.
     """
 
-    def __init__(self, model: ValidatedModel, basis: TruncatedBasis):
+    def __init__(self, model: ValidatedModel, n_max: int):
+        if n_max < 1:
+            raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
-        self.basis = basis
-        n = np.arange(basis.n_max + 1, dtype=float)
+        self.n_max = n_max
+        n = np.arange(n_max + 1, dtype=float)
         self.h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0)
-        self.x = position_matrix(model, basis)
+        self.x = position_matrix(model, n_max)
         self.start = np.zeros_like(self.h0)
         self.start[0, 0] = 1.0  # |0,0>
 
@@ -102,15 +89,14 @@ class FockOracle:
         return self.h0 * c + g * (self.x @ c @ self.x)
 
 
-def build_hamiltonian(
-    model: ValidatedModel, y: float, basis: TruncatedBasis
-) -> OperatorMatrix:
+def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMatrix:
     """Dense view of the oracle's H(y), for auditing its matrix elements:
-    column j is the oracle's H applied to basis state j."""
-    side = basis.n_max + 1
-    units = np.eye(basis.dim).reshape(basis.dim, side, side)
-    columns = FockOracle(model, basis).apply(model.g(y), units)
-    return OperatorMatrix(matrix=columns.reshape(basis.dim, basis.dim).T, basis=basis)
+    column j is the oracle's H applied to basis state j = n*(n_max+1)+n'."""
+    side = n_max + 1
+    dim = side * side
+    units = np.eye(dim).reshape(dim, side, side)
+    columns = FockOracle(model, n_max).apply(model.g(y), units)
+    return OperatorMatrix(matrix=columns.reshape(dim, dim).T)
 
 
 # A solve stops when the Ritz residual estimate beta_k |s_k| of the lowest
@@ -175,7 +161,7 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     residual_norm is ||H v - E0 v|| by the same H, and steps the size of the
     Krylov basis.
     """
-    side = oracle.basis.n_max + 1
+    side = oracle.n_max + 1
     g = oracle.model.g(y)
 
     def matvec(v):
@@ -223,27 +209,27 @@ def oracle_force(oracle: FockOracle, y: float) -> float:
     return -oracle.model.g_prime(y) * cross_correlation(gs.amplitudes, oracle.x)
 
 
-def verify_annihilation(expansion: VacuumExpansion, basis: TruncatedBasis) -> float:
+def verify_annihilation(expansion: VacuumExpansion, n_max: int) -> float:
     """Residual norm ||a |0~>|| for a = alpha(a1 + a2) + beta(a1' + a2').
 
     Rows whose occupation touches the basis edge (n or n' = n_max) are
     excluded: raising maps edge states out of the basis, so including them
     would measure truncation rather than the annihilation identity.
     """
-    if expansion.N_max > basis.n_max:
+    if expansion.N_max > n_max:
         raise TruncationMismatchError(
-            f"N_max={expansion.N_max} exceeds basis n_max={basis.n_max}"
+            f"N_max={expansion.N_max} exceeds basis n_max={n_max}"
         )
-    side = basis.n_max + 1
+    side = n_max + 1
     state = np.zeros((side, side))
     pairs = np.arange(expansion.N_max + 1)
     state[pairs, pairs] = expansion.coefficients
-    a = basis.lowering()
+    a = _lowering(n_max)
     # a1 acts on the row index, a2 on the column index
     residual = expansion.alpha * (a @ state + state @ a.T) + expansion.beta * (
         a.T @ state + state @ a
     )
-    interior = residual[: basis.n_max, : basis.n_max]
+    interior = residual[:n_max, :n_max]
     return float(np.linalg.norm(interior))
 
 
@@ -262,16 +248,14 @@ def ground_state_structure_checks(result: GroundStateResult) -> StructureReport:
     )
 
 
-def free_vacuum_correlation(
-    model: ValidatedModel, basis: TruncatedBasis, psi2: np.ndarray
-) -> float:
+def free_vacuum_correlation(model: ValidatedModel, n_max: int, psi2: np.ndarray) -> float:
     """<x1 x2> in |0_1> (x) |psi2>; zero for any mode-2 state."""
     psi2 = np.asarray(psi2, dtype=float)
-    if psi2.shape != (basis.n_max + 1,):
-        raise ValueError(f"psi2 must have length {basis.n_max + 1}")
+    if psi2.shape != (n_max + 1,):
+        raise ValueError(f"psi2 must have length {n_max + 1}")
     norm = np.linalg.norm(psi2)
     if not math.isclose(norm, 1.0, rel_tol=1e-9):
         raise ValueError(f"psi2 must be normalized, got ||psi2|| = {norm}")
-    table = np.zeros((basis.n_max + 1, basis.n_max + 1))
+    table = np.zeros((n_max + 1, n_max + 1))
     table[0] = psi2
-    return cross_correlation(table, position_matrix(model, basis))
+    return cross_correlation(table, position_matrix(model, n_max))

@@ -85,6 +85,25 @@ class CouplingSpec:
             ) from None
 
 
+def _inverse_power_terms(c: CouplingSpec, y, xp):
+    """(big, a, b) = (max(y, lam), (lam/big)^p, (y/big)^p), so that
+    g = g0 a / (a + b) and g' = -g0 p (y/big)^(p-1) a / (big (a + b)^2).
+    Neither can overflow; for y <= lam, a = 1 and they are the textbook
+    formulas in y/lam, bit for bit."""
+    big = np.maximum(y, c.lam) if xp is np else max(y, c.lam)
+    return big, (c.lam / big) ** c.exponent, (y / big) ** c.exponent
+
+
+def _inverse_power_g(c: CouplingSpec, y, xp):
+    _, a, b = _inverse_power_terms(c, y, xp)
+    return c.g0 * a / (a + b)
+
+
+def _inverse_power_g_prime(c: CouplingSpec, y, xp):
+    big, a, b = _inverse_power_terms(c, y, xp)
+    return -c.g0 * c.exponent * (y / big) ** (c.exponent - 1) * a / (big * (a + b) ** 2)
+
+
 # (g, g') per family, as functions of (spec, y, math or numpy).
 _FAMILY_FORMULAS = {
     "constant": (lambda c, y, xp: c.g0, lambda c, y, xp: 0.0),
@@ -92,13 +111,7 @@ _FAMILY_FORMULAS = {
         lambda c, y, xp: c.g0 * xp.exp(-y / c.lam),
         lambda c, y, xp: -c.g0 / c.lam * xp.exp(-y / c.lam),
     ),
-    "inverse-power": (
-        lambda c, y, xp: c.g0 / (1.0 + (y / c.lam) ** c.exponent),
-        lambda c, y, xp: -c.g0
-        * c.exponent
-        * (y / c.lam) ** (c.exponent - 1)
-        / (c.lam * (1.0 + (y / c.lam) ** c.exponent) ** 2),
-    ),
+    "inverse-power": (_inverse_power_g, _inverse_power_g_prime),
 }
 FAMILIES = tuple(_FAMILY_FORMULAS)
 
@@ -137,15 +150,6 @@ class ValidatedModel:
 
     def g_prime(self, y):
         return self.coupling.derivative(y)
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Frequencies at a fixed y: free omega, normal Omega+-."""
-
-    omega: float
-    omega_plus: float
-    omega_minus: float
 
 
 def validate(params: ModelParams) -> ValidatedModel:
@@ -209,16 +213,9 @@ def validate(params: ModelParams) -> ValidatedModel:
     )
 
 
-def normal_modes(model: ValidatedModel, y) -> tuple:
-    """(g(y), Omega+, Omega-) with Omega+- = sqrt((k +- g(y))/m): the numbers
-    behind spectrum, without building its record, which costs more than the
-    arithmetic in a per-step force evaluation."""
+def spectrum(model: ValidatedModel, y) -> tuple:
+    """(g(y), Omega+, Omega-): the normal-mode frequencies
+    Omega+- = sqrt((k +- g(y))/m) at fixed y and the coupling behind them."""
     g = model.g(y)
     xp = _array_module(g)
     return g, xp.sqrt((model.k + g) / model.m), xp.sqrt((model.k - g) / model.m)
-
-
-def spectrum(model: ValidatedModel, y) -> Spectrum:
-    """Normal-mode frequencies Omega+- = sqrt((k +- g(y))/m) at fixed y."""
-    _, plus, minus = normal_modes(model, y)
-    return Spectrum(omega=model.omega, omega_plus=plus, omega_minus=minus)

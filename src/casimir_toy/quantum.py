@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRatioError
-from .model import ValidatedModel, _array_module, normal_modes, spectrum
+from .model import ValidatedModel, _array_module, spectrum
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def casimir_force(model: ValidatedModel, y: float) -> float:
     1/Omega- - 1/Omega+ = 2g / (m Omega+ Omega- (Omega+ + Omega-)),
     which is exact because Omega+^2 - Omega-^2 = 2g/m.
     """
-    g, wp, wm = normal_modes(model, y)
+    g, wp, wm = spectrum(model, y)
     gp = model.g_prime(y)
     inv_diff = 2.0 * g / (model.m * wp * wm * (wp + wm))
     return model.hbar * gp / (4.0 * model.m) * inv_diff
@@ -92,7 +92,7 @@ def casimir_force(model: ValidatedModel, y: float) -> float:
 
 def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
     """Ground-state second moments and mean free-quanta numbers at fixed y."""
-    g, wp, wm = normal_modes(model, y)
+    g, wp, wm = spectrum(model, y)
     xp2 = model.hbar / (2.0 * model.m * wp)
     xm2 = model.hbar / (2.0 * model.m * wm)
     n1, n2 = mean_free_quanta(bogoliubov_coefficients(model, y))
@@ -108,7 +108,7 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
 
 def lifshitz_force(model: ValidatedModel, y: float) -> float:
     """Fluctuation-route force -g'(y) <x1 x2>; no vacuum energy involved."""
-    return -model.g_prime(y) * _x1x2(model, *normal_modes(model, y))
+    return -model.g_prime(y) * _x1x2(model, *spectrum(model, y))
 
 
 def _x1x2(model: ValidatedModel, g, wp, wm):
@@ -125,9 +125,9 @@ def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs
     with alpha_2+- = +-alpha_1+-, beta_2+- = +-beta_1+-.  Signs are kept as
     they come out; beta_1- is negative for any g > 0.
     """
-    s = spectrum(model, y)
-    a1p, b1p = _branch_coeffs(s.omega_plus, s.omega)
-    a1m, b1m = _branch_coeffs(s.omega_minus, s.omega)
+    _, wp, wm = spectrum(model, y)
+    a1p, b1p = _branch_coeffs(wp, model.omega)
+    a1m, b1m = _branch_coeffs(wm, model.omega)
     return BogoliubovCoeffs(
         alpha_1p=a1p,
         alpha_2p=a1p,

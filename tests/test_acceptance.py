@@ -15,7 +15,6 @@ from casimir_toy import (
     CouplingSpec,
     DynamicsConfig,
     ModelParams,
-    TruncatedBasis,
     bogoliubov_coefficients,
     casimir_force,
     evolve,
@@ -93,8 +92,7 @@ def test_criterion_2_vacuum_energy_gradient():
 def test_criterion_3_oracle_convergence():
     model = make_model()
     tic = time.perf_counter()
-    basis = TruncatedBasis(40)
-    oracle = FockOracle(model, basis)
+    oracle = FockOracle(model, 40)
     gs = ground_state(oracle, 0.0)
     obs = oracle_observables(oracle, gs)
     elapsed = time.perf_counter() - tic
@@ -150,13 +148,12 @@ def test_criterion_5_squeezed_vacuum_expansion():
     model = make_model()
     coeffs = bogoliubov_coefficients(model, 0.0)
     r = abs(coeffs.beta_1p / coeffs.alpha_1p)
-    basis = TruncatedBasis(35)
     # residuals decay like r**N times an sqrt(N+1) occupation prefactor and
     # bottom out at the float64 rounding floor (~1e-17), so the probe uses
     # orders where the true tail term still dominates
     orders = [10, 12, 14]
     residuals = [
-        verify_annihilation(squeezed_vacuum_expansion(coeffs, "plus", N_max=n), basis)
+        verify_annihilation(squeezed_vacuum_expansion(coeffs, "plus", N_max=n), 35)
         for n in orders
     ]
     ratios = [
@@ -183,7 +180,7 @@ def test_criterion_5_squeezed_vacuum_expansion():
 
 def test_criterion_6_ground_state_structure():
     model = make_model()
-    gs = ground_state(FockOracle(model, TruncatedBasis(40)), 0.0)
+    gs = ground_state(FockOracle(model, 40), 0.0)
     rep = ground_state_structure_checks(gs)
     report(
         "criterion 6: exchange symmetry < 1e-10 and odd-parity mass < 1e-20",
@@ -194,13 +191,13 @@ def test_criterion_6_ground_state_structure():
 
 def test_criterion_7_free_vacuum_correlation():
     model = make_model()
-    basis = TruncatedBasis(12)
+    n_max = 12
     rng = np.random.default_rng(20240903)
     worst = 0.0
     for _ in range(100):
-        psi2 = rng.normal(size=basis.n_max + 1)
+        psi2 = rng.normal(size=n_max + 1)
         psi2 /= np.linalg.norm(psi2)
-        worst = max(worst, abs(free_vacuum_correlation(model, basis, psi2)))
+        worst = max(worst, abs(free_vacuum_correlation(model, n_max, psi2)))
     report(
         "criterion 7: <x1 x2> = 0 (abs 1e-12) for 100 random mode-2 states",
         worst < 1e-12,

@@ -371,6 +371,26 @@ class TestForceCurveCommand:
         assert np.max(np.abs(rows[:, 5] - rows[:, 2])) < 1e-6
 
 
+@pytest.mark.parametrize("lam", [1e-100, 1e-200])
+def test_tiny_inverse_power_lambda_writes_finite_artifacts(tmp_path, capsys, lam):
+    # (y/lambda)^4 overflows float64 here: the forces used to be nan and the
+    # per-point commands ended in an OverflowError traceback
+    path, doc = reference_config(tmp_path)
+    doc["model"]["coupling"] = {"family": "inverse-power", "g0": 0.5, "lambda": lam,
+                                "exponent": 4, "y_min": 0.0, "y_max": 10.0}
+    doc["grid"] = {"y_min": 0.0, "y_max": 10.0, "points": 11}
+    path.write_text(json.dumps(doc))
+    for argv in (["force-curve"], ["oracle-check", "--y", "5"],
+                 ["vacuum-content", "--pair-y", "5"], ["evolve"]):
+        assert cli.main([*argv, "--config", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
+    assert np.all(np.isfinite(rows))
+    assert np.all(rows[1:, 2:4] == 0.0)  # g' underflows to 0 for y >= 1
+    report = json.loads((tmp_path / "out" / "oracle_check.json").read_text())
+    assert report["pass"] is True
+
+
 class TestVacuumContentCommand:
     def test_reference_row(self, tmp_path):
         path, _ = reference_config(tmp_path)

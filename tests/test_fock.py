@@ -7,7 +7,6 @@ import scipy.linalg
 
 from casimir_toy import (
     DynamicsConfig,
-    TruncatedBasis,
     bogoliubov_coefficients,
     dynamics,
     evolve,
@@ -33,24 +32,16 @@ from conftest import make_model
 @pytest.fixture(scope="module")
 def reference_ground_state():
     model = make_model()
-    basis = TruncatedBasis(40)
-    return model, basis, ground_state(FockOracle(model, basis), 0.0)
-
-
-class TestTruncatedBasis:
-    def test_dimension(self):
-        assert TruncatedBasis(40).dim == 41**2
-
-    def test_rejects_small_cutoff(self):
-        with pytest.raises(ValueError):
-            TruncatedBasis(0)
+    return model, ground_state(FockOracle(model, 40), 0.0)
 
 
 class TestBuildHamiltonian:
+    def test_dimension(self, reference_model):
+        assert build_hamiltonian(reference_model, 0.0, 5).matrix.shape == (6**2, 6**2)
+
     def test_free_case_is_diagonal(self):
         model = make_model(g0=0.0)
-        basis = TruncatedBasis(5)
-        h = build_hamiltonian(model, 0.0, basis).matrix
+        h = build_hamiltonian(model, 0.0, 5).matrix
         off_diag = h - np.diag(np.diag(h))
         assert np.max(np.abs(off_diag)) == 0.0
         h4 = h.reshape((6,) * 4)  # h4[n, n', m, m'] = <n,n'|H|m,m'>
@@ -61,46 +52,48 @@ class TestBuildHamiltonian:
                 )
 
     def test_pair_creation_element(self, reference_model):
-        basis = TruncatedBasis(5)
-        h = build_hamiltonian(reference_model, 0.0, basis).matrix.reshape((6,) * 4)
+        h = build_hamiltonian(reference_model, 0.0, 5).matrix.reshape((6,) * 4)
         # <0,0|H|1,1> = g hbar / (2 m omega)
         assert h[0, 0, 1, 1] == pytest.approx(0.5 / 2.0, rel=1e-14)
 
     def test_band_structure(self, reference_model):
-        basis = TruncatedBasis(6)
-        h = build_hamiltonian(reference_model, 0.0, basis).matrix
-        for i in range(basis.dim):
+        h = build_hamiltonian(reference_model, 0.0, 6).matrix
+        for i in range(7**2):
             n, np_ = divmod(i, 7)  # flat index n * (n_max + 1) + n'
-            for j in range(basis.dim):
+            for j in range(7**2):
                 m_, mp_ = divmod(j, 7)
                 if h[i, j] != 0.0 and i != j:
                     assert abs(n - m_) == 1 and abs(np_ - mp_) == 1
 
     def test_symmetry(self, reference_model):
-        h = build_hamiltonian(reference_model, 0.3, TruncatedBasis(10)).matrix
+        h = build_hamiltonian(reference_model, 0.3, 10).matrix
         assert np.max(np.abs(h - h.T)) < 1e-14
 
     def test_position_matrix_scale(self, reference_model):
-        x = position_matrix(reference_model, TruncatedBasis(4))
+        x = position_matrix(reference_model, 4)
         assert x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-14)
         assert x[1, 2] == pytest.approx(1.0, rel=1e-14)
 
 
 class TestGroundState:
+    def test_rejects_small_cutoff(self, reference_model):
+        with pytest.raises(ValueError, match="n_max must be >= 1"):
+            FockOracle(reference_model, 0)
+
     def test_free_ground_state(self):
         model = make_model(g0=0.0)
-        gs = ground_state(FockOracle(model, TruncatedBasis(8)), 0.0)
+        gs = ground_state(FockOracle(model, 8), 0.0)
         assert gs.E0 == pytest.approx(1.0, rel=1e-12)
         assert gs.amplitudes[0, 0] == pytest.approx(1.0, rel=1e-12)
         assert np.linalg.norm(gs.amplitudes.ravel()[1:]) < 1e-12
 
     def test_reference_energy_converged(self, reference_ground_state):
-        model, basis, gs = reference_ground_state
+        model, gs = reference_ground_state
         analytic = (math.sqrt(1.5) + math.sqrt(0.5)) / 2
         assert gs.E0 == pytest.approx(analytic, rel=1e-6)
 
     def test_normalization_and_residual(self, reference_ground_state):
-        model, basis, gs = reference_ground_state
+        model, gs = reference_ground_state
         assert abs(np.linalg.norm(gs.amplitudes) - 1.0) < 1e-12
         h_max = 2 * 40 + 1 + 0.5  # bound on ||H||_max entries at n_max=40
         assert gs.residual_norm < 1e-10 * h_max
@@ -108,26 +101,26 @@ class TestGroundState:
     def test_variational_monotonicity(self, reference_model):
         energies = []
         for n_max in (4, 8, 12, 16, 20):
-            gs = ground_state(FockOracle(reference_model, TruncatedBasis(n_max)), 0.0)
+            gs = ground_state(FockOracle(reference_model, n_max), 0.0)
             energies.append(gs.E0)
         diffs = np.diff(energies)
         assert np.all(diffs <= 1e-14)
 
     def test_sign_convention(self, reference_ground_state):
-        _, _, gs = reference_ground_state
+        _, gs = reference_ground_state
         assert gs.amplitudes[0, 0] > 0
 
 
 class TestOracleObservables:
     def test_free_case(self):
         model = make_model(g0=0.0)
-        oracle = FockOracle(model, TruncatedBasis(8))
+        oracle = FockOracle(model, 8)
         obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         assert abs(obs.x1x2) < 1e-14
         assert abs(obs.N1) < 1e-14 and abs(obs.N2) < 1e-14
 
     def test_reference_values_match_analytic(self, reference_model):
-        oracle = FockOracle(reference_model, TruncatedBasis(40))
+        oracle = FockOracle(reference_model, 40)
         obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         analytic = vacuum_fluctuations(reference_model, 0.0)
         assert obs.E_vac == pytest.approx(analytic.E_vac, rel=1e-6)
@@ -137,14 +130,14 @@ class TestOracleObservables:
         assert obs.N1 == pytest.approx(analytic.N1, rel=1e-6)
 
     def test_exchange_symmetry_of_quanta(self, reference_model):
-        oracle = FockOracle(reference_model, TruncatedBasis(20))
+        oracle = FockOracle(reference_model, 20)
         obs = oracle_observables(oracle, ground_state(oracle, 0.0))
         assert abs(obs.N1 - obs.N2) < 1e-10
 
     def test_oracle_force_matches_analytic(self, reference_model):
         from casimir_toy import lifshitz_force
 
-        f = oracle_force(FockOracle(reference_model, TruncatedBasis(30)), 0.0)
+        f = oracle_force(FockOracle(reference_model, 30), 0.0)
         assert f == pytest.approx(lifshitz_force(reference_model, 0.0), rel=1e-6)
 
 
@@ -154,20 +147,19 @@ class TestVerifyAnnihilation:
         exp = squeezed_vacuum_expansion(
             bogoliubov_coefficients(model, 0.0), "plus", N_max=5
         )
-        assert verify_annihilation(exp, TruncatedBasis(10)) == 0.0
+        assert verify_annihilation(exp, 10) == 0.0
 
     def test_geometric_decay(self, reference_model):
         # residuals decay like r**N with an sqrt(N+1) occupation prefactor;
         # below ~1e-17 they bottom out at the float64 rounding floor, so the
         # probe stays at orders where the true tail term still dominates
         coeffs = bogoliubov_coefficients(reference_model, 0.0)
-        basis = TruncatedBasis(35)
         r = abs(coeffs.beta_1p / coeffs.alpha_1p)
         orders = [10, 12, 14]
         residuals = []
         for n in orders:
             exp = squeezed_vacuum_expansion(coeffs, "plus", N_max=n)
-            residuals.append(verify_annihilation(exp, basis))
+            residuals.append(verify_annihilation(exp, 35))
         for i in range(len(orders) - 1):
             step = orders[i + 1] - orders[i]
             measured = (residuals[i + 1] / residuals[i]) ** (1 / step)
@@ -182,13 +174,12 @@ class TestVerifyAnnihilation:
         # rounding floor so the doubling factor is cleanly measurable
         model = make_model(g0=0.9, family="constant")
         coeffs = bogoliubov_coefficients(model, 0.0)
-        basis = TruncatedBasis(30)
         r = abs(coeffs.beta_1m / coeffs.alpha_1m)
         res10 = verify_annihilation(
-            squeezed_vacuum_expansion(coeffs, "minus", N_max=10), basis
+            squeezed_vacuum_expansion(coeffs, "minus", N_max=10), 30
         )
         res20 = verify_annihilation(
-            squeezed_vacuum_expansion(coeffs, "minus", N_max=20), basis
+            squeezed_vacuum_expansion(coeffs, "minus", N_max=20), 30
         )
         factor = res20 / res10
         # sqrt(21/11) occupation prefactor allowed for
@@ -199,54 +190,50 @@ class TestVerifyAnnihilation:
             bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=12
         )
         with pytest.raises(TruncationMismatchError):
-            verify_annihilation(exp, TruncatedBasis(10))
+            verify_annihilation(exp, 10)
 
 
 class TestGroundStateStructure:
     def test_free_case_single_amplitude(self):
         model = make_model(g0=0.0)
-        gs = ground_state(FockOracle(model, TruncatedBasis(6)), 0.0)
+        gs = ground_state(FockOracle(model, 6), 0.0)
         report = ground_state_structure_checks(gs)
         assert report.symmetry_violation < 1e-12
         assert report.odd_parity_mass < 1e-24
         assert abs(gs.amplitudes[0, 0]) == pytest.approx(1.0, rel=1e-12)
 
     def test_exchange_symmetry(self, reference_ground_state):
-        _, _, gs = reference_ground_state
+        _, gs = reference_ground_state
         report = ground_state_structure_checks(gs)
         assert report.symmetry_violation < 1e-10
 
     def test_odd_parity_mass(self, reference_ground_state):
-        _, _, gs = reference_ground_state
+        _, gs = reference_ground_state
         report = ground_state_structure_checks(gs)
         assert report.odd_parity_mass < 1e-20
 
 
 class TestFreeVacuumCorrelation:
     def test_double_vacuum(self, reference_model):
-        basis = TruncatedBasis(10)
         psi2 = np.zeros(11)
         psi2[0] = 1.0
-        assert free_vacuum_correlation(reference_model, basis, psi2) == 0.0
+        assert free_vacuum_correlation(reference_model, 10, psi2) == 0.0
 
     def test_superposition_state(self, reference_model):
-        basis = TruncatedBasis(10)
         psi2 = np.zeros(11)
         psi2[0] = psi2[1] = 1 / math.sqrt(2)
-        assert abs(free_vacuum_correlation(reference_model, basis, psi2)) < 1e-12
+        assert abs(free_vacuum_correlation(reference_model, 10, psi2)) < 1e-12
 
     def test_random_states_sweep(self, reference_model):
-        basis = TruncatedBasis(12)
         rng = np.random.default_rng(7)
         for _ in range(100):
             psi2 = rng.normal(size=13)
             psi2 /= np.linalg.norm(psi2)
-            assert abs(free_vacuum_correlation(reference_model, basis, psi2)) < 1e-12
+            assert abs(free_vacuum_correlation(reference_model, 12, psi2)) < 1e-12
 
     def test_unnormalized_rejected(self, reference_model):
-        basis = TruncatedBasis(5)
         with pytest.raises(ValueError):
-            free_vacuum_correlation(reference_model, basis, np.ones(6))
+            free_vacuum_correlation(reference_model, 5, np.ones(6))
 
 
 def dense_parts(model, n_max):
@@ -298,7 +285,7 @@ class TestSparseOracle:
     @pytest.mark.parametrize("n_max", [1, 4, 12, 24])
     def test_matches_dense_eigh(self, family, n_max):
         model = make_model(g0=0.6, family=family)
-        oracle = FockOracle(model, TruncatedBasis(n_max))
+        oracle = FockOracle(model, n_max)
         gs = ground_state(oracle, 0.4)
         e0, expected = dense_reference(model, 0.4, n_max)
         assert_matches(gs, oracle_observables(oracle, gs), e0, expected)
@@ -306,11 +293,10 @@ class TestSparseOracle:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_warm_started_grid_matches_cold_solves(self, family):
         model = make_model(g0=0.6, family=family)
-        basis = TruncatedBasis(16)
-        warm = FockOracle(model, basis)
+        warm = FockOracle(model, 16)
         for y in np.linspace(0.0, 3.0, 7):
             gs = ground_state(warm, y)
-            cold = FockOracle(model, basis)
+            cold = FockOracle(model, 16)
             gs_cold = ground_state(cold, y)
             obs_cold = oracle_observables(cold, gs_cold)
             expected = {name: getattr(obs_cold, name)
@@ -319,17 +305,16 @@ class TestSparseOracle:
 
     def test_dense_view_is_the_sparse_hamiltonian(self, reference_model):
         # the audit view, the oracle's table matvec and a Kronecker-built H agree
-        basis = TruncatedBasis(6)
         h0, v_op, _, _ = dense_parts(reference_model, 6)
         h = h0 + reference_model.g(0.7) * v_op
-        assert np.array_equal(build_hamiltonian(reference_model, 0.7, basis).matrix, h)
+        assert np.array_equal(build_hamiltonian(reference_model, 0.7, 6).matrix, h)
         c = np.random.default_rng(3).normal(size=(7, 7))
-        applied = FockOracle(reference_model, basis).apply(reference_model.g(0.7), c)
+        applied = FockOracle(reference_model, 6).apply(reference_model.g(0.7), c)
         np.testing.assert_allclose(applied.ravel(), h @ c.ravel(), rtol=0, atol=1e-13)
 
     def test_edge_mass_tracks_truncation(self, reference_model):
         def edge(n_max):
-            return ground_state(FockOracle(reference_model, TruncatedBasis(n_max)), 0.0).edge_mass()
+            return ground_state(FockOracle(reference_model, n_max), 0.0).edge_mass()
 
         assert edge(2) > 1e-6
         assert edge(30) < 1e-20
@@ -342,13 +327,13 @@ class TestLanczos:
         # a median of 12 (n_max=20) and 18 (n_max=40); the bounds allow one
         # more convergence check
         for n_max, bound in ((20, 15), (40, 22)):
-            oracle = FockOracle(reference_model, TruncatedBasis(n_max))
+            oracle = FockOracle(reference_model, n_max)
             steps = [ground_state(oracle, y).steps for y in np.linspace(1.0, 1.03, 300)]
             assert steps[0] > bound
             assert statistics.median(steps) <= bound
 
     def test_converged_start_stops_after_one_step(self, constant_model):
-        oracle = FockOracle(constant_model, TruncatedBasis(20))
+        oracle = FockOracle(constant_model, 20)
         ground_state(oracle, 0.0)
         assert ground_state(oracle, 1.0).steps == 1
 
@@ -356,7 +341,7 @@ class TestLanczos:
         # with a zero tolerance only an exact breakdown stops a solve; from a
         # random start the Krylov basis fills all 16 dimensions first
         monkeypatch.setattr(fock, "RITZ_TOL", 0.0)
-        oracle = FockOracle(reference_model, TruncatedBasis(3))
+        oracle = FockOracle(reference_model, 3)
         oracle.start = np.random.default_rng(1).normal(size=(4, 4))
         with pytest.raises(NoConvergenceError, match="dimension 16"):
             ground_state(oracle, 0.5)

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,31 +111,83 @@ class TestCoupling:
         assert analytic == pytest.approx(fd, rel=1e-6, abs=1e-12)
 
 
+def textbook_inverse_power(spec, y):
+    """g and g' of the inverse-power family in s = y/lam, as first written.
+    (1 + s^p)^2 overflows for large y/lam: OverflowError on floats, inf (and
+    a wrong g' of 0) on arrays."""
+    s = y / spec.lam
+    p = spec.exponent
+    denominator = (1.0 + s**p) ** 2
+    return spec.g0 / (1.0 + s**p), -spec.g0 * p * s ** (p - 1) / (spec.lam * denominator)
+
+
+class TestInversePowerRange:
+    """g and g' stay finite for any y/lambda; a tiny lambda used to overflow."""
+
+    @pytest.mark.parametrize("lam", [1e-100, 1e-200])
+    def test_tiny_lambda_finite_without_warnings(self, lam):
+        spec = CouplingSpec("inverse-power", 0.5, lam, exponent=4)
+        grid = np.concatenate([lam * np.logspace(-3, 3, 61), np.linspace(0.0, 10.0, 101)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for y in [grid, *grid.tolist()]:
+                assert np.all(np.isfinite(spec.value(y)))
+                assert np.all(np.isfinite(spec.derivative(y)))
+
+    @pytest.mark.parametrize("lam", [1e-100, 1e-200])
+    def test_tiny_lambda_vanishes_far_out(self, lam):
+        spec = CouplingSpec("inverse-power", 0.5, lam, exponent=4)
+        for y in (5.0, 10.0, np.array([5.0, 10.0])):
+            assert np.all(spec.value(y) == 0.0)
+            assert np.all(spec.derivative(y) == 0.0)
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e-100, 0.7])
+    @pytest.mark.parametrize("exponent", range(1, 13))
+    def test_matches_textbook_formula_where_it_is_finite(self, lam, exponent):
+        spec = CouplingSpec("inverse-power", 0.5, lam, exponent=exponent)
+        rng = np.random.default_rng(exponent)
+        y = np.concatenate([[0.0, lam], lam * 10 ** rng.uniform(-3, 3, 400),
+                            rng.uniform(0.0, 10.0, 200)])
+        y = y[y <= 10.0]
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        # compared where the textbook formula neither overflows nor rounds to
+        # a subnormal number, whose relative precision is lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            fits = np.isfinite((1.0 + (y / lam) ** exponent) ** 2)
+            expected = textbook_inverse_power(spec, y)
+        for got, want in zip((spec.value(y), spec.derivative(y)), expected):
+            compared = fits & ((want == 0) | (np.abs(want) >= tiny))
+            assert compared.sum() > len(y) // 4
+            np.testing.assert_allclose(got[compared], want[compared], rtol=16 * eps, atol=0)
+        for v in y[fits].tolist():
+            for got, want in zip((spec.value(v), spec.derivative(v)),
+                                 textbook_inverse_power(spec, v)):
+                if want == 0 or abs(want) >= tiny:
+                    assert got == pytest.approx(want, rel=16 * eps, abs=0)
+
+
 class TestSpectrum:
     def test_free_case_degenerate(self):
         model = make_model(g0=0.0)
-        s = spectrum(model, 0.0)
-        assert s.omega_plus == s.omega_minus == s.omega == 1.0
+        _, wp, wm = spectrum(model, 0.0)
+        assert wp == wm == model.omega == 1.0
 
     def test_reference_frequencies(self, reference_model):
-        s = spectrum(reference_model, 0.0)
-        assert s.omega_plus == pytest.approx(math.sqrt(1.5), rel=1e-14)
-        assert s.omega_minus == pytest.approx(math.sqrt(0.5), rel=1e-14)
+        g, wp, wm = spectrum(reference_model, 0.0)
+        assert g == reference_model.g(0.0)
+        assert wp == pytest.approx(math.sqrt(1.5), rel=1e-14)
+        assert wm == pytest.approx(math.sqrt(0.5), rel=1e-14)
 
     def test_soft_mode_limit(self):
         # g -> k^- drives the minus frequency to zero
         model = make_model(g0=1.0 - 1e-10, family="constant")
-        s = spectrum(model, 0.0)
-        assert 0 < s.omega_minus < 1e-4
-        assert s.omega_plus > s.omega > s.omega_minus
+        _, wp, wm = spectrum(model, 0.0)
+        assert 0 < wm < 1e-4
+        assert wp > model.omega > wm
 
     @given(valid_model_strategy(), st.floats(min_value=0.0, max_value=10.0))
     def test_sum_rules(self, model, y):
-        s = spectrum(model, y)
-        assert s.omega_plus**2 + s.omega_minus**2 == pytest.approx(
-            2 * s.omega**2, rel=1e-12
-        )
-        assert s.omega_plus**2 - s.omega_minus**2 == pytest.approx(
-            2 * model.g(y) / model.m, rel=1e-12, abs=1e-12
-        )
-        assert s.omega_plus >= s.omega >= s.omega_minus > 0
+        g, wp, wm = spectrum(model, y)
+        assert wp**2 + wm**2 == pytest.approx(2 * model.omega**2, rel=1e-12)
+        assert wp**2 - wm**2 == pytest.approx(2 * g / model.m, rel=1e-12, abs=1e-12)
+        assert wp >= model.omega >= wm > 0
