@@ -3,7 +3,8 @@
 Integrates M y'' = F(y) with velocity-Verlet (leapfrog), where F comes from
 one of three routes: the closed-form energy route, the closed-form
 fluctuation route, or the truncated-Fock oracle.  The conserved audit
-quantity is E_total = p_y^2 / 2M + E_vac(y).
+quantity is E_total = p_y^2 / 2M + E_vac(y).  The closed-form routes step on
+Python floats through quantum's kernels: one g and one g' per step.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ MAX_ROWS = 1_000_000
 
 
 def step_count(t_max: float, dt: float, dt_name: str = "dt") -> int:
-    """Integrator steps to reach t_max, round(t_max / dt).  ValueError naming
-    t_max and dt_name (its field path) when that is above MAX_ROWS."""
+    """Integrator steps to reach t_max, round(t_max / dt).  ValueError unless
+    dt > 0 and t_max > 0 (nan included), or naming t_max and dt_name (its
+    field path) when t_max / dt is above MAX_ROWS."""
+    if not dt > 0:
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if not t_max > 0:
+        raise ValueError(f"t_max must be > 0, got {t_max}")
     if not t_max / dt <= MAX_ROWS:
         raise ValueError(
             f"t_max / {dt_name} must be <= {MAX_ROWS} steps, got {t_max} / {dt}"
@@ -48,10 +54,6 @@ class DynamicsConfig:
     oracle_n_max: int = 20
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
         step_count(self.t_max, self.dt, "dynamics.dt")
         if self.force_route not in FORCE_ROUTES:
             raise ValueError(
@@ -93,14 +95,16 @@ def _route(model: ValidatedModel, config: DynamicsConfig):
             return -model.g_prime(y) * x1x2, gs.E0
 
         return oracle_route
-    # Looked up when the route is built, so functions patched onto the
-    # quantum module are the ones called.
-    if config.force_route == "casimir":
-        force = quantum.casimir_force
-    else:
-        force = quantum.lifshitz_force
-    energy = quantum.vacuum_energy
-    return lambda y: (force(model, y), energy(model, y))
+    # evolve has checked y, so g and g' are evaluated once each, unchecked.
+    c = model.coupling
+    casimir = config.force_route == "casimir"
+    force = quantum._casimir_force if casimir else quantum._lifshitz_force
+
+    def closed_form_route(y):
+        g = c.value_raw(y)
+        return force(model, g, c.derivative_raw(y)), quantum._vacuum_energy(model, g)
+
+    return closed_form_route
 
 
 def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:

@@ -189,19 +189,23 @@ def validate(params: ModelParams) -> ValidatedModel:
             f"got [{c.y_min}, {c.y_max}]"
         )
     # All families are monotone non-increasing, so sup g = g(y_min).
-    g_sup_name = (
-        "g(model.coupling.y_min) of model.coupling.family, model.coupling.g0, "
+    at_y_min = (
+        "(model.coupling.y_min) of model.coupling.family, model.coupling.g0, "
         "model.coupling.lambda and model.coupling.exponent"
     )
     try:
         g_sup = c.value(c.y_min)
     except OverflowError:
-        raise ConstraintViolationError(f"{g_sup_name} overflows float64") from None
+        raise ConstraintViolationError(f"g{at_y_min} overflows float64") from None
     if not g_sup < params.k:
         raise ConstraintViolationError(
-            f"{g_sup_name} = {g_sup} must be < model.k = {params.k}: "
+            f"g{at_y_min} = {g_sup} must be < model.k = {params.k}: "
             "positivity constraint violated"
         )
+    # The exponential family's largest |g'|: g0 / lambda can overflow.
+    slope = c.derivative(c.y_min)
+    if not math.isfinite(slope):
+        raise ConstraintViolationError(f"g'{at_y_min} = {slope} must be finite")
     # A grid's numpy evaluation would warn and write inf rows.
     if not (params.k + g_sup) / params.m < math.inf:
         raise ConstraintViolationError(
@@ -216,6 +220,10 @@ def validate(params: ModelParams) -> ValidatedModel:
 def spectrum(model: ValidatedModel, y) -> tuple:
     """(g(y), Omega+, Omega-): the normal-mode frequencies
     Omega+- = sqrt((k +- g(y))/m) at fixed y and the coupling behind them."""
-    g = model.g(y)
+    return _spectrum(model, model.g(y))
+
+
+def _spectrum(model: ValidatedModel, g) -> tuple:
+    """spectrum from a coupling value g already evaluated."""
     xp = _array_module(g)
     return g, xp.sqrt((model.k + g) / model.m), xp.sqrt((model.k - g) / model.m)

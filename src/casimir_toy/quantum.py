@@ -8,7 +8,8 @@ Two independent routes to the force on the heavy coordinate:
 and the Bogoliubov structure of the interacting vacuum: coefficients
 alpha/beta, mean free-quanta numbers, and the geometric pair expansion of the
 two-mode squeezed vacuum.  Like model, each function takes y as one float or
-as an array of points.
+as an array of points.  The force and energy formulas are private kernels of
+g (and g') already evaluated, which the trajectory routes call directly.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRatioError
-from .model import ValidatedModel, _array_module, spectrum
+from .model import ValidatedModel, _array_module, _spectrum, spectrum
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,22 @@ class VacuumExpansion:
 def vacuum_energy(model: ValidatedModel, y: float) -> float:
     """Interacting effective-vacuum energy hbar(Omega+ + Omega-)/2, evaluated
     as hbar omega + interaction_shift."""
-    return model.hbar * model.omega + interaction_shift(model, y)
+    return _vacuum_energy(model, model.g(y))
+
+
+def _vacuum_energy(model: ValidatedModel, g):
+    return model.hbar * model.omega + _interaction_shift(model, g)
 
 
 def interaction_shift(model: ValidatedModel, y: float) -> float:
     """E_vac - hbar omega = -hbar omega u^2 / ((1 + sqrt(1 - u^2))(s + 2)),
     with u = g/k and s = sqrt(1+u) + sqrt(1-u): cancellation-free, so it stays
     negative even where it is below the rounding of E_vac itself."""
-    u = model.g(y) / model.k
+    return _interaction_shift(model, model.g(y))
+
+
+def _interaction_shift(model: ValidatedModel, g):
+    u = g / model.k
     xp = _array_module(u)
     s = xp.sqrt(1.0 + u) + xp.sqrt(1.0 - u)
     root = xp.sqrt(1.0 - u * u)
@@ -84,8 +93,11 @@ def casimir_force(model: ValidatedModel, y: float) -> float:
     1/Omega- - 1/Omega+ = 2g / (m Omega+ Omega- (Omega+ + Omega-)),
     which is exact because Omega+^2 - Omega-^2 = 2g/m.
     """
-    g, wp, wm = spectrum(model, y)
-    gp = model.g_prime(y)
+    return _casimir_force(model, model.g(y), model.g_prime(y))
+
+
+def _casimir_force(model: ValidatedModel, g, gp):
+    _, wp, wm = _spectrum(model, g)
     inv_diff = 2.0 * g / (model.m * wp * wm * (wp + wm))
     return model.hbar * gp / (4.0 * model.m) * inv_diff
 
@@ -108,7 +120,11 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
 
 def lifshitz_force(model: ValidatedModel, y: float) -> float:
     """Fluctuation-route force -g'(y) <x1 x2>; no vacuum energy involved."""
-    return -model.g_prime(y) * _x1x2(model, *spectrum(model, y))
+    return _lifshitz_force(model, model.g(y), model.g_prime(y))
+
+
+def _lifshitz_force(model: ValidatedModel, g, gp):
+    return -gp * _x1x2(model, *_spectrum(model, g))
 
 
 def _x1x2(model: ValidatedModel, g, wp, wm):

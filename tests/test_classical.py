@@ -3,9 +3,44 @@ import math
 import numpy as np
 import pytest
 
-from casimir_toy.classical import PhaseState, evolve_classical, total_energy
+from casimir_toy.classical import _DRIFT, _KICK, PhaseState, evolve_classical, total_energy
 from casimir_toy.model import spectrum
 from conftest import make_model
+
+
+def numpy_yoshida(model, initial, dt, t_max):
+    """Reference Yoshida flow stepping 3-element numpy arrays: the columns
+    (t, x1, x2, y, p1, p2, p_y, energy) and whether y left the domain."""
+    c = model.coupling
+    q = np.array([initial.x1, initial.x2, initial.y])
+    p = np.array([initial.p1, initial.p2, initial.p_y])
+    masses = np.array([model.m, model.m, model.M])
+
+    def forces(q):
+        x1, x2, y = q.tolist()
+        g = c.value_raw(y)
+        return np.array(
+            [-model.k * x1 - g * x2, -model.k * x2 - g * x1, -c.derivative_raw(y) * x1 * x2]
+        )
+
+    rows = [(initial.t, *q, *p)]
+    exited = False
+    t = initial.t
+    for _ in range(int(round(t_max / dt))):
+        q_new, p_new = q + _DRIFT[0] * dt * p / masses, p
+        for j in range(3):
+            p_new = p_new + _KICK[j] * dt * forces(q_new)
+            q_new = q_new + _DRIFT[j + 1] * dt * p_new / masses
+        if not (c.y_min <= q_new[2] <= c.y_max):
+            exited = True
+            break
+        q, p = q_new, p_new
+        t += dt
+        rows.append((t, *q, *p))
+    t, x1, x2, y, p1, p2, p_y = np.array(rows).T
+    kin = (p1 * p1 + p2 * p2) / (2.0 * model.m) + p_y * p_y / (2.0 * model.M)
+    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + c.value_raw(y) * x1 * x2
+    return (t, x1, x2, y, p1, p2, p_y, kin + pot), exited
 
 
 class TestEvolveClassical:
@@ -39,6 +74,36 @@ class TestEvolveClassical:
         initial = PhaseState(0, 0, 1.0, 0, 0, 0)
         with pytest.raises(ValueError):
             evolve_classical(reference_model, initial, dt=0.0, t_max=1.0)
+
+    @pytest.mark.parametrize("t_max", [-5.0, 0.0, math.nan])
+    def test_rejects_nonpositive_t_max(self, reference_model, t_max):
+        initial = PhaseState(0, 0, 1.0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^t_max must be > 0"):
+            evolve_classical(reference_model, initial, dt=0.01, t_max=t_max)
+
+    def test_rejects_nan_dt(self, reference_model):
+        initial = PhaseState(0, 0, 1.0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"^dt must be > 0, got nan"):
+            evolve_classical(reference_model, initial, dt=math.nan, t_max=1.0)
+
+    @pytest.mark.parametrize(
+        "family, p_y, exits",
+        [
+            ("constant", 1.5, False),
+            ("exponential", 1.5, False),
+            ("inverse-power", 1.5, False),
+            ("exponential", -60.0, True),
+        ],
+    )
+    def test_float_step_matches_numpy_reference_bit_for_bit(self, family, p_y, exits):
+        model = make_model(family=family, g0=0.7, k=1.3, m=0.7, M=50.0, lam=0.8, exponent=3)
+        initial = PhaseState(0.3, -0.7, 2.0, 0.1, 0.2, p_y, t=0.25)
+        traj = evolve_classical(model, initial, dt=0.03, t_max=60.0)
+        columns, exited = numpy_yoshida(model, initial, dt=0.03, t_max=60.0)
+        assert traj.domain_exited is exited is exits
+        names = ("t", "x1", "x2", "y", "p1", "p2", "p_y", "energy")
+        for name, expected in zip(names, columns):
+            assert np.array_equal(getattr(traj, name), expected), name
 
     def test_rejects_step_count_above_max_rows(self, reference_model):
         initial = PhaseState(0, 0, 1.0, 0, 0, 0)

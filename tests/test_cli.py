@@ -189,6 +189,14 @@ class TestConfigParsing:
                 lambda d: d["dynamics"].update(dt=1e-3, t_max=1e12),
                 id="dynamics.steps-1e15",
             ),
+            pytest.param(
+                "model.coupling.lambda",
+                lambda d: (
+                    d["model"].update(k=1e10),
+                    d["model"]["coupling"].update({"g0": 1e9, "lambda": 1e-300}),
+                ),
+                id="model.coupling.lambda-slope-overflow",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from casimir_toy import DynamicsConfig, dynamics, evolve
+from casimir_toy import DynamicsConfig, dynamics, evolve, quantum
 from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory, energy_audit
 from casimir_toy.errors import EmptyTrajectoryError
 from conftest import make_model
@@ -13,6 +13,15 @@ class TestDynamicsConfig:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             DynamicsConfig(y0=1.0, v0=0.0, dt=0.0, t_max=1.0)
+
+    @pytest.mark.parametrize("t_max", [-5.0, 0.0, math.nan])
+    def test_rejects_nonpositive_t_max(self, t_max):
+        with pytest.raises(ValueError, match=r"^t_max must be > 0"):
+            DynamicsConfig(y0=1.0, v0=0.0, dt=0.1, t_max=t_max)
+
+    def test_rejects_nan_dt(self):
+        with pytest.raises(ValueError, match=r"^dt must be > 0, got nan"):
+            DynamicsConfig(y0=1.0, v0=0.0, dt=math.nan, t_max=1.0)
 
     def test_rejects_bad_route(self):
         with pytest.raises(ValueError):
@@ -92,6 +101,38 @@ class TestEvolve:
         config = DynamicsConfig(y0=-1.0, v0=0.0, dt=0.1, t_max=1.0)
         with pytest.raises(DomainError):
             evolve(reference_model, config)
+
+
+class TestClosedFormRoutes:
+    @pytest.mark.parametrize("route", ["casimir", "lifshitz"])
+    @pytest.mark.parametrize(
+        "family, y0, v0, exits",
+        [
+            ("constant", 2.0, 0.01, False),
+            ("exponential", 2.0, 0.0, False),
+            ("inverse-power", 2.0, 0.0, False),
+            ("exponential", 0.3, -0.05, True),
+        ],
+    )
+    def test_matches_public_functions_per_point_bit_for_bit(
+        self, monkeypatch, route, family, y0, v0, exits
+    ):
+        model = make_model(
+            family=family, g0=0.7, k=1.3, m=0.7, M=50.0, lam=0.8, exponent=3, hbar=0.9
+        )
+        config = DynamicsConfig(y0=y0, v0=v0, dt=0.05, t_max=100.0, force_route=route)
+        traj = evolve(model, config)
+        force = quantum.casimir_force if route == "casimir" else quantum.lifshitz_force
+        monkeypatch.setattr(
+            dynamics,
+            "_route",
+            lambda model, config: lambda y: (force(model, y), quantum.vacuum_energy(model, y)),
+        )
+        expected = evolve(model, config)
+        assert traj.domain_exited is expected.domain_exited is exits
+        assert len(traj) > 10
+        for name in ("t", "y", "p_y", "F", "E_vac", "E_total"):
+            assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
 
 
 class TestEnergyAudit:

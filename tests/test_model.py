@@ -47,6 +47,13 @@ class TestValidate:
         with pytest.raises(ConstraintViolationError, match="y_min"):
             make_model(family="inverse-power", y_min=-1.0)
 
+    def test_exponential_slope_overflow_rejected(self):
+        # g(0) = 1e9 < k, but g'(0) = -(g0 / lambda) exp(0) overflows to -inf
+        with pytest.raises(ConstraintViolationError) as exc:
+            make_model(family="exponential", k=1e10, g0=1e9, lam=1e-300)
+        assert "model.coupling.g0" in str(exc.value)
+        assert "model.coupling.lambda" in str(exc.value)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ConstraintViolationError):
             validate(ModelParams(m=1, M=1, k=1, coupling=CouplingSpec("cubic", 0.5)))
