@@ -49,6 +49,7 @@ class ClassicalTrajectory:
 
 
 def total_energy(model: ValidatedModel, state: PhaseState) -> float:
+    """H of one state, or of every row at once when the fields are arrays."""
     kin = (state.p1**2 + state.p2**2) / (2.0 * model.m) + state.p_y**2 / (2.0 * model.M)
     pot = model.k * (state.x1**2 + state.x2**2) / 2.0 + model.g(state.y) * state.x1 * state.x2
     return kin + pot
@@ -95,9 +96,6 @@ def evolve_classical(
         rows.append((t, x1, x2, y, p1, p2, p_y))
 
     t, x1, x2, y, p1, p2, p_y = np.array(rows).T
-    # total_energy over every row at once
-    kin = (p1 * p1 + p2 * p2) / (2.0 * model.m) + p_y * p_y / (2.0 * model.M)
-    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + c.value_raw(y) * x1 * x2
     return ClassicalTrajectory(
         t=t,
         x1=x1,
@@ -106,6 +104,6 @@ def evolve_classical(
         p1=p1,
         p2=p2,
         p_y=p_y,
-        energy=kin + pot,
+        energy=total_energy(model, PhaseState(x1, x2, y, p1, p2, p_y, t)),
         domain_exited=exited,
     )

@@ -30,9 +30,10 @@ MAX_ROWS = 1_000_000
 
 
 def step_count(t_max: float, dt: float, dt_name: str = "dt") -> int:
-    """Integrator steps to reach t_max, round(t_max / dt).  ValueError unless
-    dt > 0 and t_max > 0 (nan included), or naming t_max and dt_name (its
-    field path) when t_max / dt is above MAX_ROWS."""
+    """Integrator steps to reach t_max, round(t_max / dt); the run ends at
+    steps * dt.  ValueError unless dt > 0 and t_max > 0 (nan included), or
+    naming t_max and dt_name (its field path) when t_max / dt rounds to 0
+    steps or is above MAX_ROWS."""
     if not dt > 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not t_max > 0:
@@ -41,7 +42,12 @@ def step_count(t_max: float, dt: float, dt_name: str = "dt") -> int:
         raise ValueError(
             f"t_max / {dt_name} must be <= {MAX_ROWS} steps, got {t_max} / {dt}"
         )
-    return int(round(t_max / dt))
+    steps = int(round(t_max / dt))
+    if steps == 0:
+        raise ValueError(
+            f"t_max / {dt_name} rounds to 0 steps (t_max <= dt / 2), got {t_max} / {dt}"
+        )
+    return steps
 
 
 @dataclass(frozen=True)

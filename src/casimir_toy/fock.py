@@ -82,6 +82,11 @@ class FockOracle:
         self.x = position_matrix(model, n_max)
         self.start = np.zeros_like(self.h0)
         self.start[0, 0] = 1.0  # |0,0>
+        # warm: the next solve starts from a ground state.  warm_steps: the
+        # step count of the last warm solve (0 before one), below which the
+        # next solve skips checks (see ground_state).
+        self.warm = False
+        self.warm_steps = 0
 
     def apply(self, g: float, c: np.ndarray) -> np.ndarray:
         """H0 + g V applied to amplitude tables c[..., n, n']: V = x (x) x acts
@@ -103,27 +108,39 @@ def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMa
 # Ritz pair is at most RITZ_TOL |theta_0|.  A looser stop saves a few steps
 # per warm solve, but the relative error of a small <x1 x2> grows as
 # RITZ_TOL / (g/k): at g/k = 1e-9 it was 3e-9 with 1e-13, 3e-14 with epsilon.
+# A floor of epsilon ||T_k|| in place of epsilon |theta_0| cut warm steps by
+# 13% but raised that error at n_max = 40 from 1.7e-13 to about 1e-9.
+# Skipping checks leaves the test as it is: a solve stops at the same k as
+# with every check, or at a later one.
 RITZ_TOL = float(np.finfo(float).eps)
 
 
-def _lanczos(matvec, start: np.ndarray) -> tuple[float, np.ndarray, int]:
+def _next_check(k: int) -> int:
+    return k + max(1, k // 4)
+
+
+def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndarray, int]:
     """Lowest eigenpair of a symmetric operator by Lanczos from start.
 
     Every new Krylov vector is orthogonalized against all earlier ones in two
     classical Gram-Schmidt passes (one pass lets the basis lose
     orthogonality and the stop test is never met), so the tridiagonal T_k
-    holds Ritz values with no spurious copies.  T_k is diagonalized at
-    k = 1, 2, ..., 8, 10, 12, 15, ... (next check at k + max(1, k // 4)):
-    an eigh of T_k after every step made grid sweeps slower than ARPACK.
-    The solve stops when beta_k |s_k| <= RITZ_TOL |theta_0|, which an exact
-    breakdown (beta_k = 0) meets.  Returns (theta_0, Ritz vector, k).
-    Raises NoConvergenceError if the basis fills the whole space first.
+    holds Ritz values with no spurious copies.  The stop test runs at k = 1
+    on T_1 itself (theta_0 = alpha_1, s = [1]) and then on an eigh of T_k at
+    the schedule points 2, 3, ..., 8, 10, 12, 15, ... (next at
+    k + max(1, k // 4)) from the last one below skip_below on, so with
+    skip_below = 22 at k = 1, 18, 22, ...: an eigh after every step made
+    grid sweeps slower than ARPACK.  The solve stops when beta_k |s_k| <=
+    RITZ_TOL |theta_0|, which an exact breakdown (beta_k = 0) meets.
+    Returns (theta_0, Ritz vector, k).  Raises NoConvergenceError if the
+    basis fills the whole space first.
     """
     dim = start.size
     cap = min(dim, 16)
     krylov = np.empty((cap, dim))
     t = np.zeros((cap, cap))  # T_k is t[:k, :k]
-    q = start.ravel() / np.linalg.norm(start)
+    q = start.ravel()
+    q = q / math.sqrt(q @ q)
     k, check, b = 0, 1, 0.0
     while True:
         if k == cap:
@@ -139,8 +156,11 @@ def _lanczos(matvec, start: np.ndarray) -> tuple[float, np.ndarray, int]:
         basis = krylov[:k]
         for _ in range(2):
             w -= (basis @ w) @ basis
-        b = float(np.linalg.norm(w))
-        if k == check or k == dim or b == 0.0:
+        b = math.sqrt(w @ w)
+        if k == 1:
+            if b <= RITZ_TOL * abs(t[0, 0]):
+                return float(t[0, 0]), q, 1
+        elif k == check or k == dim or b == 0.0:
             theta, s = np.linalg.eigh(t[:k, :k])
             if b * abs(s[-1, 0]) <= RITZ_TOL * abs(theta[0]):
                 return float(theta[0]), s[:, 0] @ basis, k
@@ -149,7 +169,10 @@ def _lanczos(matvec, start: np.ndarray) -> tuple[float, np.ndarray, int]:
                     f"Lanczos basis reached dimension {dim} with Ritz residual "
                     f"{b * abs(s[-1, 0]):.3e} > {RITZ_TOL:.3e} |E0|"
                 )
-            check = k + max(1, k // 4)
+        if k == check:
+            check = _next_check(k)
+            while _next_check(check) < skip_below:
+                check = _next_check(check)
         q = w / b
 
 
@@ -159,7 +182,10 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
 
     The eigenvector is normalized with its |0,0> amplitude positive;
     residual_norm is ||H v - E0 v|| by the same H, and steps the size of the
-    Krylov basis.
+    Krylov basis.  A warm solve spends most of its steps on rounding noise
+    and takes about as many as the warm solve before it, so it skips the
+    checks below the last schedule point under that count; the cold first
+    solve and the first warm one check at every point.
     """
     side = oracle.n_max + 1
     g = oracle.model.g(y)
@@ -167,20 +193,24 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     def matvec(v):
         return oracle.apply(g, v.reshape(side, side)).ravel()
 
-    e0, v, steps = _lanczos(matvec, oracle.start)
-    v /= np.linalg.norm(v)
+    e0, v, steps = _lanczos(matvec, oracle.start, oracle.warm_steps)
+    if oracle.warm:
+        oracle.warm_steps = steps
+    oracle.warm = True
+    v /= math.sqrt(v @ v)
     if v[0] < 0:
         v = -v
     oracle.start = v.reshape(side, side)
-    residual = float(np.linalg.norm(matvec(v) - e0 * v))
+    r = matvec(v)
+    r -= e0 * v
     return GroundStateResult(
-        E0=e0, amplitudes=oracle.start, residual_norm=residual, steps=steps
+        E0=e0, amplitudes=oracle.start, residual_norm=math.sqrt(r @ r), steps=steps
     )
 
 
 def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
     """<x1 x2> of the state with amplitudes table[n, n']: x1 acts on rows."""
-    return float(np.sum(table * (x @ table @ x)))
+    return float((table * (x @ table @ x)).sum())
 
 
 def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:

@@ -110,6 +110,11 @@ class TestEvolveClassical:
         with pytest.raises(ValueError, match=r"t_max / dt must be <= 1000000 steps"):
             evolve_classical(reference_model, initial, dt=1e-300, t_max=1e300)
 
+    def test_rejects_step_count_rounding_to_zero(self, reference_model):
+        initial = PhaseState(0, 0, 1.0, 0, 0, 0)
+        with pytest.raises(ValueError, match=r"t_max / dt rounds to 0 steps"):
+            evolve_classical(reference_model, initial, dt=1.0, t_max=0.4)
+
     def test_adiabatic_frequency_tracking(self):
         # M/m = 1e4 with slow y drift: windowed frequencies of x+- track
         # the instantaneous spectrum within 1%

@@ -190,6 +190,11 @@ class TestConfigParsing:
                 id="dynamics.steps-1e15",
             ),
             pytest.param(
+                "dynamics.t_max / dynamics.dt",
+                lambda d: d["dynamics"].update(dt=1.0, t_max=0.4),
+                id="dynamics.steps-zero",
+            ),
+            pytest.param(
                 "model.coupling.lambda",
                 lambda d: (
                     d["model"].update(k=1e10),

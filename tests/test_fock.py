@@ -332,6 +332,41 @@ class TestLanczos:
             assert steps[0] > bound
             assert statistics.median(steps) <= bound
 
+    def test_warm_solves_skip_the_checks_they_cannot_stop_at(self, reference_model, monkeypatch):
+        # the sweep above: a warm solve checks at k = 1 and then from the
+        # schedule point below the last warm solve's step count, so it needs a
+        # median of 2 dense eigh calls where checking at every point took 10
+        # (n_max=20) and 12 (n_max=40)
+        calls = 0
+        eigh = np.linalg.eigh
+
+        def counting_eigh(a):
+            nonlocal calls
+            calls += 1
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for n_max in (20, 40):
+            oracle = FockOracle(reference_model, n_max)
+            per_solve = []
+            for y in np.linspace(1.0, 1.03, 300):
+                before = calls
+                ground_state(oracle, y)
+                per_solve.append(calls - before)
+            assert statistics.median(per_solve[1:]) <= 3
+
+    @pytest.mark.parametrize("n_max", [12, 24, 40])
+    def test_warm_sweep_to_tiny_coupling_keeps_the_correlation(self, n_max):
+        # g/k from 0.5 down to 1e-9, each solve warm-started: the stop rule
+        # relative to |theta_0| keeps <x1 x2> within 3e-13 here; a floor of
+        # epsilon ||T_k|| let the error grow to about 1e-9
+        model = make_model(y_max=25.0)
+        oracle = FockOracle(model, n_max)
+        for y in np.linspace(0.0, math.log(5e8), 200):
+            x1x2 = fock.cross_correlation(ground_state(oracle, y).amplitudes, oracle.x)
+            exact = vacuum_fluctuations(model, y).x1x2
+            assert abs(x1x2 - exact) <= 1e-12 * abs(exact), y
+
     def test_converged_start_stops_after_one_step(self, constant_model):
         oracle = FockOracle(constant_model, 20)
         ground_state(oracle, 0.0)
