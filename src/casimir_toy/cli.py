@@ -523,6 +523,7 @@ def _positive(text: str) -> float:
     return x
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="casimir-toy",

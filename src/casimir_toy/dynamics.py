@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, quantum
-from .errors import EmptyTrajectoryError
 from .model import ValidatedModel
 
 FORCE_ROUTES = ("casimir", "lifshitz", "oracle")
@@ -176,8 +175,6 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
 
 def energy_audit(trajectory: Trajectory) -> tuple[float, np.ndarray]:
     """Max relative drift of E_total and the per-row drift series."""
-    if len(trajectory) == 0:
-        raise EmptyTrajectoryError("trajectory has no rows")
     e0 = trajectory.E_total[0]
     drift = np.abs(trajectory.E_total - e0) / max(abs(e0), 1e-30)
     return float(np.max(drift)), drift

@@ -29,10 +29,6 @@ class NoConvergenceError(CasimirToyError):
     """The Lanczos basis filled the whole space without meeting its stop test."""
 
 
-class EmptyTrajectoryError(CasimirToyError):
-    """Audit requested on a trajectory with no rows."""
-
-
 class NonPositiveSeparationError(CasimirToyError):
     """Plate separation must be strictly positive."""
 

@@ -1,17 +1,20 @@
 """Brute-force oracle in a truncated two-mode Fock basis.
 
 H(y) = hbar omega (N1 + N2 + 1) + g(y) x1 x2 over product states |n, n'>
-with n, n' <= n_max.  A state is held as its amplitude table c[n, n'], and a
-FockOracle applies H to it as H0 o c + g(y) x c x, where H0[n, n'] =
-hbar omega (n + n' + 1) and x is the single-mode position matrix; no matrix
-of side (n_max+1)^2 is built.  ground_state finds the lowest eigenpair by
-Lanczos with full reorthogonalization (numpy only).  The first solve of an
-oracle starts from |0,0>, each later one from the previous ground state, so a
-grid sweep or a trajectory is warm-started and reruns stay deterministic.
-From |0,0>, every Krylov vector stays exchange-symmetric (to rounding) with
-its odd-parity amplitudes exactly zero (x changes n by +-1), so the solve
-keeps to that sector without an index map; ground_state_structure_checks
-measures both.
+with n, n' <= n_max.  H commutes with mode exchange and with the parity of
+n + n' (x changes n by +-1), so its ground state lies in the exchange-
+symmetric, even-parity sector: the pairs n <= n' with n + n' even, held as
+orthonormal coordinates u = w c[n, n'] (w = sqrt 2 off the diagonal, 1 on
+it) of the amplitude table c[n, n'].  The sector has d = (n_max+2)^2 // 4
+coordinates (121 at n_max = 20, 441 at 40) against (n_max+1)^2 table
+entries, and a FockOracle holds H on it as a five-row stencil: the H0
+diagonal and the x (x) x couplings to (n+-1, n'+-1).  ground_state finds the
+lowest eigenpair by Lanczos with full reorthogonalization (numpy only) on u,
+unpacks the table once per solve, and measures its residual with the
+full-table H0 o c + g(y) x c x (FockOracle.apply); no matrix of side
+(n_max+1)^2 is built.  The first solve of an oracle starts from |0,0>, each
+later one from the previous ground state, so a grid sweep or a trajectory is
+warm-started and reruns stay deterministic.
 Observables are contracted on the table (e.g. <x1 x2> = sum c o (x c x)).
 """
 
@@ -80,8 +83,26 @@ class FockOracle:
         n = np.arange(n_max + 1, dtype=float)
         self.h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0)
         self.x = position_matrix(model, n_max)
-        self.start = np.zeros_like(self.h0)
-        self.start[0, 0] = 1.0  # |0,0>
+        # The sector pairs (n, m), n <= m, n + m even, (0, 0) first; index
+        # maps a padded (n + 1, m + 1) either way round to its coordinate.
+        n, m = np.triu_indices(n_max + 1)
+        even = (n + m) % 2 == 0
+        n, m = self.pairs = n[even], m[even]
+        self.weight = np.where(n < m, math.sqrt(2.0), 1.0)
+        index = np.zeros((n_max + 3, n_max + 3), dtype=np.intp)
+        index[n + 1, m + 1] = index[m + 1, n + 1] = np.arange(n.size)
+        # Stencil rows 1-4: x[n, n+a] x[m, m+b] w_i / w_j for (a, b) =
+        # (1, 1), (1, -1), (-1, 1), (-1, -1), 0 where a neighbour leaves the
+        # basis; hop[k] = x[k - 1, k] with hop[0] = hop[n_max + 1] = 0.
+        a = np.array([[1], [1], [-1], [-1]])
+        b = np.array([[1], [-1], [1], [-1]])
+        hop = np.pad(np.diag(self.x, 1), 1)
+        cols = index[n + 1 + a, m + 1 + b]
+        v = hop[n + (a + 1) // 2] * hop[m + (b + 1) // 2] * (self.weight / self.weight[cols])
+        self.cols = np.vstack([np.arange(n.size), cols])
+        self.stencil = np.vstack([self.h0[n, m], v])
+        self.start = np.zeros(n.size)
+        self.start[0] = 1.0  # |0,0>
         # warm: the next solve starts from a ground state.  warm_steps: the
         # step count of the last warm solve (0 before one), below which the
         # next solve skips checks (see ground_state).
@@ -92,6 +113,19 @@ class FockOracle:
         """H0 + g V applied to amplitude tables c[..., n, n']: V = x (x) x acts
         as x c x, x1 on the rows and x2 on the columns."""
         return self.h0 * c + g * (self.x @ c @ self.x)
+
+    def sector_operator(self, g: float):
+        """H0 + g V on sector coordinates u, as a function of u."""
+        vals = self.stencil * np.array([1.0, g, g, g, g])[:, None]
+        cols = self.cols
+        return lambda u: (vals * u.take(cols)).sum(0)
+
+    def table(self, u: np.ndarray) -> np.ndarray:
+        """The amplitude table c[n, n'] of sector coordinates u."""
+        c = np.zeros_like(self.h0)
+        n, m = self.pairs
+        c[n, m] = c[m, n] = u / self.weight
+        return c
 
 
 def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMatrix:
@@ -139,17 +173,10 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
     cap = min(dim, 16)
     krylov = np.empty((cap, dim))
     t = np.zeros((cap, cap))  # T_k is t[:k, :k]
-    q = start.ravel()
-    q = q / math.sqrt(q @ q)
-    k, check, b = 0, 1, 0.0
+    np.divide(start, math.sqrt(start @ start), out=krylov[0])
+    k, check = 0, 1
     while True:
-        if k == cap:
-            cap = min(2 * cap, dim)
-            krylov = np.concatenate([krylov, np.empty((cap - k, dim))])
-            t = np.pad(t, (0, cap - k))
-        if k:
-            t[k - 1, k] = t[k, k - 1] = b
-        krylov[k] = q
+        q = krylov[k]
         w = matvec(q)
         t[k, k] = q @ w
         k += 1
@@ -159,7 +186,7 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
         b = math.sqrt(w @ w)
         if k == 1:
             if b <= RITZ_TOL * abs(t[0, 0]):
-                return float(t[0, 0]), q, 1
+                return float(t[0, 0]), q.copy(), 1
         elif k == check or k == dim or b == 0.0:
             theta, s = np.linalg.eigh(t[:k, :k])
             if b * abs(s[-1, 0]) <= RITZ_TOL * abs(theta[0]):
@@ -173,39 +200,40 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
             check = _next_check(k)
             while _next_check(check) < skip_below:
                 check = _next_check(check)
-        q = w / b
+        if k == cap:
+            cap = min(2 * cap, dim)
+            krylov = np.concatenate([krylov, np.empty((cap - k, dim))])
+            t = np.pad(t, (0, cap - k))
+        t[k - 1, k] = t[k, k - 1] = b
+        np.divide(w, b, out=krylov[k])
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
-    """Lowest eigenpair of H(y) by Lanczos, started from the oracle's last
-    ground state (|0,0> on its first solve).
+    """Lowest eigenpair of H(y) by Lanczos on the oracle's sector
+    coordinates, started from its last ground state (|0,0> on its first
+    solve).
 
-    The eigenvector is normalized with its |0,0> amplitude positive;
-    residual_norm is ||H v - E0 v|| by the same H, and steps the size of the
-    Krylov basis.  A warm solve spends most of its steps on rounding noise
-    and takes about as many as the warm solve before it, so it skips the
-    checks below the last schedule point under that count; the cold first
-    solve and the first warm one check at every point.
+    The eigenvector is normalized with its |0,0> amplitude positive and
+    unpacked to the amplitude table; residual_norm is ||H c - E0 c|| by the
+    full-table H (FockOracle.apply), so it audits the sector stencil too, and
+    steps is the size of the Krylov basis.  A warm solve spends most of its
+    steps on rounding noise and takes about as many as the warm solve before
+    it, so it skips the checks below the last schedule point under that
+    count; the cold first solve and the first warm one check at every point.
     """
-    side = oracle.n_max + 1
     g = oracle.model.g(y)
-
-    def matvec(v):
-        return oracle.apply(g, v.reshape(side, side)).ravel()
-
-    e0, v, steps = _lanczos(matvec, oracle.start, oracle.warm_steps)
+    e0, u, steps = _lanczos(oracle.sector_operator(g), oracle.start, oracle.warm_steps)
     if oracle.warm:
         oracle.warm_steps = steps
     oracle.warm = True
-    v /= math.sqrt(v @ v)
-    if v[0] < 0:
-        v = -v
-    oracle.start = v.reshape(side, side)
-    r = matvec(v)
-    r -= e0 * v
-    return GroundStateResult(
-        E0=e0, amplitudes=oracle.start, residual_norm=math.sqrt(r @ r), steps=steps
-    )
+    u /= math.sqrt(u @ u)
+    if u[0] < 0:
+        u = -u
+    oracle.start = u
+    c = oracle.table(u)
+    r = oracle.apply(g, c).ravel()
+    r -= e0 * c.ravel()
+    return GroundStateResult(E0=e0, amplitudes=c, residual_norm=math.sqrt(r @ r), steps=steps)
 
 
 def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
@@ -268,6 +296,7 @@ def ground_state_structure_checks(result: GroundStateResult) -> StructureReport:
 
     Checks exchange symmetry c[n,n'] = c[n',n] and the vanishing of odd
     total-occupation amplitudes (the interaction changes n + n' by 0 or +-2).
+    A ground_state table is unpacked from the sector, so both read exactly 0.
     """
     c = result.amplitudes
     n = np.arange(len(c))

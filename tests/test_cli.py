@@ -422,6 +422,19 @@ class TestVacuumContentCommand:
         assert np.all(rows[:, 3] == 0.0)
         assert np.all(rows[:, 4] == 1.0)
 
+    def test_parser_built_once_keeps_each_call_apart(self, tmp_path):
+        # one parser serves every call in a process: a rejected call and an
+        # earlier --pair-n-max leave the next call's defaults as they were
+        path, _ = reference_config(tmp_path)
+        assert cli.main(["vacuum-content", "--config", str(path), "--pair-n-max", "25"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["vacuum-content", "--config", str(path), "--no-such-flag"])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert cli.main(["vacuum-content", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "pair_distribution.csv")
+        assert rows[:, 0].tolist() == list(range(21))  # --pair-n-max 20
+        assert cli._build_parser() is cli._build_parser()
+
     def test_pair_distribution_normalized(self, tmp_path):
         path, _ = reference_config(tmp_path)
         assert cli.main(

@@ -5,7 +5,6 @@ import pytest
 
 from casimir_toy import DynamicsConfig, dynamics, evolve, quantum
 from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory, energy_audit
-from casimir_toy.errors import EmptyTrajectoryError
 from conftest import make_model
 
 
@@ -144,14 +143,6 @@ class TestEnergyAudit:
         drift, series = energy_audit(traj)
         assert drift == 0.0
         assert series.shape == (1,)
-
-    def test_empty_trajectory(self):
-        traj = Trajectory(
-            t=np.array([]), y=np.array([]), p_y=np.array([]),
-            F=np.array([]), E_vac=np.array([]), E_total=np.array([]),
-        )
-        with pytest.raises(EmptyTrajectoryError):
-            energy_audit(traj)
 
     def test_constant_family_zero_drift(self, constant_model):
         config = DynamicsConfig(y0=1.0, v0=0.01, dt=0.1, t_max=20.0)

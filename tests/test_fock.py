@@ -312,6 +312,35 @@ class TestSparseOracle:
         applied = FockOracle(reference_model, 6).apply(reference_model.g(0.7), c)
         np.testing.assert_allclose(applied.ravel(), h @ c.ravel(), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sector_stencil_is_the_table_hamiltonian(self, family):
+        # the stencil matvec of random sector coordinates u equals the
+        # full-table apply on the unpacked table, repacked, to rounding
+        model = make_model(g0=0.6, family=family)
+        rng = np.random.default_rng(11)
+        for n_max in range(1, 13):
+            oracle = FockOracle(model, n_max)
+            g = model.g(0.4)
+            n, m = oracle.pairs
+            assert n.size == (n_max + 2) ** 2 // 4
+            u = rng.normal(size=n.size)
+            table = oracle.apply(g, oracle.table(u))
+            h_norm = np.linalg.norm(build_hamiltonian(model, 0.4, n_max).matrix, 2)
+            np.testing.assert_allclose(
+                oracle.sector_operator(g)(u),
+                table[n, m] * oracle.weight,
+                rtol=0,
+                atol=4 * np.finfo(float).eps * h_norm * np.linalg.norm(u),
+            )
+
+    def test_residual_is_the_full_table_residual(self, reference_model):
+        oracle = FockOracle(reference_model, 12)
+        for y in (0.0, 0.5, 1.0):
+            gs = ground_state(oracle, y)
+            c = gs.amplitudes
+            r = oracle.apply(reference_model.g(y), c) - gs.E0 * c
+            assert gs.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=0)
+
     def test_edge_mass_tracks_truncation(self, reference_model):
         def edge(n_max):
             return ground_state(FockOracle(reference_model, n_max), 0.0).edge_mass()
@@ -374,11 +403,12 @@ class TestLanczos:
 
     def test_no_convergence_when_the_basis_fills_the_space(self, reference_model, monkeypatch):
         # with a zero tolerance only an exact breakdown stops a solve; from a
-        # random start the Krylov basis fills all 16 dimensions first
+        # random sector start the Krylov basis fills all 6 dimensions of the
+        # exchange-symmetric, even-parity sector at n_max=3 first
         monkeypatch.setattr(fock, "RITZ_TOL", 0.0)
         oracle = FockOracle(reference_model, 3)
-        oracle.start = np.random.default_rng(1).normal(size=(4, 4))
-        with pytest.raises(NoConvergenceError, match="dimension 16"):
+        oracle.start = np.random.default_rng(1).normal(size=6)
+        with pytest.raises(NoConvergenceError, match="dimension 6"):
             ground_state(oracle, 0.5)
 
     def test_oracle_route_trajectory_matches_dense_eigh(self, reference_model, monkeypatch):

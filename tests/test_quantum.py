@@ -64,7 +64,7 @@ class TestVacuumEnergy:
         u = 5e-10
         assert vacuum_energy(model, 0.0) == model.omega
         expected = -model.omega * u * u / 8
-        assert interaction_shift(model, 0.0) == pytest.approx(expected, rel=1e-12)
+        assert interaction_shift(model, 0.0) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_domain_error(self, reference_model):
         with pytest.raises(DomainError):
@@ -226,7 +226,7 @@ class TestSqueezedVacuumExpansion:
             bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=12
         )
         for n, c in enumerate(exp.coefficients):
-            assert c == pytest.approx(exp.c0 * (-exp.beta / exp.alpha) ** n, rel=1e-13)
+            assert c == pytest.approx(exp.c0 * (-exp.beta / exp.alpha) ** n, rel=1e-13, abs=0)
 
     def test_invalid_ratio_guard(self):
         corrupt = BogoliubovCoeffs(
