@@ -344,8 +344,14 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
             -energy_gradient_fd(model, y, h),
         ]
         if with_oracle:
-            # point by point: each solve starts from the last ground state
-            out.append(np.array([fock.oracle_force(oracle, v) for v in y.tolist()]))
+            # point by point in order of increasing g, each solve started from
+            # the last ground state: the cold |0,0> start is nearly the ground
+            # state at the weakest coupling
+            f = np.empty_like(y)
+            points = y.tolist()
+            for i in np.argsort(np.broadcast_to(model.g(y), y.shape), kind="stable").tolist():
+                f[i] = fock.oracle_force(oracle, points[i])
+            out.append(f)
         return out
 
     path = outdir / "force_curve.csv"

@@ -9,10 +9,11 @@ it) of the amplitude table c[n, n'].  The sector has d = (n_max+2)^2 // 4
 coordinates (121 at n_max = 20, 441 at 40) against (n_max+1)^2 table
 entries, and a FockOracle holds H on it as a five-row stencil: the H0
 diagonal and the x (x) x couplings to (n+-1, n'+-1).  ground_state finds the
-lowest eigenpair by Lanczos with full reorthogonalization (numpy only) on u,
-unpacks the table once per solve, and measures its residual with the
-full-table H0 o c + g(y) x c x (FockOracle.apply); no matrix of side
-(n_max+1)^2 is built.  The first solve of an oracle starts from |0,0>, each
+lowest eigenpair by thick-restart Lanczos with full reorthogonalization
+(numpy only) on u, in a basis of at most 24 vectors that restarts from its 8
+lowest Ritz vectors, unpacks the table once per solve, and measures its
+residual with the full-table H0 o c + g(y) x c x (FockOracle.apply); no
+matrix of side (n_max+1)^2 is built.  The first solve of an oracle starts from |0,0>, each
 later one from the previous ground state, so a grid sweep or a trajectory is
 warm-started and reruns stay deterministic.
 Observables are contracted on the table (e.g. <x1 x2> = sum c o (x c x)).
@@ -20,6 +21,7 @@ Observables are contracted on the table (e.g. <x1 x2> = sum c o (x c x)).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +49,7 @@ class GroundStateResult:
     E0: float
     amplitudes: np.ndarray
     residual_norm: float
-    steps: int
+    steps: int  # Lanczos steps: matvecs, across restarts
 
     def edge_mass(self) -> float:
         """Sum of c[n, n']^2 over n = n_max or n' = n_max: the weight on the
@@ -68,6 +70,38 @@ def position_matrix(model: ValidatedModel, n_max: int) -> np.ndarray:
     return math.sqrt(model.hbar / (2.0 * model.m * model.omega)) * (a + a.T)
 
 
+@functools.cache
+def _sector(n_max: int):
+    """The parts of a FockOracle that depend on n_max alone, read-only.
+
+    Returns the table n + n' + 1; the sector pairs (n, m), n <= m, n + m
+    even, (0, 0) first; their weights w; the stencil columns (row 0 the
+    pair itself, rows 1-4 the coordinate of (n + a, m + b) for (a, b) =
+    (1, 1), (1, -1), (-1, 1), (-1, -1), mapped back to n <= m); the indices
+    into hop of x[n, n + a] and x[m, m + b]; and w_i / w_j.
+    """
+    levels = np.arange(n_max + 1, dtype=float)
+    quanta = levels[:, None] + levels[None, :] + 1.0
+    n, m = np.triu_indices(n_max + 1)
+    even = (n + m) % 2 == 0
+    n, m = n[even], m[even]
+    weight = np.where(n < m, math.sqrt(2.0), 1.0)
+    # index maps a padded (n + 1, m + 1) either way round to its coordinate;
+    # a neighbour outside the basis lands on coordinate 0 with a zero hop.
+    index = np.zeros((n_max + 3, n_max + 3), dtype=np.intp)
+    index[n + 1, m + 1] = index[m + 1, n + 1] = np.arange(n.size)
+    a = np.array([[1], [1], [-1], [-1]])
+    b = np.array([[1], [-1], [1], [-1]])
+    cols = index[n + 1 + a, m + 1 + b]
+    ratio = weight / weight[cols]
+    cols = np.vstack([np.arange(n.size), cols])
+    hops = (n + (a + 1) // 2, m + (b + 1) // 2)
+    parts = (quanta, n, m, weight, cols, *hops, ratio)
+    for array in parts:
+        array.flags.writeable = False
+    return quanta, (n, m), weight, cols, hops, ratio
+
+
 class FockOracle:
     """H(y) = H0 + g(y) V for n, n' <= n_max, and where its next solve starts.
 
@@ -80,27 +114,15 @@ class FockOracle:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
         self.n_max = n_max
-        n = np.arange(n_max + 1, dtype=float)
-        self.h0 = model.hbar * model.omega * (n[:, None] + n[None, :] + 1.0)
+        quanta, self.pairs, self.weight, self.cols, hops, ratio = _sector(n_max)
+        self.h0 = model.hbar * model.omega * quanta
         self.x = position_matrix(model, n_max)
-        # The sector pairs (n, m), n <= m, n + m even, (0, 0) first; index
-        # maps a padded (n + 1, m + 1) either way round to its coordinate.
-        n, m = np.triu_indices(n_max + 1)
-        even = (n + m) % 2 == 0
-        n, m = self.pairs = n[even], m[even]
-        self.weight = np.where(n < m, math.sqrt(2.0), 1.0)
-        index = np.zeros((n_max + 3, n_max + 3), dtype=np.intp)
-        index[n + 1, m + 1] = index[m + 1, n + 1] = np.arange(n.size)
-        # Stencil rows 1-4: x[n, n+a] x[m, m+b] w_i / w_j for (a, b) =
-        # (1, 1), (1, -1), (-1, 1), (-1, -1), 0 where a neighbour leaves the
-        # basis; hop[k] = x[k - 1, k] with hop[0] = hop[n_max + 1] = 0.
-        a = np.array([[1], [1], [-1], [-1]])
-        b = np.array([[1], [-1], [1], [-1]])
-        hop = np.pad(np.diag(self.x, 1), 1)
-        cols = index[n + 1 + a, m + 1 + b]
-        v = hop[n + (a + 1) // 2] * hop[m + (b + 1) // 2] * (self.weight / self.weight[cols])
-        self.cols = np.vstack([np.arange(n.size), cols])
-        self.stencil = np.vstack([self.h0[n, m], v])
+        # Stencil rows 1-4: hop[k] = x[k - 1, k], with hop[0] = hop[n_max + 1]
+        # = 0 for the neighbours that leave the basis.
+        hop = np.zeros(n_max + 2)
+        hop[1:-1] = np.diag(self.x, 1)
+        n, m = self.pairs
+        self.stencil = np.vstack([self.h0[n, m], hop[hops[0]] * hop[hops[1]] * ratio])
         self.start = np.zeros(n.size)
         self.start[0] = 1.0  # |0,0>
         # warm: the next solve starts from a ground state.  warm_steps: the
@@ -149,63 +171,93 @@ def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMa
 RITZ_TOL = float(np.finfo(float).eps)
 
 
+# The Krylov basis holds at most BASIS_MAX vectors; when it is full and the
+# stop test fails it restarts from its RESTART_KEEP lowest Ritz vectors
+# (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  Cold n_max = 40
+# solves at g/k = 0.5, 0.9 and 0.99 took 63, 120 and 184 steps against 63,
+# 121 and 151 unrestarted, in 1.8, 3.2 and 4.7 ms against 3.7, 7.7 and 11.2
+# (one BLAS thread, 2-vCPU Xeon); 16/6, 32/10 and 40/12 were no faster.
+# Where the space is larger than the basis, a solve gives up after
+# STEP_LIMIT times its dimension in steps: the longest solve measured took
+# 200 steps at dimension 441 (g/k = 0.999).
+BASIS_MAX = 24
+RESTART_KEEP = 8
+STEP_LIMIT = 8
+
+
 def _next_check(k: int) -> int:
     return k + max(1, k // 4)
 
 
 def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndarray, int]:
-    """Lowest eigenpair of a symmetric operator by Lanczos from start.
+    """Lowest eigenpair of a symmetric operator by thick-restart Lanczos
+    from start.
 
-    Every new Krylov vector is orthogonalized against all earlier ones in two
-    classical Gram-Schmidt passes (one pass lets the basis lose
-    orthogonality and the stop test is never met), so the tridiagonal T_k
-    holds Ritz values with no spurious copies.  The stop test runs at k = 1
-    on T_1 itself (theta_0 = alpha_1, s = [1]) and then on an eigh of T_k at
-    the schedule points 2, 3, ..., 8, 10, 12, 15, ... (next at
-    k + max(1, k // 4)) from the last one below skip_below on, so with
-    skip_below = 22 at k = 1, 18, 22, ...: an eigh after every step made
-    grid sweeps slower than ARPACK.  The solve stops when beta_k |s_k| <=
-    RITZ_TOL |theta_0|, which an exact breakdown (beta_k = 0) meets.
-    Returns (theta_0, Ritz vector, k).  Raises NoConvergenceError if the
-    basis fills the whole space first.
+    Every new Krylov vector is orthogonalized against all vectors of the
+    basis in two classical Gram-Schmidt passes (one pass lets the basis lose
+    orthogonality and the stop test is never met), so the projected matrix
+    T holds Ritz values with no spurious copies.  k counts steps (matvecs)
+    across restarts.  The stop test runs at k = 1 on T_1 itself (theta_0 =
+    alpha_1, s = [1]) and then on an eigh of T at the schedule points 2, 3,
+    ..., 8, 10, 12, 15, ... (next at k + max(1, k // 4)) from the last one
+    below skip_below on, so with skip_below = 22 at k = 1, 18, 22, ...: an
+    eigh after every step made grid sweeps slower than ARPACK.  It also runs
+    whenever the basis is full.  The solve stops when beta |s_last,0| <=
+    RITZ_TOL |theta_0|, which an exact breakdown (beta = 0) meets.
+
+    A full basis of BASIS_MAX vectors V restarts from the Ritz vectors
+    S[:, :RESTART_KEEP].T @ V of that eigh; T becomes diag(theta_0, ...)
+    with the arrow row and column beta S[-1, :RESTART_KEEP] to the next
+    Krylov vector, and the tridiagonal recurrence goes on from there.  A
+    solve of BASIS_MAX steps or fewer never restarts.
+    Returns (theta_0, Ritz vector, k).  Raises NoConvergenceError when the
+    basis fills the whole space (dimension <= BASIS_MAX) or after
+    STEP_LIMIT times the dimension in steps.
     """
     dim = start.size
-    cap = min(dim, 16)
-    krylov = np.empty((cap, dim))
-    t = np.zeros((cap, cap))  # T_k is t[:k, :k]
-    np.divide(start, math.sqrt(start @ start), out=krylov[0])
-    k, check = 0, 1
+    size = min(dim, BASIS_MAX)
+    limit = dim if dim <= BASIS_MAX else STEP_LIMIT * dim
+    basis = np.empty((size, dim))
+    t = np.zeros((size, size))  # T is t[:j, :j]
+    np.divide(start, math.sqrt(start @ start), out=basis[0])
+    j = k = 0
+    check = 1
     while True:
-        q = krylov[k]
+        q = basis[j]
         w = matvec(q)
-        t[k, k] = q @ w
+        t[j, j] = q @ w
+        j += 1
         k += 1
-        basis = krylov[:k]
+        v = basis[:j]
         for _ in range(2):
-            w -= (basis @ w) @ basis
+            w -= (v @ w) @ v
         b = math.sqrt(w @ w)
         if k == 1:
             if b <= RITZ_TOL * abs(t[0, 0]):
                 return float(t[0, 0]), q.copy(), 1
-        elif k == check or k == dim or b == 0.0:
-            theta, s = np.linalg.eigh(t[:k, :k])
+        elif k == check or j == size or k == limit or b == 0.0:
+            theta, s = np.linalg.eigh(t[:j, :j])
             if b * abs(s[-1, 0]) <= RITZ_TOL * abs(theta[0]):
-                return float(theta[0]), s[:, 0] @ basis, k
-            if k == dim:
+                return float(theta[0]), s[:, 0] @ v, k
+            if k == limit:
                 raise NoConvergenceError(
-                    f"Lanczos basis reached dimension {dim} with Ritz residual "
-                    f"{b * abs(s[-1, 0]):.3e} > {RITZ_TOL:.3e} |E0|"
+                    f"Lanczos took {k} steps in dimension {dim} with Ritz "
+                    f"residual {b * abs(s[-1, 0]):.3e} > {RITZ_TOL:.3e} |E0|"
                 )
         if k == check:
             check = _next_check(k)
             while _next_check(check) < skip_below:
                 check = _next_check(check)
-        if k == cap:
-            cap = min(2 * cap, dim)
-            krylov = np.concatenate([krylov, np.empty((cap - k, dim))])
-            t = np.pad(t, (0, cap - k))
-        t[k - 1, k] = t[k, k - 1] = b
-        np.divide(w, b, out=krylov[k])
+        if j < size:
+            t[j - 1, j] = t[j, j - 1] = b
+        else:
+            keep = s[:, :RESTART_KEEP]
+            basis[:RESTART_KEEP] = keep.T @ v
+            t[:] = 0.0
+            np.fill_diagonal(t[:RESTART_KEEP, :RESTART_KEEP], theta[:RESTART_KEEP])
+            t[RESTART_KEEP, :RESTART_KEEP] = t[:RESTART_KEEP, RESTART_KEEP] = b * keep[-1]
+            j = RESTART_KEEP
+        np.divide(w, b, out=basis[j])
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
@@ -216,7 +268,7 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     The eigenvector is normalized with its |0,0> amplitude positive and
     unpacked to the amplitude table; residual_norm is ||H c - E0 c|| by the
     full-table H (FockOracle.apply), so it audits the sector stencil too, and
-    steps is the size of the Krylov basis.  A warm solve spends most of its
+    steps counts the matvecs across restarts.  A warm solve spends most of its
     steps on rounding noise and takes about as many as the warm solve before
     it, so it skips the checks below the last schedule point under that
     count; the cold first solve and the first warm one check at every point.

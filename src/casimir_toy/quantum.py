@@ -63,7 +63,7 @@ class VacuumExpansion:
 
 def vacuum_energy(model: ValidatedModel, y: float) -> float:
     """Interacting effective-vacuum energy hbar(Omega+ + Omega-)/2, evaluated
-    as hbar omega + interaction_shift."""
+    as hbar omega plus the interaction shift (_interaction_shift)."""
     return _vacuum_energy(model, model.g(y))
 
 
@@ -71,14 +71,10 @@ def _vacuum_energy(model: ValidatedModel, g):
     return model.hbar * model.omega + _interaction_shift(model, g)
 
 
-def interaction_shift(model: ValidatedModel, y: float) -> float:
+def _interaction_shift(model: ValidatedModel, g):
     """E_vac - hbar omega = -hbar omega u^2 / ((1 + sqrt(1 - u^2))(s + 2)),
     with u = g/k and s = sqrt(1+u) + sqrt(1-u): cancellation-free, so it stays
     negative even where it is below the rounding of E_vac itself."""
-    return _interaction_shift(model, model.g(y))
-
-
-def _interaction_shift(model: ValidatedModel, g):
     u = g / model.k
     xp = _array_module(u)
     s = xp.sqrt(1.0 + u) + xp.sqrt(1.0 - u)

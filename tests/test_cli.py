@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from casimir_toy import DynamicsConfig, ModelParams, cli
+from casimir_toy import DynamicsConfig, ModelParams, cli, fock
 from casimir_toy.errors import ConfigError, NonPositiveSeparationError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -382,6 +382,46 @@ class TestForceCurveCommand:
         header, rows = read_csv(tmp_path / "out" / "force_curve.csv")
         assert header[-1] == "F_oracle"
         assert np.max(np.abs(rows[:, 5] - rows[:, 2])) < 1e-6
+
+    @pytest.mark.parametrize("case", ["reference", "exponential-to-1e-7", "constant"])
+    def test_oracle_column_is_solved_from_the_weak_coupling_end(self, tmp_path, monkeypatch, case):
+        # The oracle column is solved in order of increasing g, from the cold
+        # |0,0> start at the weakest coupling, and written in grid order.  It
+        # matches a cold solve at each point within 1e-12 relative, the bound
+        # a warm sweep down to g/k = 1e-9 keeps against the closed form
+        # (test_fock); measured at most 6.4e-14.  The exponential case takes
+        # g/k from 0.5 down to 1e-7 at n_max 24, like the workload's weak slot.
+        doc = json.loads((ROOT / "configs" / "reference.json").read_text())
+        doc["output"] = {"directory": str(tmp_path / "out"), "precision": 17}
+        if case == "exponential-to-1e-7":
+            doc["model"]["coupling"]["y_max"] = 20.0
+            doc["grid"] = {"y_min": 0.0, "y_max": math.log(0.5 / 1e-7), "points": 11}
+            doc["oracle"]["n_max"] = 24
+        elif case == "constant":
+            doc["model"]["coupling"].update(family="constant", g0=0.3)
+            doc["grid"]["points"] = 11
+            doc["oracle"]["n_max"] = 12
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        config = cli.load_config(str(path))
+        solved = []
+        ground_state = fock.ground_state
+
+        def recording(oracle, y):
+            solved.append(y)
+            return ground_state(oracle, y)
+
+        monkeypatch.setattr(fock, "ground_state", recording)
+        assert cli.main(["force-curve", "--config", str(path), "--with-oracle"]) == 0
+        monkeypatch.undo()
+        _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
+        y = rows[:, 0].tolist()
+        # every family's g is non-increasing in y: the far end comes first,
+        # and a constant g keeps grid order
+        assert solved == (y if case == "constant" else y[::-1])
+        n_max = config.oracle.n_max
+        cold = [fock.oracle_force(fock.FockOracle(config.model, n_max), v) for v in y]
+        np.testing.assert_allclose(rows[:, 5], cold, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("lam", [1e-100, 1e-200])

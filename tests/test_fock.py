@@ -1,3 +1,4 @@
+import copy
 import math
 import statistics
 
@@ -277,6 +278,14 @@ def assert_matches(gs, obs, e0, expected):
         assert getattr(obs, name) == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
 
+def sector_matrix(oracle, g):
+    """H on the oracle's sector coordinates, densely, from the full-table
+    apply of each coordinate's table."""
+    n, m = oracle.pairs
+    tables = np.stack([oracle.table(e) for e in np.eye(n.size)])
+    return oracle.apply(g, tables)[:, n, m] * oracle.weight
+
+
 FAMILIES = ("constant", "exponential", "inverse-power")
 
 
@@ -352,7 +361,7 @@ class TestSparseOracle:
 class TestLanczos:
     def test_warm_start_takes_few_steps(self, reference_model):
         # 300-point slow sweep, each solve started from the last ground state:
-        # the cold first solve takes 41 steps at both cutoffs, the warm ones
+        # the cold first solve takes 40 steps at both cutoffs, the warm ones
         # a median of 12 (n_max=20) and 18 (n_max=40); the bounds allow one
         # more convergence check
         for n_max, bound in ((20, 15), (40, 22)):
@@ -410,6 +419,68 @@ class TestLanczos:
         oracle.start = np.random.default_rng(1).normal(size=6)
         with pytest.raises(NoConvergenceError, match="dimension 6"):
             ground_state(oracle, 0.5)
+
+    def test_no_convergence_after_the_step_limit_in_a_larger_space(self):
+        # a diagonal operator on 100 > BASIS_MAX coordinates, eigenvalues 1
+        # and 2 below a spread of 3 to 1e4: the lowest gap is 1e-4 of the
+        # spectrum's width, too small for a restarted basis to resolve in a
+        # few hundred steps, so the Ritz residual stays near 1e-4, far above
+        # RITZ_TOL, and the solve gives up after STEP_LIMIT * 100 = 800
+        # matvecs.  (A zero RITZ_TOL does not force this on the oracle's
+        # operator: once a kept Ritz vector's residual falls below rounding,
+        # eigh of the restarted T returns an exact 0 as its last component.)
+        diagonal = np.concatenate([[1.0, 2.0], np.geomspace(3.0, 1e4, 98)])
+        calls = 0
+
+        def counting(u):
+            nonlocal calls
+            calls += 1
+            return diagonal * u
+
+        start = np.random.default_rng(1).normal(size=100)
+        with pytest.raises(NoConvergenceError, match="800 steps in dimension 100 "):
+            fock._lanczos(counting, start, 0)
+        assert calls == fock.STEP_LIMIT * 100 == 800
+
+    @pytest.mark.parametrize("n_max", [24, 40])
+    @pytest.mark.parametrize("u", [0.5, 0.9, 0.99, 0.999])
+    def test_restarted_solve_matches_dense_eigh(self, n_max, u):
+        # cold solves of 40 to 200 steps, so the basis restarts, against a
+        # dense eigh of the sector matrix.  E0 is a Ritz value with a
+        # residual estimate of at most epsilon |E0|, so its error is second
+        # order and both solvers round at about epsilon ||H|| (4e-14 of E0 at
+        # n_max = 40): 1e-13.  <x1 x2> is first order in the eigenvector,
+        # off by about the residual over the gap to E1 (1.1e-14 / 0.082 =
+        # 1.3e-13 at n_max = 40, g/k = 0.999): 1e-12.  Measured at most
+        # 8.8e-16 and 8.3e-14.
+        model = make_model(family="constant", g0=u)
+        oracle = FockOracle(model, n_max)
+        gs = ground_state(oracle, 0.0)
+        assert gs.steps > fock.BASIS_MAX
+        vals, vecs = scipy.linalg.eigh(sector_matrix(oracle, u), subset_by_index=[0, 0])
+        assert gs.E0 == pytest.approx(vals[0], rel=1e-13, abs=0)
+        x1x2 = fock.cross_correlation(oracle.table(vecs[:, 0]), oracle.x)
+        assert fock.cross_correlation(gs.amplitudes, oracle.x) == pytest.approx(
+            x1x2, rel=1e-12, abs=0
+        )
+
+    def test_short_warm_solves_are_those_of_an_unrestarted_basis(self, reference_model, monkeypatch):
+        # the 300-point sweep above after its cold solve: every warm solve
+        # stops within 22 steps, so the basis never fills, and a basis that
+        # holds the whole space gives the same bits
+        ys = np.linspace(1.0, 1.03, 300)
+        for n_max in (20, 40):
+            oracle = FockOracle(reference_model, n_max)
+            ground_state(oracle, 1.0)
+            twin = copy.copy(oracle)
+            restarted = [ground_state(oracle, y) for y in ys]
+            monkeypatch.setattr(fock, "BASIS_MAX", 10**6)
+            whole = [ground_state(twin, y) for y in ys]
+            monkeypatch.undo()
+            assert max(gs.steps for gs in restarted) <= fock.BASIS_MAX
+            for a, b in zip(restarted, whole):
+                assert a.steps == b.steps and a.E0 == b.E0
+                assert np.array_equal(a.amplitudes, b.amplitudes)
 
     def test_oracle_route_trajectory_matches_dense_eigh(self, reference_model, monkeypatch):
         # 1000 oracle-route steps at n_max=20 against a route that diagonalizes

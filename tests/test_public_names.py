@@ -8,8 +8,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "casimir_toy"
 # Checked directly by the acceptance suite and nothing else: criterion 7
 # (the free vacuum has <x1 x2> = 0) and criterion 4 (Bogoliubov
-# normalization).
-EXEMPT = {"free_vacuum_correlation", "bogoliubov_normalization"}
+# normalization).  build_hamiltonian, the dense audit view of the oracle's
+# H, is named only as a string by the benchmark's tracer (its
+# fock.build_hamiltonian metrics), which keeps it until those metrics go.
+EXEMPT = {"free_vacuum_correlation", "bogoliubov_normalization", "build_hamiltonian"}
 
 
 def public_definitions():
@@ -21,25 +23,40 @@ def public_definitions():
                 yield path, node.lineno, node.name
 
 
-def non_test_lines():
-    """(path, line number, text) of every line in src, scripts, perfbench and the README."""
-    paths = [ROOT / "README.md"]
+def readme_code():
+    """The Python code blocks of the README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def references():
+    """(path, line number of the enclosing top-level statement, name) of every
+    Name and Attribute in src, scripts, perfbench and the README's Python
+    code; comments, docstrings and other strings are not references."""
+    sources = [("README.md", code) for code in readme_code()]
     for top in ("src", "scripts", "perfbench"):
-        paths += sorted((ROOT / top).rglob("*.py"))
-    for path in paths:
-        for number, text in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            yield path, number, text
+        sources += [(path, path.read_text(encoding="utf-8")) for path in sorted((ROOT / top).rglob("*.py"))]
+    for path, code in sources:
+        for statement in ast.parse(code).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Name):
+                    yield path, statement.lineno, node.id
+                elif isinstance(node, ast.Attribute):
+                    yield path, statement.lineno, node.attr
+
+
+def test_readme_has_python_code():
+    assert readme_code()
 
 
 def test_every_public_name_is_used_outside_tests():
-    lines = list(non_test_lines())
-    unused = []
-    for path, def_line, name in public_definitions():
-        if name in EXEMPT:
-            continue
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(
-            word.search(text) and (p, n) != (path, def_line) for p, n, text in lines
-        ):
-            unused.append(f"{path.name}:{def_line} {name}")
+    # a name used only inside its own definition (a recursive call) is unused
+    used = {}
+    for path, line, name in references():
+        used.setdefault(name, set()).add((path, line))
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path, line, name in public_definitions()
+        if name not in EXEMPT and not used.get(name, set()) - {(path, line)}
+    ]
     assert unused == []

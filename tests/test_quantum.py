@@ -8,6 +8,7 @@ from casimir_toy import (
     bogoliubov_coefficients,
     casimir_force,
     lifshitz_force,
+    quantum,
     squeezed_vacuum_expansion,
     vacuum_energy,
     vacuum_fluctuations,
@@ -16,7 +17,6 @@ from casimir_toy.errors import DomainError, InvalidRatioError
 from casimir_toy.quantum import (
     BogoliubovCoeffs,
     bogoliubov_normalization,
-    interaction_shift,
     mean_free_quanta,
 )
 from conftest import make_model, valid_model_strategy
@@ -47,7 +47,7 @@ class TestVacuumEnergy:
         # sqrt(1+u) + sqrt(1-u) < 2 for u != 0.  The shift is asserted on
         # directly: below u ~ 1e-8 it is under the rounding of E_vac itself.
         e_free = model.hbar * model.omega
-        shift = interaction_shift(model, model.coupling.y_min)
+        shift = quantum._interaction_shift(model, model.g(model.coupling.y_min))
         if model.g(model.coupling.y_min) > 1e-12:
             assert shift < 0
         else:
@@ -55,7 +55,7 @@ class TestVacuumEnergy:
         assert vacuum_energy(model, model.coupling.y_min) == e_free + shift
 
     def test_interaction_shift_matches_direct_difference(self, reference_model):
-        shift = interaction_shift(reference_model, 0.0)
+        shift = quantum._interaction_shift(reference_model, reference_model.g(0.0))
         assert shift == pytest.approx(E_VAC_REF - 1.0, rel=1e-13)
 
     def test_interaction_shift_resolved_at_weak_coupling(self):
@@ -64,7 +64,7 @@ class TestVacuumEnergy:
         u = 5e-10
         assert vacuum_energy(model, 0.0) == model.omega
         expected = -model.omega * u * u / 8
-        assert interaction_shift(model, 0.0) == pytest.approx(expected, rel=1e-12, abs=0)
+        assert quantum._interaction_shift(model, model.g(0.0)) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_domain_error(self, reference_model):
         with pytest.raises(DomainError):
