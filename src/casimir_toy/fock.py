@@ -11,19 +11,22 @@ entries, and a FockOracle holds H on it as a five-row stencil: the H0
 diagonal and the x (x) x couplings to (n+-1, n'+-1).  ground_state finds the
 lowest eigenpair by thick-restart Lanczos with full reorthogonalization
 (numpy only) on u, in a basis of at most 24 vectors that restarts from its 8
-lowest Ritz vectors, unpacks the table once per solve, and measures its
-residual with the full-table H0 o c + g(y) x c x (FockOracle.apply); no
-matrix of side (n_max+1)^2 is built.  The first solve of an oracle starts from |0,0>, each
-later one from the previous ground state, so a grid sweep or a trajectory is
-warm-started and reruns stay deterministic.
-Observables are contracted on the table (e.g. <x1 x2> = sum c o (x c x)).
+lowest Ritz vectors; no matrix of side (n_max+1)^2 is built.  The first
+solve of an oracle starts from |0,0>, each later one from the previous
+ground state, or from the quadratic extrapolation of the last three to the
+new g where that is safe (see EXTRAPOLATE_MIN_U), so a grid sweep or a
+trajectory is warm-started and reruns stay deterministic.
+A GroundStateResult holds u; its amplitude table, and the residual measured
+with the full-table H0 o c + g(y) x c x (FockOracle.apply), are computed on
+first read.  <x1 x2> = u . (V u) comes from the stencil
+(FockOracle.correlation); the other observables are contracted on the table.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +47,29 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """E0 and the amplitude table c[n, n'] of a ground state."""
+    """E0 and the sector coordinates u of a ground state of oracle's H at
+    coupling g; the amplitude table and the residual are computed on first
+    read."""
 
     E0: float
-    amplitudes: np.ndarray
-    residual_norm: float
+    vector: np.ndarray
     steps: int  # Lanczos steps: matvecs, across restarts
+    oracle: FockOracle = field(repr=False)
+    g: float
+
+    @functools.cached_property
+    def amplitudes(self) -> np.ndarray:
+        """The amplitude table c[n, n'] of the ground state."""
+        return self.oracle.table(self.vector)
+
+    @functools.cached_property
+    def residual_norm(self) -> float:
+        """||H c - E0 c|| by the full-table H (FockOracle.apply), so it
+        audits the sector stencil too."""
+        c = self.amplitudes
+        r = self.oracle.apply(self.g, c).ravel()
+        r -= self.E0 * c.ravel()
+        return math.sqrt(r @ r)
 
     def edge_mass(self) -> float:
         """Sum of c[n, n']^2 over n = n_max or n' = n_max: the weight on the
@@ -125,10 +145,12 @@ class FockOracle:
         self.stencil = np.vstack([self.h0[n, m], hop[hops[0]] * hop[hops[1]] * ratio])
         self.start = np.zeros(n.size)
         self.start[0] = 1.0  # |0,0>
-        # warm: the next solve starts from a ground state.  warm_steps: the
-        # step count of the last warm solve (0 before one), below which the
-        # next solve skips checks (see ground_state).
-        self.warm = False
+        # recent: (g, u) of the last three ground states at most, oldest
+        # first, for the extrapolated start (see _start); empty until the
+        # first solve, which is cold.  warm_steps: the step count of the last
+        # warm solve (0 before one), below which the next solve skips checks
+        # (see ground_state).
+        self.recent = ()
         self.warm_steps = 0
 
     def apply(self, g: float, c: np.ndarray) -> np.ndarray:
@@ -140,7 +162,12 @@ class FockOracle:
         """H0 + g V on sector coordinates u, as a function of u."""
         vals = self.stencil * np.array([1.0, g, g, g, g])[:, None]
         cols = self.cols
-        return lambda u: (vals * u.take(cols)).sum(0)
+        return lambda u: (vals * u[cols]).sum(0)
+
+    def correlation(self, u: np.ndarray) -> float:
+        """<x1 x2> = u . (V u) of normalized sector coordinates u, with V on
+        rows 1-4 of the stencil."""
+        return float(u @ (self.stencil[1:] * u[self.cols[1:]]).sum(0))
 
     def table(self, u: np.ndarray) -> np.ndarray:
         """The amplitude table c[n, n'] of sector coordinates u."""
@@ -260,32 +287,61 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
         np.divide(w, b, out=basis[j])
 
 
+# A solve starts from the quadratic extrapolation q of the last three ground
+# states to the new g (the predictor of predictor-corrector continuation:
+# Allgower & Georg, Numerical Continuation Methods, 1990) when the three g
+# differ and both of these hold; otherwise from the last ground state.
+# - g/k >= EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13, about 2.2e-3.  Below it the
+#   stop rule bounds <x1 x2> only to RITZ_TOL / (g/k) relative, and a start
+#   that close lets a solve stop early with <x1 x2> off by more than 1e-12;
+#   the plain warm start keeps the sweeps to g/k = 1e-9 within 1e-12.
+# - ||q - l|| < EXTRAPOLATE_BEND ||l - u_c||, l the linear extrapolation from
+#   the last two.  Along a slow trajectory the ratio is 1e-5 or less, and
+#   from q a run takes 0.44-0.63 of the Lanczos steps (n_max 12, g/k 0.4).
+#   On force-curve grids, where g moves 18-73% between points, the ratio is
+#   5e-3 to 0.2: with a bound of 1e-2 the reference sweep at n_max 28 took
+#   322 steps against 317, with 1e-3 it keeps the plain start and takes 317.
+#   Where g moves about 1% per step (ratio near 2e-3) q saves no steps.
+EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13
+EXTRAPOLATE_BEND = 1e-3
+
+
+def _start(oracle: FockOracle, g: float) -> np.ndarray:
+    """Where the solve at g starts: the quadratic extrapolation (Newton form)
+    of oracle.recent to g where the rules above allow it, else oracle.start."""
+    if len(oracle.recent) < 3 or not abs(g) >= EXTRAPOLATE_MIN_U * oracle.model.k:
+        return oracle.start
+    (ga, ua), (gb, ub), (gc, uc) = oracle.recent
+    if ga == gb or gb == gc or ga == gc:
+        return oracle.start
+    step = (g - gc) / (gc - gb) * (uc - ub)
+    bend = (g - gc) * (g - gb) / (ga - gc) * ((ua - ub) / (ga - gb) - (ub - uc) / (gb - gc))
+    if not bend @ bend < EXTRAPOLATE_BEND**2 * (step @ step):
+        return oracle.start
+    return uc + step + bend
+
+
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) by Lanczos on the oracle's sector
-    coordinates, started from its last ground state (|0,0> on its first
-    solve).
+    coordinates, started from its last ground state or their extrapolation
+    (|0,0> on its first solve; see _start).
 
-    The eigenvector is normalized with its |0,0> amplitude positive and
-    unpacked to the amplitude table; residual_norm is ||H c - E0 c|| by the
-    full-table H (FockOracle.apply), so it audits the sector stencil too, and
-    steps counts the matvecs across restarts.  A warm solve spends most of its
+    The eigenvector is normalized with its |0,0> amplitude positive; steps
+    counts the matvecs across restarts.  A warm solve spends most of its
     steps on rounding noise and takes about as many as the warm solve before
     it, so it skips the checks below the last schedule point under that
     count; the cold first solve and the first warm one check at every point.
     """
     g = oracle.model.g(y)
-    e0, u, steps = _lanczos(oracle.sector_operator(g), oracle.start, oracle.warm_steps)
-    if oracle.warm:
+    e0, u, steps = _lanczos(oracle.sector_operator(g), _start(oracle, g), oracle.warm_steps)
+    if oracle.recent:
         oracle.warm_steps = steps
-    oracle.warm = True
     u /= math.sqrt(u @ u)
     if u[0] < 0:
         u = -u
     oracle.start = u
-    c = oracle.table(u)
-    r = oracle.apply(g, c).ravel()
-    r -= e0 * c.ravel()
-    return GroundStateResult(E0=e0, amplitudes=c, residual_norm=math.sqrt(r @ r), steps=steps)
+    oracle.recent = (*oracle.recent[-2:], (g, u))
+    return GroundStateResult(E0=e0, vector=u, steps=steps, oracle=oracle, g=g)
 
 
 def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
@@ -316,7 +372,7 @@ def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObser
 def oracle_force(oracle: FockOracle, y: float) -> float:
     """F = -g'(y) <x1 x2> in the numerical ground state."""
     gs = ground_state(oracle, y)
-    return -oracle.model.g_prime(y) * cross_correlation(gs.amplitudes, oracle.x)
+    return -oracle.model.g_prime(y) * oracle.correlation(gs.vector)
 
 
 def verify_annihilation(expansion: VacuumExpansion, n_max: int) -> float:

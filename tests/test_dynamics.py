@@ -1,4 +1,6 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -93,6 +95,27 @@ class TestEvolve:
         with pytest.warns(OracleTooSlowWarning):
             traj = evolve(reference_model, config)
         assert traj.oracle_advisory
+
+    @pytest.mark.parametrize("cold, warm, warns", [(1.0, 1e-3, False), (0.1, 1.0, True)])
+    def test_oracle_budget_is_projected_from_the_first_warm_solve(
+        self, reference_model, monkeypatch, cold, warm, warns
+    ):
+        # a scripted clock: the cold first solve reads `cold` seconds and the
+        # first step `warm`.  400 steps against the 300 s budget: 1 s + 400 ms
+        # stays silent where cold x steps (400 s) would warn, and 0.1 s +
+        # 400 s warns once where cold x steps (40 s) would not
+        readings = iter([0.0, cold, 10.0, 10.0 + warm])
+        monkeypatch.setattr(dynamics, "time", types.SimpleNamespace(perf_counter=lambda: next(readings)))
+        config = DynamicsConfig(
+            y0=1.0, v0=0.0, dt=0.01, t_max=4.0, force_route="oracle", oracle_n_max=4,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            traj = evolve(reference_model, config)
+        assert next(readings, None) is None
+        assert len(traj) == 401
+        assert traj.oracle_advisory == warns
+        assert [w.category for w in caught] == [OracleTooSlowWarning] * warns
 
     def test_rejects_initial_y_outside_domain(self, reference_model):
         from casimir_toy.errors import DomainError

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from casimir_toy import (
     bogoliubov_coefficients,
     casimir_force,
+    fock,
     lifshitz_force,
     quantum,
     squeezed_vacuum_expansion,
@@ -254,3 +255,78 @@ class TestZeroCouplingLimit:
             assert abs(c.beta_1p) < g0 and abs(c.beta_1m) < g0
             n1, _ = mean_free_quanta(c)
             assert n1 < g0
+
+
+def london_force(model, y):
+    """F_L = hbar omega g g' / (4 k^2), London's leading dispersion force."""
+    return model.hbar * model.omega * model.g(y) * model.g_prime(y) / (4.0 * model.k**2)
+
+
+class TestVanDerWaalsLimit:
+    """E_vac = hbar omega (sqrt(1 + u) + sqrt(1 - u)) / 2 with u = g/k, so
+    F / F_L = (1/sqrt(1 - u) - 1/sqrt(1 + u)) / u = 1 + 5u^2/8 + 63u^4/128
+    + 429u^6/1024 + ..., whose remainder after 5u^2/8 is below u^4 for
+    u <= 0.5: London's dispersion force of two coupled oscillators."""
+
+    @given(
+        family=st.sampled_from(["exponential", "inverse-power"]),
+        exponent=st.integers(min_value=1, max_value=6),
+        u=st.floats(min_value=1e-3, max_value=0.5),
+        m=st.floats(min_value=0.1, max_value=10.0),
+        k=st.floats(min_value=0.1, max_value=10.0),
+        hbar=st.floats(min_value=0.1, max_value=10.0),
+        lam=st.floats(min_value=0.5, max_value=2.0),
+    )
+    def test_weak_coupling_expansion(self, family, exponent, u, m, k, hbar, lam):
+        # g0 = 0.6 k and y chosen so that g(y) is about u k
+        g0 = 0.6 * k
+        if family == "exponential":
+            y = lam * math.log(g0 / (u * k))
+        else:
+            y = lam * (g0 / (u * k) - 1.0) ** (1.0 / exponent)
+        model = make_model(g0=g0, family=family, k=k, m=m, hbar=hbar, lam=lam,
+                           exponent=exponent, y_max=1e6)
+        u = model.g(y) / k
+        f_l = london_force(model, y)
+        for force in (casimir_force, lifshitz_force):
+            assert abs(force(model, y) / f_l - 1.0 - 5.0 * u**2 / 8.0) <= u**4
+
+    def test_dipole_dipole_inverse_seventh_power(self):
+        # g = g0 / (1 + (y/lam)^3) ~ g0 (lam/y)^3, so F y^7 tends to
+        # -3 hbar omega g0^2 lam^6 / (4 k^2), with a relative correction of
+        # 3 (lam/y)^3 from g g' and (g/k)^2 terms far below it
+        m, k, hbar, g0, lam = 2.0, 3.0, 0.7, 1.5, 1.5
+        model = make_model(g0=g0, family="inverse-power", k=k, m=m, hbar=hbar, lam=lam,
+                           exponent=3, y_max=1e6)
+        limit = -3.0 * hbar * model.omega * g0**2 * lam**6 / (4.0 * k**2)
+        for y in (100.0, 1000.0, 1e4):
+            for force in (casimir_force, lifshitz_force):
+                assert force(model, y) * y**7 / limit - 1.0 == pytest.approx(
+                    0.0, abs=4.0 * (lam / y) ** 3
+                )
+
+    def test_reference_coefficient(self):
+        # the inverse-power, exponent 3 model with g0 = 0.5, lam = 1 and
+        # k = m = hbar = 1: F y^7 -> -3/16
+        model = make_model(family="inverse-power", exponent=3, y_max=1e6)
+        assert casimir_force(model, 1000.0) * 1000.0**7 == pytest.approx(-0.1875, rel=4e-9)
+
+    def test_constant_coupling_has_no_force(self, constant_model):
+        for y in (0.0, 1.0, 10.0):
+            assert casimir_force(constant_model, y) == 0.0
+            assert lifshitz_force(constant_model, y) == 0.0
+
+    def test_oracle_reproduces_the_expansion(self):
+        # one oracle point at u = 1e-3: the oracle's stop rule bounds the
+        # relative error of <x1 x2>, and so of F, by about RITZ_TOL / u
+        # (see fock.RITZ_TOL), 2.2e-13 here, and at n_max 12 the truncation
+        # error is below 1e-30; the tolerance u^4 + 10 RITZ_TOL / u is 3.2e-12
+        # against a 5u^2/8 term of 6.3e-7.  Measured 5.2e-13, of which the
+        # 63u^4/128 term is 4.9e-13.
+        model = make_model()
+        y = math.log(0.5 / 1e-3)
+        u = model.g(y) / model.k
+        force = fock.oracle_force(fock.FockOracle(model, 12), y)
+        assert abs(force / london_force(model, y) - 1.0 - 5.0 * u**2 / 8.0) <= (
+            u**4 + 10.0 * fock.RITZ_TOL / u
+        )
