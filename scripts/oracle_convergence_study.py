@@ -48,7 +48,7 @@ def main() -> int:
     e_ref = vacuum_energy(model, y)
     x1x2_ref = vacuum_fluctuations(model, y).x1x2
     coeffs = bogoliubov_coefficients(model, y)
-    n_ref, _ = mean_free_quanta(coeffs)
+    n_ref = mean_free_quanta(coeffs)
 
     print(f"g0={args.g0} y={y}: E_vac={e_ref:.12f} <x1x2>={x1x2_ref:.12f} <N1>={n_ref:.6e}")
     print(f"{'n_max':>6} {'rel err E0':>12} {'rel err x1x2':>13} {'rel err N1':>12} {'ann. residual':>14}")

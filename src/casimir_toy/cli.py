@@ -45,7 +45,8 @@ EXIT_VERIFICATION = 4
 OUTPUT_DIR_ENV = "CASIMIR_TOY_OUTPUT_DIR"
 
 # Step of force-curve's finite difference, in units of the coupling's decay
-# length (of y for the constant family).
+# length (of y for the constant family), at most a quarter of the coupling
+# window so that every stencil stays inside it.
 FD_STEP = 1e-4
 
 
@@ -185,16 +186,23 @@ def parse_config(doc) -> RunConfig:
         model = validate(params)
     except CasimirToyError as exc:  # its message names the fields
         raise ConfigError(str(exc)) from exc
-    if _fd_step(model) < sys.float_info.min:
+    c = model.coupling
+    h = _fd_step(model)
+    if h < sys.float_info.min and h == (c.y_max - c.y_min) / 4:
         raise ConfigError(
-            f"model.coupling.lambda = {model.coupling.lam!r} is too small: the "
+            "coupling window [model.coupling.y_min, model.coupling.y_max] = "
+            f"[{c.y_min}, {c.y_max}] is too narrow: the finite-difference step "
+            "(y_max - y_min) / 4 underflows"
+        )
+    if h < sys.float_info.min:
+        raise ConfigError(
+            f"model.coupling.lambda = {c.lam!r} is too small: the "
             f"finite-difference step {FD_STEP} * lambda underflows"
         )
 
     grid = None
     if "grid" in doc:
         grid = _load(GridConfig, doc["grid"], "grid")
-        c = model.coupling
         if grid.y_min < c.y_min or grid.y_max > c.y_max:
             raise ConfigError(
                 f"grid [grid.y_min, grid.y_max] = [{grid.y_min}, {grid.y_max}] not "
@@ -324,7 +332,7 @@ def energy_gradient_fd(model: ValidatedModel, y, h: float):
 
 def _fd_step(model: ValidatedModel) -> float:
     c = model.coupling
-    return FD_STEP * (c.lam if c.family != "constant" else 1.0)
+    return min(FD_STEP * (c.lam if c.family != "constant" else 1.0), (c.y_max - c.y_min) / 4)
 
 
 def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) -> Path:
@@ -367,9 +375,8 @@ def cmd_vacuum_content(
 
     def columns(y):
         coeffs = quantum.bogoliubov_coefficients(model, y)
-        n1, _ = quantum.mean_free_quanta(coeffs)
         c0 = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=0).c0
-        return coeffs.beta_1p, coeffs.beta_1m, n1, c0
+        return coeffs.beta_1p, coeffs.beta_1m, quantum.mean_free_quanta(coeffs), c0
 
     path = outdir / "vacuum_content.csv"
     write_csv(

@@ -350,22 +350,20 @@ def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
 
 
 def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:
-    """Expectation values in a ground state of the oracle."""
+    """Expectation values in a ground state of the oracle.  Its table is
+    exchange-symmetric (c = c^T exactly), so <x2^2> = <x1^2>, <N2> = <N1> and
+    x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2 = <x1^2> +- <x1 x2>."""
     c = gs.amplitudes
     x = oracle.x
     x1x2 = cross_correlation(c, x)
     x1_sq = float(np.sum(c * (x @ x @ c)))
-    x2_sq = float(np.sum(c * (c @ x @ x)))
-    p = c * c
     n = np.arange(len(c))
-    # x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2
     return VacuumObservables(
         E_vac=gs.E0,
-        x_plus_sq=(x1_sq + x2_sq) / 2.0 + x1x2,
-        x_minus_sq=(x1_sq + x2_sq) / 2.0 - x1x2,
+        x_plus_sq=x1_sq + x1x2,
+        x_minus_sq=x1_sq - x1x2,
         x1x2=x1x2,
-        N1=float(n @ p.sum(axis=1)),
-        N2=float(n @ p.sum(axis=0)),
+        N1=float(n @ (c * c).sum(axis=1)),
     )
 
 

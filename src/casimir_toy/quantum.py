@@ -24,14 +24,13 @@ from .model import ValidatedModel, _array_module, _spectrum, spectrum
 
 @dataclass(frozen=True)
 class BogoliubovCoeffs:
+    """Mode 1's coefficients per normal mode; mode exchange fixes mode 2's
+    as alpha_2+- = +-alpha_1+- and beta_2+- = +-beta_1+-."""
+
     alpha_1p: float
-    alpha_2p: float
     alpha_1m: float
-    alpha_2m: float
     beta_1p: float
-    beta_2p: float
     beta_1m: float
-    beta_2m: float
 
 
 @dataclass(frozen=True)
@@ -40,8 +39,7 @@ class VacuumObservables:
     x_plus_sq: float
     x_minus_sq: float
     x1x2: float
-    N1: float
-    N2: float
+    N1: float  # = <N2> by mode exchange
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,12 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
     g, wp, wm = spectrum(model, y)
     xp2 = model.hbar / (2.0 * model.m * wp)
     xm2 = model.hbar / (2.0 * model.m * wm)
-    n1, n2 = mean_free_quanta(bogoliubov_coefficients(model, y))
     return VacuumObservables(
         E_vac=vacuum_energy(model, y),
         x_plus_sq=xp2,
         x_minus_sq=xm2,
         x1x2=_x1x2(model, g, wp, wm),
-        N1=n1,
-        N2=n2,
+        N1=mean_free_quanta(bogoliubov_coefficients(model, y)),
     )
 
 
@@ -134,22 +130,12 @@ def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs
 
     alpha_1+- = (Omega+- + omega) / (2 sqrt(2 Omega+- omega))
     beta_1+-  = (Omega+- - omega) / (2 sqrt(2 Omega+- omega))
-    with alpha_2+- = +-alpha_1+-, beta_2+- = +-beta_1+-.  Signs are kept as
-    they come out; beta_1- is negative for any g > 0.
+    Signs are kept as they come out; beta_1- is negative for any g > 0.
     """
     _, wp, wm = spectrum(model, y)
     a1p, b1p = _branch_coeffs(wp, model.omega)
     a1m, b1m = _branch_coeffs(wm, model.omega)
-    return BogoliubovCoeffs(
-        alpha_1p=a1p,
-        alpha_2p=a1p,
-        alpha_1m=a1m,
-        alpha_2m=-a1m,
-        beta_1p=b1p,
-        beta_2p=b1p,
-        beta_1m=b1m,
-        beta_2m=-b1m,
-    )
+    return BogoliubovCoeffs(alpha_1p=a1p, alpha_1m=a1m, beta_1p=b1p, beta_1m=b1m)
 
 
 def _branch_coeffs(big_omega: float, omega: float) -> tuple[float, float]:
@@ -158,21 +144,16 @@ def _branch_coeffs(big_omega: float, omega: float) -> tuple[float, float]:
 
 
 def bogoliubov_normalization(coeffs: BogoliubovCoeffs) -> tuple[float, float]:
-    """sum_j (alpha_j+-^2 - beta_j+-^2) per branch; exactly 1 for valid input."""
-    plus = (coeffs.alpha_1p**2 + coeffs.alpha_2p**2) - (
-        coeffs.beta_1p**2 + coeffs.beta_2p**2
-    )
-    minus = (coeffs.alpha_1m**2 + coeffs.alpha_2m**2) - (
-        coeffs.beta_1m**2 + coeffs.beta_2m**2
-    )
+    """sum_j (alpha_j+-^2 - beta_j+-^2) = 2(alpha_1+-^2 - beta_1+-^2) per
+    branch; exactly 1 for valid input."""
+    plus = 2.0 * (coeffs.alpha_1p**2 - coeffs.beta_1p**2)
+    minus = 2.0 * (coeffs.alpha_1m**2 - coeffs.beta_1m**2)
     return plus, minus
 
 
-def mean_free_quanta(coeffs: BogoliubovCoeffs) -> tuple[float, float]:
-    """<N_j> = beta_j+^2 + beta_j-^2; equal for j = 1, 2 by the sign structure."""
-    n1 = coeffs.beta_1p**2 + coeffs.beta_1m**2
-    n2 = coeffs.beta_2p**2 + coeffs.beta_2m**2
-    return n1, n2
+def mean_free_quanta(coeffs: BogoliubovCoeffs) -> float:
+    """<N1> = beta_1+^2 + beta_1-^2, which is also <N2>."""
+    return coeffs.beta_1p**2 + coeffs.beta_1m**2
 
 
 def squeezed_vacuum_expansion(

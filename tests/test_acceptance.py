@@ -99,7 +99,7 @@ def test_criterion_3_oracle_convergence():
     # analytic closed forms are the predictions under test
     e_pred = vacuum_energy(model, 0.0)
     x1x2_pred = (1 / (2 * math.sqrt(1.5)) - 1 / (2 * math.sqrt(0.5))) / 2
-    n_pred, _ = mean_free_quanta(bogoliubov_coefficients(model, 0.0))
+    n_pred = mean_free_quanta(bogoliubov_coefficients(model, 0.0))
     errs = {
         "E0": abs(gs.E0 - e_pred) / abs(e_pred),
         "x1x2": abs(obs.x1x2 - x1x2_pred) / abs(x1x2_pred),
@@ -127,13 +127,12 @@ def test_criterion_4_bogoliubov_normalization_and_free_limit():
         worst = max(worst, abs(plus - 1.0), abs(minus - 1.0))
     free = make_model(g0=0.0)
     coeffs = bogoliubov_coefficients(free, 0.0)
-    n1, n2 = mean_free_quanta(coeffs)
+    n1 = mean_free_quanta(coeffs)
     expansion = squeezed_vacuum_expansion(coeffs, "plus", N_max=6)
     free_ok = (
         coeffs.beta_1p == 0.0
         and coeffs.beta_1m == 0.0
         and n1 == 0.0
-        and n2 == 0.0
         and expansion.coefficients[0] == 1.0
         and np.all(expansion.coefficients[1:] == 0.0)
     )

@@ -175,6 +175,14 @@ class TestConfigParsing:
                 id="model.coupling.lambda-fd-step-underflow",
             ),
             pytest.param(
+                "model.coupling.y_max",
+                lambda d: (
+                    d["model"]["coupling"].update(y_max=1e-320),
+                    d["grid"].update(y_max=1e-320),
+                ),
+                id="model.coupling.window-fd-step-underflow",
+            ),
+            pytest.param(
                 "output.directory",
                 lambda d: d["output"].update(directory="a\u0000b"),
                 id="output.directory-nul",
@@ -372,6 +380,19 @@ class TestForceCurveCommand:
         assert cli.main(["force-curve", "--config", str(path)]) == 0
         _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
         assert np.all(rows[:, 2:] == 0.0)
+
+    @pytest.mark.parametrize("family", ["constant", "exponential", "inverse-power"])
+    def test_window_narrower_than_the_step(self, tmp_path, family):
+        # a coupling window of 1e-5, below 2 * 1e-4 lambda: the step shrinks
+        # to a quarter of the window, so no stencil point leaves it
+        path, doc = reference_config(tmp_path)
+        doc["model"]["coupling"].update(family=family, y_max=1e-5)
+        doc["grid"] = {"y_min": 0.0, "y_max": 1e-5, "points": 11}
+        path.write_text(json.dumps(doc))
+        assert cli.main(["force-curve", "--config", str(path)]) == 0
+        _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
+        f_cas, f_fd = rows[:, 2], rows[:, 4]
+        assert np.max(np.abs(f_cas - f_fd)) <= 1e-6 * np.max(np.abs(f_cas)) + 1e-9
 
     def test_with_oracle_column(self, tmp_path):
         path, doc = reference_config(tmp_path)

@@ -55,7 +55,7 @@ def test_array_columns_match_point_by_point(tmp_path, family, g0):
     spec = table(tmp_path, model_doc, "spectrum")
     force = table(tmp_path, model_doc, "force-curve")
     vac = table(tmp_path, model_doc, "vacuum-content")
-    h = cli.FD_STEP * (model.coupling.lam if family != "constant" else 1.0)
+    h = cli._fd_step(model)
 
     relative, absolute, fd = [], [], []
     for i, y in enumerate(spec["y"].tolist()):
@@ -74,7 +74,7 @@ def test_array_columns_match_point_by_point(tmp_path, family, g0):
         absolute += [
             (vac["beta_1p"][i], coeffs.beta_1p),
             (vac["beta_1m"][i], coeffs.beta_1m),
-            (vac["N_mean"][i], quantum.mean_free_quanta(coeffs)[0]),
+            (vac["N_mean"][i], quantum.mean_free_quanta(coeffs)),
             (vac["c0"][i], quantum.squeezed_vacuum_expansion(coeffs, "plus", 0).c0),
         ]
         fd.append((force["F_finite_diff"][i], -cli.energy_gradient_fd(model, y, h), e))
