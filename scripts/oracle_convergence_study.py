@@ -55,7 +55,7 @@ def main() -> int:
     for n_max in range(4, args.max_cutoff + 1, 4):
         oracle = FockOracle(model, n_max)
         obs = oracle_observables(oracle, ground_state(oracle, y))
-        expansion = squeezed_vacuum_expansion(coeffs, "plus", N_max=max(n_max - 2, 0))
+        expansion = squeezed_vacuum_expansion(coeffs, N_max=max(n_max - 2, 0))
         residual = verify_annihilation(expansion, n_max)
         print(
             f"{n_max:6d} {abs(obs.E_vac - e_ref) / e_ref:12.3e}"

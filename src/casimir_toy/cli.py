@@ -16,6 +16,7 @@ flags override config fields.  The output directory resolves as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -29,12 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics, fock, quantum
-from .errors import (
-    CasimirToyError,
-    ConfigError,
-    DomainError,
-    NonPositiveSeparationError,
-)
+from .errors import ConfigError, DomainError
 from .model import ModelParams, ValidatedModel, spectrum, validate
 
 EXIT_OK = 0
@@ -181,25 +177,8 @@ def parse_config(doc) -> RunConfig:
     _object(doc, "config", {f.name for f in dataclasses.fields(RunConfig)})
     if "model" not in doc:
         raise ConfigError("missing config field: config.model")
-    params = _load(ModelParams, doc["model"], "model")
-    try:
-        model = validate(params)
-    except CasimirToyError as exc:  # its message names the fields
-        raise ConfigError(str(exc)) from exc
+    model = validate(_load(ModelParams, doc["model"], "model"))
     c = model.coupling
-    h = _fd_step(model)
-    if h < sys.float_info.min and h == (c.y_max - c.y_min) / 4:
-        raise ConfigError(
-            "coupling window [model.coupling.y_min, model.coupling.y_max] = "
-            f"[{c.y_min}, {c.y_max}] is too narrow: the finite-difference step "
-            "(y_max - y_min) / 4 underflows"
-        )
-    if h < sys.float_info.min:
-        raise ConfigError(
-            f"model.coupling.lambda = {c.lam!r} is too small: the "
-            f"finite-difference step {FD_STEP} * lambda underflows"
-        )
-
     grid = None
     if "grid" in doc:
         grid = _load(GridConfig, doc["grid"], "grid")
@@ -232,6 +211,19 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
+@contextlib.contextmanager
+def _artifact(path: Path):
+    """The artifact file path opened for writing, its directory made first;
+    an OSError on the way (a directory that is a file, a full disk) is a
+    ConfigError naming path."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def write_csv(path: Path, header: list[str], rows, precision: int) -> None:
     """RFC-4180-style CSV: '.' decimal separator, LF endings, fixed header.
 
@@ -239,8 +231,7 @@ def write_csv(path: Path, header: list[str], rows, precision: int) -> None:
     %.{precision}g (the same text as format(v, f".{precision}g")).
     """
     template = ",".join([f"%.{precision}g"] * len(header)) + "\n"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _artifact(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(template % row for row in rows)
 
@@ -270,8 +261,7 @@ def _grid_rows(grid: GridConfig, columns):
 
 
 def write_json(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _artifact(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -331,8 +321,23 @@ def energy_gradient_fd(model: ValidatedModel, y, h: float):
 
 
 def _fd_step(model: ValidatedModel) -> float:
+    """force-curve's finite-difference step; ConfigError naming the config
+    field that sets it if it underflows."""
     c = model.coupling
-    return min(FD_STEP * (c.lam if c.family != "constant" else 1.0), (c.y_max - c.y_min) / 4)
+    window = (c.y_max - c.y_min) / 4
+    h = min(FD_STEP * (c.lam if c.family != "constant" else 1.0), window)
+    if h >= sys.float_info.min:
+        return h
+    if h == window:
+        raise ConfigError(
+            "coupling window [model.coupling.y_min, model.coupling.y_max] = "
+            f"[{c.y_min}, {c.y_max}] is too narrow: the finite-difference step "
+            "(y_max - y_min) / 4 underflows"
+        )
+    raise ConfigError(
+        f"model.coupling.lambda = {c.lam!r} is too small: the "
+        f"finite-difference step {FD_STEP} * lambda underflows"
+    )
 
 
 def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) -> Path:
@@ -375,7 +380,7 @@ def cmd_vacuum_content(
 
     def columns(y):
         coeffs = quantum.bogoliubov_coefficients(model, y)
-        c0 = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=0).c0
+        c0 = quantum.squeezed_vacuum_expansion(coeffs, N_max=0).c0
         return coeffs.beta_1p, coeffs.beta_1m, quantum.mean_free_quanta(coeffs), c0
 
     path = outdir / "vacuum_content.csv"
@@ -388,7 +393,7 @@ def cmd_vacuum_content(
 
     y_flag = grid.y_min if pair_y is None else pair_y
     coeffs = quantum.bogoliubov_coefficients(model, y_flag)
-    exp = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=pair_n_max)
+    exp = quantum.squeezed_vacuum_expansion(coeffs, N_max=pair_n_max)
     pair_rows = [
         (float(n), c, c * c) for n, c in enumerate(exp.coefficients)
     ]
@@ -422,7 +427,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
     residuals = {}
     for n in (5, 10, 15, 20):
         if n <= oc.n_max - 2:
-            exp = quantum.squeezed_vacuum_expansion(coeffs, "plus", N_max=n)
+            exp = quantum.squeezed_vacuum_expansion(coeffs, N_max=n)
             residuals[str(n)] = fock.verify_annihilation(exp, oc.n_max)
 
     report_struct = fock.ground_state_structure_checks(gs)
@@ -472,11 +477,12 @@ def reference_casimir_report(
     """Perfect-conductor parallel-plate force per unit area at separation y.
 
     F/A = -(pi^2 / 240) hbar c / y^4.  This is the ideal-conductor reference
-    formula, not an output of the toy model.  A result that overflows or
-    underflows float64 is a ConfigError naming the flags it comes from.
+    formula, not an output of the toy model.  A separation y <= 0 is a
+    DomainError; a result that overflows or underflows float64 is a
+    ConfigError naming the flags it comes from.
     """
     if y <= 0:
-        raise NonPositiveSeparationError(f"separation must be > 0, got {y}")
+        raise DomainError(f"separation must be > 0, got {y}")
     coeff = math.pi**2 / 240.0
     try:
         y4 = y**4
@@ -516,9 +522,10 @@ def _in_float_range(value: float, flags: str, name: str) -> float:
 
 
 def _order(text: str) -> int:
+    """A truncation order whose table of n + 1 rows stays within MAX_ROWS."""
     n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    if not 0 <= n < dynamics.MAX_ROWS:
+        raise argparse.ArgumentTypeError(f"must be in [0, {dynamics.MAX_ROWS - 1}], got {n}")
     return n
 
 
@@ -595,22 +602,14 @@ def _resolve_outdir(args, config: RunConfig) -> Path:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.command == "reference-casimir":
-        try:
+    try:
+        if args.command == "reference-casimir":
             report = reference_casimir_report(
                 args.y, plate_area=args.area, c=args.c, hbar=args.hbar
             )
-        except NonPositiveSeparationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DOMAIN
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return EXIT_OK
+            print(json.dumps(report, indent=2, sort_keys=True))
+            return EXIT_OK
 
-    try:
         config = load_config(args.config)
         if args.precision is not None:
             try:

@@ -1,37 +1,29 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per way a run can fail.
+
+``cli.main`` maps each refusal to its exit code in one place:
+
+  ConfigError         exit 2: malformed or inconsistent config, flag or
+                      output path, named by its config path or flag
+  DomainError         exit 3: a coordinate outside the coupling domain, or a
+                      non-positive plate separation
+  NoConvergenceError  no exit code: the Fock oracle's solver failed to
+                      converge, a fault of the solver rather than of the input
+
+A bad argument to a library function raises ValueError.
+"""
 
 
 class CasimirToyError(Exception):
     """Base class for all package errors."""
 
 
-class NonPositiveParameterError(CasimirToyError):
-    """A parameter that must be strictly positive is not."""
-
-
-class ConstraintViolationError(CasimirToyError):
-    """A model invariant (e.g. sup g(y) < k) is violated."""
+class ConfigError(CasimirToyError):
+    """Malformed or inconsistent run configuration."""
 
 
 class DomainError(CasimirToyError):
     """Coordinate evaluated outside the declared coupling domain."""
 
 
-class InvalidRatioError(CasimirToyError):
-    """|beta/alpha| >= 1 in the squeezed-vacuum expansion."""
-
-
-class TruncationMismatchError(CasimirToyError):
-    """Expansion order exceeds the Fock basis cutoff."""
-
-
 class NoConvergenceError(CasimirToyError):
     """The Lanczos basis filled the whole space without meeting its stop test."""
-
-
-class NonPositiveSeparationError(CasimirToyError):
-    """Plate separation must be strictly positive."""
-
-
-class ConfigError(CasimirToyError):
-    """Malformed or inconsistent run configuration."""

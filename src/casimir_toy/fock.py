@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoConvergenceError, TruncationMismatchError
+from .errors import NoConvergenceError
 from .model import ValidatedModel
 from .quantum import VacuumExpansion, VacuumObservables
 
@@ -381,9 +381,7 @@ def verify_annihilation(expansion: VacuumExpansion, n_max: int) -> float:
     would measure truncation rather than the annihilation identity.
     """
     if expansion.N_max > n_max:
-        raise TruncationMismatchError(
-            f"N_max={expansion.N_max} exceeds basis n_max={n_max}"
-        )
+        raise ValueError(f"N_max={expansion.N_max} exceeds basis n_max={n_max}")
     side = n_max + 1
     state = np.zeros((side, side))
     pairs = np.arange(expansion.N_max + 1)

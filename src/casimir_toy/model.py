@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstraintViolationError, DomainError, NonPositiveParameterError
+from .errors import ConfigError, DomainError
 
 # Below this mass ratio the adiabatic (slow-y) treatment is dubious.
 ADIABATIC_MASS_RATIO = 100.0
@@ -80,9 +80,7 @@ class CouplingSpec:
         try:
             return _FAMILY_FORMULAS[self.family]
         except KeyError:
-            raise ConstraintViolationError(
-                f"unknown coupling family {self.family!r}"
-            ) from None
+            raise ValueError(f"unknown coupling family {self.family!r}") from None
 
 
 def _inverse_power_terms(c: CouplingSpec, y, xp):
@@ -155,36 +153,32 @@ class ValidatedModel:
 def validate(params: ModelParams) -> ValidatedModel:
     """Check all model invariants and return an immutable validated model.
 
-    Raises NonPositiveParameterError or ConstraintViolationError naming every
-    quantity involved by its config path (model.m, model.coupling.g0, ...).
+    Raises ConfigError naming every quantity involved by its config path
+    (model.m, model.coupling.g0, ...).
     """
     for name in ("m", "M", "k", "hbar"):
         if not getattr(params, name) > 0:
-            raise NonPositiveParameterError(
-                f"model.{name} must be > 0, got {getattr(params, name)}"
-            )
+            raise ConfigError(f"model.{name} must be > 0, got {getattr(params, name)}")
     c = params.coupling
     if c.family not in FAMILIES:
-        raise ConstraintViolationError(
-            f"model.coupling.family must be one of {FAMILIES}, got {c.family!r}"
-        )
+        raise ConfigError(f"model.coupling.family must be one of {FAMILIES}, got {c.family!r}")
     if c.g0 < 0:
-        raise ConstraintViolationError(f"model.coupling.g0 must be >= 0, got {c.g0}")
+        raise ConfigError(f"model.coupling.g0 must be >= 0, got {c.g0}")
     if c.family != "constant" and not c.lam > 0:
-        raise NonPositiveParameterError(f"model.coupling.lambda must be > 0, got {c.lam}")
+        raise ConfigError(f"model.coupling.lambda must be > 0, got {c.lam}")
     if c.family == "inverse-power":
         if not (isinstance(c.exponent, int) and c.exponent >= 1):
-            raise ConstraintViolationError(
+            raise ConfigError(
                 "model.coupling.exponent must be a positive integer for the "
                 f"inverse-power family, got {c.exponent}"
             )
         if c.y_min < 0:
-            raise ConstraintViolationError(
+            raise ConfigError(
                 "model.coupling.y_min must be >= 0 when model.coupling.family is "
                 f"'inverse-power', got {c.y_min}"
             )
     if not c.y_min < c.y_max:
-        raise ConstraintViolationError(
+        raise ConfigError(
             "domain requires model.coupling.y_min < model.coupling.y_max, "
             f"got [{c.y_min}, {c.y_max}]"
         )
@@ -196,19 +190,19 @@ def validate(params: ModelParams) -> ValidatedModel:
     try:
         g_sup = c.value(c.y_min)
     except OverflowError:
-        raise ConstraintViolationError(f"g{at_y_min} overflows float64") from None
+        raise ConfigError(f"g{at_y_min} overflows float64") from None
     if not g_sup < params.k:
-        raise ConstraintViolationError(
+        raise ConfigError(
             f"g{at_y_min} = {g_sup} must be < model.k = {params.k}: "
             "positivity constraint violated"
         )
     # The exponential family's largest |g'|: g0 / lambda can overflow.
     slope = c.derivative(c.y_min)
     if not math.isfinite(slope):
-        raise ConstraintViolationError(f"g'{at_y_min} = {slope} must be finite")
+        raise ConfigError(f"g'{at_y_min} = {slope} must be finite")
     # A grid's numpy evaluation would warn and write inf rows.
     if not (params.k + g_sup) / params.m < math.inf:
-        raise ConstraintViolationError(
+        raise ConfigError(
             "(model.k + g(model.coupling.y_min)) / model.m, the largest "
             "Omega+^2, overflows float64"
         )

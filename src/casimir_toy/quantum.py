@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRatioError
 from .model import ValidatedModel, _array_module, _spectrum, spectrum
 
 
@@ -156,27 +155,20 @@ def mean_free_quanta(coeffs: BogoliubovCoeffs) -> float:
     return coeffs.beta_1p**2 + coeffs.beta_1m**2
 
 
-def squeezed_vacuum_expansion(
-    coeffs: BogoliubovCoeffs, branch: str = "plus", N_max: int = 20
-) -> VacuumExpansion:
-    """Single-branch pair expansion of the interacting vacuum.
+def squeezed_vacuum_expansion(coeffs: BogoliubovCoeffs, N_max: int = 20) -> VacuumExpansion:
+    """Pair expansion of the interacting vacuum on the plus branch.
 
-    Uses the (alpha, beta) of the chosen branch in the simplified one-mode
+    Uses (alpha, beta) = (alpha_1+, beta_1+) in the simplified one-mode
     transformation a = alpha(a1 + a2) + beta(a1' + a2'); the recursion
     c_{n+1} = -(beta/alpha) c_n gives c_n = (-beta/alpha)^n c0 with
     c0 = sqrt(1 - (beta/alpha)^2).
     """
     if N_max < 0:
         raise ValueError(f"N_max must be >= 0, got {N_max}")
-    if branch == "plus":
-        alpha, beta = coeffs.alpha_1p, coeffs.beta_1p
-    elif branch == "minus":
-        alpha, beta = coeffs.alpha_1m, coeffs.beta_1m
-    else:
-        raise ValueError(f"branch must be 'plus' or 'minus', got {branch!r}")
+    alpha, beta = coeffs.alpha_1p, coeffs.beta_1p
     r = beta / alpha
     if not np.all(abs(r) < 1.0):
-        raise InvalidRatioError(f"|beta/alpha| = {np.max(abs(r))} >= 1")
+        raise ValueError(f"|beta/alpha| = {np.max(abs(r))} >= 1")
     c0 = _array_module(r).sqrt(1.0 - r * r)
     n = np.arange(N_max + 1)
     coefficients = np.asarray(c0)[..., None] * np.asarray(-r)[..., None] ** n

@@ -128,7 +128,7 @@ def test_criterion_4_bogoliubov_normalization_and_free_limit():
     free = make_model(g0=0.0)
     coeffs = bogoliubov_coefficients(free, 0.0)
     n1 = mean_free_quanta(coeffs)
-    expansion = squeezed_vacuum_expansion(coeffs, "plus", N_max=6)
+    expansion = squeezed_vacuum_expansion(coeffs, N_max=6)
     free_ok = (
         coeffs.beta_1p == 0.0
         and coeffs.beta_1m == 0.0
@@ -152,7 +152,7 @@ def test_criterion_5_squeezed_vacuum_expansion():
     # orders where the true tail term still dominates
     orders = [10, 12, 14]
     residuals = [
-        verify_annihilation(squeezed_vacuum_expansion(coeffs, "plus", N_max=n), 35)
+        verify_annihilation(squeezed_vacuum_expansion(coeffs, N_max=n), 35)
         for n in orders
     ]
     ratios = [
@@ -166,7 +166,7 @@ def test_criterion_5_squeezed_vacuum_expansion():
     ratio_ok = ratio_ok and abs(exact_ratio - r) / r < 0.005
     norm_worst = 0.0
     for n in orders:
-        exp = squeezed_vacuum_expansion(coeffs, "plus", N_max=n)
+        exp = squeezed_vacuum_expansion(coeffs, N_max=n)
         norm_worst = max(
             norm_worst, abs(float(np.sum(exp.coefficients**2)) + exp.tail - 1.0)
         )

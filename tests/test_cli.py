@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from casimir_toy import DynamicsConfig, ModelParams, cli, fock
-from casimir_toy.errors import ConfigError, NonPositiveSeparationError
+from casimir_toy.dynamics import MAX_ROWS
+from casimir_toy.errors import ConfigError, DomainError
 
 ROOT = Path(__file__).resolve().parent.parent
 SECTIONS = {
@@ -26,6 +27,28 @@ SECTIONS = {
     "dynamics": DynamicsConfig,
     "output": cli.OutputConfig,
 }
+
+
+# Configs whose force-curve finite-difference step underflows: by lambda
+# (an inverse-power family, whose slope stays finite) or by the window.
+FD_STEP_UNDERFLOW = [
+    pytest.param(
+        "model.coupling.lambda",
+        lambda d: d["model"]["coupling"].update(
+            {"family": "inverse-power", "lambda": 1e-321, "exponent": 2}
+        ),
+        id="lambda",
+    ),
+    pytest.param(
+        "model.coupling.y_max",
+        lambda d: (
+            d["model"]["coupling"].update(y_max=1e-320),
+            d["grid"].update(y_max=1e-320),
+            d["dynamics"].update(y0=0.0),
+        ),
+        id="window",
+    ),
+]
 
 
 def reference_config(tmp_path, **overrides):
@@ -170,19 +193,6 @@ class TestConfigParsing:
                 "model.m", lambda d: d["model"].update(m=5e-324), id="model.m-omega-overflow"
             ),
             pytest.param(
-                "model.coupling.lambda",
-                lambda d: d["model"]["coupling"].update({"lambda": 1e-321}),
-                id="model.coupling.lambda-fd-step-underflow",
-            ),
-            pytest.param(
-                "model.coupling.y_max",
-                lambda d: (
-                    d["model"]["coupling"].update(y_max=1e-320),
-                    d["grid"].update(y_max=1e-320),
-                ),
-                id="model.coupling.window-fd-step-underflow",
-            ),
-            pytest.param(
                 "output.directory",
                 lambda d: d["output"].update(directory="a\u0000b"),
                 id="output.directory-nul",
@@ -219,6 +229,23 @@ class TestConfigParsing:
         assert cli.main(["spectrum", "--config", str(path)]) == cli.EXIT_CONFIG
         assert field in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, edit", FD_STEP_UNDERFLOW)
+    def test_fd_step_underflow_exits_2_from_force_curve(self, tmp_path, capsys, field, edit):
+        path, doc = reference_config(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["force-curve", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, edit", FD_STEP_UNDERFLOW)
+    def test_fd_step_underflow_leaves_other_subcommands_running(self, tmp_path, field, edit):
+        # only force-curve's F_finite_diff column takes the step
+        path, doc = reference_config(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        for command in ("spectrum", "vacuum-content", "oracle-check", "evolve"):
+            assert cli.main([command, "--config", str(path)]) == cli.EXIT_OK, command
+
     def test_precision_flag_out_of_range_exits_2(self, tmp_path, capsys):
         path, _ = reference_config(tmp_path)
         code = cli.main(["spectrum", "--config", str(path), "--precision", "3"])
@@ -239,6 +266,28 @@ class TestConfigParsing:
             cli.main(["vacuum-content", "--config", str(path), "--pair-n-max", "-1"])
         assert exc.value.code == cli.EXIT_CONFIG
         assert "--pair-n-max" in capsys.readouterr().err
+
+    def test_pair_n_max_of_max_rows_exits_2_naming_flag(self, tmp_path, capsys):
+        # a pair table of MAX_ROWS + 1 rows; refused before anything is allocated
+        path, _ = reference_config(tmp_path)
+        argv = ["vacuum-content", "--config", str(path), "--pair-n-max", str(MAX_ROWS)]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "--pair-n-max" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+    def test_output_dir_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys, under):
+        path, _ = reference_config(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = blocker / under
+        code = cli.main(["spectrum", "--config", str(path), "--output-dir", str(outdir)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write ")
+        assert str(blocker) in err and "Traceback" not in err
 
     def test_exit_code_on_config_error(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)
@@ -618,7 +667,7 @@ class TestReferenceCasimir:
         assert report["total_force"] == pytest.approx(2 * report["pressure"], rel=1e-14)
 
     def test_nonpositive_separation(self):
-        with pytest.raises(NonPositiveSeparationError):
+        with pytest.raises(DomainError, match="separation must be > 0"):
             cli.reference_casimir_report(0.0)
 
     def test_cli_exit_codes(self, capsys):
@@ -626,6 +675,7 @@ class TestReferenceCasimir:
         report = json.loads(capsys.readouterr().out)
         assert "note" in report
         assert cli.main(["reference-casimir", "--y", "-1.0"]) == cli.EXIT_DOMAIN
+        assert capsys.readouterr().err == "domain error: separation must be > 0, got -1.0\n"
 
     @pytest.mark.parametrize(
         "flag, value",

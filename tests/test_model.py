@@ -6,11 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from casimir_toy import CouplingSpec, ModelParams, validate
-from casimir_toy.errors import (
-    ConstraintViolationError,
-    DomainError,
-    NonPositiveParameterError,
-)
+from casimir_toy.errors import ConfigError, DomainError
 from casimir_toy.model import spectrum
 from conftest import make_model, valid_model_strategy
 
@@ -22,40 +18,40 @@ class TestValidate:
         assert not model.adiabatic_warning
 
     def test_coupling_exceeding_k_rejected(self):
-        with pytest.raises(ConstraintViolationError, match="positivity"):
+        with pytest.raises(ConfigError, match="positivity"):
             make_model(g0=1.5)
 
     def test_coupling_equal_to_k_rejected(self):
         # constraint is strict: g(y_min) < k
-        with pytest.raises(ConstraintViolationError):
+        with pytest.raises(ConfigError, match="positivity"):
             make_model(g0=1.0, family="constant")
 
     def test_negative_mass_rejected(self):
-        with pytest.raises(NonPositiveParameterError, match="m"):
+        with pytest.raises(ConfigError, match=r"model\.m must be > 0"):
             make_model(m=-1.0)
 
     @pytest.mark.parametrize("field,value", [("k", 0.0), ("M", -5.0), ("hbar", 0.0)])
     def test_nonpositive_parameters_rejected(self, field, value):
-        with pytest.raises(NonPositiveParameterError):
+        with pytest.raises(ConfigError, match=rf"model\.{field} must be > 0"):
             make_model(**{field: value})
 
     def test_negative_g0_rejected(self):
-        with pytest.raises(ConstraintViolationError):
+        with pytest.raises(ConfigError, match=r"model\.coupling\.g0 must be >= 0"):
             make_model(g0=-0.1)
 
     def test_inverse_power_negative_y_min_rejected(self):
-        with pytest.raises(ConstraintViolationError, match="y_min"):
+        with pytest.raises(ConfigError, match=r"model\.coupling\.y_min must be >= 0"):
             make_model(family="inverse-power", y_min=-1.0)
 
     def test_exponential_slope_overflow_rejected(self):
         # g(0) = 1e9 < k, but g'(0) = -(g0 / lambda) exp(0) overflows to -inf
-        with pytest.raises(ConstraintViolationError) as exc:
+        with pytest.raises(ConfigError) as exc:
             make_model(family="exponential", k=1e10, g0=1e9, lam=1e-300)
         assert "model.coupling.g0" in str(exc.value)
         assert "model.coupling.lambda" in str(exc.value)
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ConstraintViolationError):
+        with pytest.raises(ConfigError, match=r"model\.coupling\.family must be one of"):
             validate(ModelParams(m=1, M=1, k=1, coupling=CouplingSpec("cubic", 0.5)))
 
     def test_adiabatic_warning_for_small_mass_ratio(self):

@@ -14,7 +14,7 @@ from casimir_toy import (
     vacuum_energy,
     vacuum_fluctuations,
 )
-from casimir_toy.errors import DomainError, InvalidRatioError
+from casimir_toy.errors import DomainError
 from casimir_toy.quantum import (
     BogoliubovCoeffs,
     bogoliubov_normalization,
@@ -180,7 +180,7 @@ class TestSqueezedVacuumExpansion:
     def test_free_case_is_bare_vacuum(self):
         model = make_model(g0=0.0)
         exp = squeezed_vacuum_expansion(
-            bogoliubov_coefficients(model, 0.0), "plus", N_max=5
+            bogoliubov_coefficients(model, 0.0), N_max=5
         )
         assert exp.coefficients[0] == 1.0
         assert np.all(exp.coefficients[1:] == 0.0)
@@ -188,7 +188,7 @@ class TestSqueezedVacuumExpansion:
 
     def test_reference_values(self, reference_model):
         exp = squeezed_vacuum_expansion(
-            bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=10
+            bogoliubov_coefficients(reference_model, 0.0), N_max=10
         )
         assert exp.beta / exp.alpha == pytest.approx(0.1010205, abs=5e-7)
         assert exp.c0 == pytest.approx(0.9948843, abs=5e-7)
@@ -196,41 +196,35 @@ class TestSqueezedVacuumExpansion:
 
     def test_sign_alternation(self, reference_model):
         exp = squeezed_vacuum_expansion(
-            bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=8
+            bogoliubov_coefficients(reference_model, 0.0), N_max=8
         )
         prods = exp.coefficients[:-1] * exp.coefficients[1:]
         assert np.all(prods < 0)
 
-    @given(
-        valid_model_strategy(),
-        st.sampled_from(["plus", "minus"]),
-        st.integers(min_value=0, max_value=30),
-    )
-    def test_normalization_with_tail(self, model, branch, n_max):
+    @given(valid_model_strategy(), st.integers(min_value=0, max_value=30))
+    def test_normalization_with_tail(self, model, n_max):
         exp = squeezed_vacuum_expansion(
-            bogoliubov_coefficients(model, model.coupling.y_min), branch, N_max=n_max
+            bogoliubov_coefficients(model, model.coupling.y_min), N_max=n_max
         )
         total = float(np.sum(exp.coefficients**2)) + exp.tail
         assert abs(total - 1.0) < 1e-12
 
     def test_geometric_coefficients_exact(self, reference_model):
         exp = squeezed_vacuum_expansion(
-            bogoliubov_coefficients(reference_model, 0.0), "plus", N_max=12
+            bogoliubov_coefficients(reference_model, 0.0), N_max=12
         )
         for n, c in enumerate(exp.coefficients):
             assert c == pytest.approx(exp.c0 * (-exp.beta / exp.alpha) ** n, rel=1e-13, abs=0)
 
     def test_invalid_ratio_guard(self):
         corrupt = BogoliubovCoeffs(alpha_1p=0.5, alpha_1m=1.0, beta_1p=0.9, beta_1m=0.0)
-        with pytest.raises(InvalidRatioError):
-            squeezed_vacuum_expansion(corrupt, "plus", N_max=3)
+        with pytest.raises(ValueError, match="beta/alpha"):
+            squeezed_vacuum_expansion(corrupt, N_max=3)
 
     def test_bad_branch_rejected(self, reference_model):
         coeffs = bogoliubov_coefficients(reference_model, 0.0)
         with pytest.raises(ValueError):
-            squeezed_vacuum_expansion(coeffs, "sideways", N_max=3)
-        with pytest.raises(ValueError):
-            squeezed_vacuum_expansion(coeffs, "plus", N_max=-1)
+            squeezed_vacuum_expansion(coeffs, N_max=-1)
 
 
 class TestZeroCouplingLimit:

@@ -75,7 +75,7 @@ def test_array_columns_match_point_by_point(tmp_path, family, g0):
             (vac["beta_1p"][i], coeffs.beta_1p),
             (vac["beta_1m"][i], coeffs.beta_1m),
             (vac["N_mean"][i], quantum.mean_free_quanta(coeffs)),
-            (vac["c0"][i], quantum.squeezed_vacuum_expansion(coeffs, "plus", 0).c0),
+            (vac["c0"][i], quantum.squeezed_vacuum_expansion(coeffs, 0).c0),
         ]
         fd.append((force["F_finite_diff"][i], -cli.energy_gradient_fd(model, y, h), e))
     for a, v in relative:
