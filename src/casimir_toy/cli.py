@@ -569,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vacuum-content", help="Bogoliubov content over the grid")
     add_common(p)
     p.add_argument(
-        "--pair-y", type=float, default=None, help="y at which to emit the pair distribution"
+        "--pair-y", type=_real, default=None, help="y at which to emit the pair distribution"
     )
     p.add_argument(
         "--pair-n-max", type=_order, default=20, help="pair-distribution truncation order"
@@ -577,7 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-check", help="analytic-vs-oracle verification report")
     add_common(p)
-    p.add_argument("--y", type=float, default=None, help="evaluation point")
+    p.add_argument("--y", type=_real, default=None, help="evaluation point")
 
     add_common(sub.add_parser("evolve", help="semiclassical trajectory"))
 

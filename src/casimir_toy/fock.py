@@ -14,8 +14,11 @@ lowest eigenpair by thick-restart Lanczos with full reorthogonalization
 lowest Ritz vectors; no matrix of side (n_max+1)^2 is built.  The first
 solve of an oracle starts from |0,0>, each later one from the previous
 ground state, or from the quadratic extrapolation of the last three to the
-new g where that is safe (see EXTRAPOLATE_MIN_U), so a grid sweep or a
-trajectory is warm-started and reruns stay deterministic.
+new g where that is safe, plus the cubic term from a fourth where that term is
+above the stored states' rounding noise, 4 RITZ_TOL (4-12% fewer trajectory
+steps on the oracle benchmark; see EXTRAPOLATE_MIN_U), so a grid sweep or a
+trajectory is warm-started and reruns stay deterministic.  A solve at the
+last solve's g reuses it, so a constant-g trajectory solves once.
 A GroundStateResult holds u; its amplitude table, and the residual measured
 with the full-table H0 o c + g(y) x c x (FockOracle.apply), are computed on
 first read.  <x1 x2> = u . (V u) comes from the stencil
@@ -53,7 +56,7 @@ class GroundStateResult:
 
     E0: float
     vector: np.ndarray
-    steps: int  # Lanczos steps: matvecs, across restarts
+    steps: int  # Lanczos steps: matvecs, across restarts; 0 on a reuse
     oracle: FockOracle = field(repr=False)
     g: float
 
@@ -145,12 +148,14 @@ class FockOracle:
         self.stencil = np.vstack([self.h0[n, m], hop[hops[0]] * hop[hops[1]] * ratio])
         self.start = np.zeros(n.size)
         self.start[0] = 1.0  # |0,0>
-        # recent: (g, u) of the last three ground states at most, oldest
+        # recent: (g, u) of the last four ground states at most, oldest
         # first, for the extrapolated start (see _start); empty until the
-        # first solve, which is cold.  warm_steps: the step count of the last
-        # warm solve (0 before one), below which the next solve skips checks
-        # (see ground_state).
+        # first solve, which is cold.  e0: the last solve's E0, which a solve
+        # at the same g reuses.  warm_steps: the step count of the last warm
+        # solve (0 before one), below which the next solve skips checks (see
+        # ground_state).
         self.recent = ()
+        self.e0 = math.nan
         self.warm_steps = 0
 
     def apply(self, g: float, c: np.ndarray) -> np.ndarray:
@@ -302,29 +307,52 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
 #   5e-3 to 0.2: with a bound of 1e-2 the reference sweep at n_max 28 took
 #   322 steps against 317, with 1e-3 it keeps the plain start and takes 317.
 #   Where g moves about 1% per step (ratio near 2e-3) q saves no steps.
+# With a fourth stored state, q gains the cubic term t of the Newton form when
+# EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - u_c||.  Over 20
+# cycles of the oracle benchmark on seven seeds, t cut the trajectories'
+# Lanczos steps by 4-12% against q alone; a 200-step run at n_max 12, g/k 0.4,
+# y moving 1.5e-4 lambda per step, took 1153 against 2650.  Below the lower
+# cut t is rounding noise of the stored states: with no cut the steps rose by
+# 2-4% against q, with a cut of 1 RITZ_TOL 30-60% of the gain was lost.  A cut
+# of 2 RITZ_TOL saved at most 0.8% more than 4, but took more steps than q on
+# runs from rest at g/k 0.03 and 0.1; 16 took up to 2.9% more than 4.
 EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13
 EXTRAPOLATE_BEND = 1e-3
+EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 
 
 def _start(oracle: FockOracle, g: float) -> np.ndarray:
     """Where the solve at g starts: the quadratic extrapolation (Newton form)
-    of oracle.recent to g where the rules above allow it, else oracle.start."""
+    of the last three of oracle.recent to g, plus the cubic term from a
+    fourth, where the rules above allow them, else oracle.start."""
     if len(oracle.recent) < 3 or not abs(g) >= EXTRAPOLATE_MIN_U * oracle.model.k:
         return oracle.start
-    (ga, ua), (gb, ub), (gc, uc) = oracle.recent
+    *older, (ga, ua), (gb, ub), (gc, uc) = oracle.recent
     if ga == gb or gb == gc or ga == gc:
         return oracle.start
     step = (g - gc) / (gc - gb) * (uc - ub)
-    bend = (g - gc) * (g - gb) / (ga - gc) * ((ua - ub) / (ga - gb) - (ub - uc) / (gb - gc))
+    slope = (ua - ub) / (ga - gb)
+    curve = slope - (ub - uc) / (gb - gc)  # (ga - gc) times f[a, b, c]
+    bend = (g - gc) * (g - gb) / (ga - gc) * curve
     if not bend @ bend < EXTRAPOLATE_BEND**2 * (step @ step):
         return oracle.start
-    return uc + step + bend
+    start = uc + step + bend
+    if older and older[0][0] not in (ga, gb, gc):
+        ((gz, uz),) = older
+        cubic = (g - gc) * (g - gb) * (g - ga) / (gz - gc) * (
+            ((uz - ua) / (gz - ga) - slope) / (gz - gb) - curve / (ga - gc)
+        )
+        if EXTRAPOLATE_CUBIC_MIN**2 < cubic @ cubic < EXTRAPOLATE_BEND**2 * (step @ step):
+            start += cubic
+    return start
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) by Lanczos on the oracle's sector
     coordinates, started from its last ground state or their extrapolation
-    (|0,0> on its first solve; see _start).
+    (|0,0> on its first solve; see _start).  At the g of its last solve,
+    bit for bit, it returns that solve's E0 and vector with steps = 0 and
+    leaves the oracle as it is: that H already met the stop rule.
 
     The eigenvector is normalized with its |0,0> amplitude positive; steps
     counts the matvecs across restarts.  A warm solve spends most of its
@@ -333,6 +361,9 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     count; the cold first solve and the first warm one check at every point.
     """
     g = oracle.model.g(y)
+    if oracle.recent and oracle.recent[-1][0] == g:
+        u = oracle.recent[-1][1]
+        return GroundStateResult(E0=oracle.e0, vector=u, steps=0, oracle=oracle, g=g)
     e0, u, steps = _lanczos(oracle.sector_operator(g), _start(oracle, g), oracle.warm_steps)
     if oracle.recent:
         oracle.warm_steps = steps
@@ -340,7 +371,8 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     if u[0] < 0:
         u = -u
     oracle.start = u
-    oracle.recent = (*oracle.recent[-2:], (g, u))
+    oracle.recent = (*oracle.recent[-3:], (g, u))
+    oracle.e0 = e0
     return GroundStateResult(E0=e0, vector=u, steps=steps, oracle=oracle, g=g)
 
 

@@ -493,6 +493,27 @@ class TestForceCurveCommand:
         cold = [fock.oracle_force(fock.FockOracle(config.model, n_max), v) for v in y]
         np.testing.assert_allclose(rows[:, 5], cold, rtol=1e-12, atol=0)
 
+    def test_constant_coupling_oracle_column_solves_once(self, tmp_path, monkeypatch):
+        # every grid point has the same g, so the first, cold solve serves
+        # all 11, and the column is that solve's force on every row
+        path, doc = reference_config(tmp_path)
+        doc["model"]["coupling"].update(family="constant", g0=0.3)
+        doc["oracle"]["n_max"] = 12
+        path.write_text(json.dumps(doc))
+        calls = 0
+        lanczos = fock._lanczos
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return lanczos(*args)
+
+        monkeypatch.setattr(fock, "_lanczos", counting)
+        assert cli.main(["force-curve", "--config", str(path), "--with-oracle"]) == 0
+        assert calls == 1
+        _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
+        assert len(rows) == 11 and np.all(rows[:, 5] == rows[0, 5])
+
 
 @pytest.mark.parametrize("lam", [1e-100, 1e-200])
 def test_tiny_inverse_power_lambda_writes_finite_artifacts(tmp_path, capsys, lam):
@@ -711,6 +732,21 @@ class TestReferenceCasimir:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"argument {named}:" in out.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("command, flag", [("oracle-check", "--y"), ("vacuum-content", "--pair-y")])
+def test_non_finite_point_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    # the evaluation points of oracle-check and vacuum-content take the
+    # finite-number type of reference-casimir --y; a plain float type let
+    # nan and inf reach the coupling domain check and exit 3
+    path, _ = reference_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(path), f"{flag}={value}"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be a finite number, got {value}" in err
+    assert "Traceback" not in err
 
 
 def test_commands_run_without_importing_scipy(tmp_path):

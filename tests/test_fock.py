@@ -478,6 +478,75 @@ class TestLanczos:
             oracle.recent = recent(*gs)
             assert fock._start(oracle, g) is oracle.start, (gs, g)
 
+    def test_extrapolated_start_adds_the_cubic_term_between_its_cuts(self, reference_model):
+        # four states on u(g) = a + b g + d (g - ga)(g - gb)(g - gc): the last
+        # three lie on a line, so the quadratic start is the line and the
+        # fourth state adds the cubic term, which makes the start exact.  The
+        # term is kept only above EXTRAPOLATE_CUBIC_MIN and below
+        # EXTRAPOLATE_BEND of the linear step; otherwise the start is the
+        # quadratic of the last three, bit for bit.
+        oracle = FockOracle(reference_model, 6)
+        rng = np.random.default_rng(3)
+        a, b, d = rng.normal(size=(3, oracle.start.size))
+        gz, ga, gb, gc, g = 0.300, 0.301, 0.302, 0.303, 0.304
+
+        def starts(scale):
+            def path(x):
+                return a + b * x + scale * d * (x - ga) * (x - gb) * (x - gc)
+
+            oracle.recent = tuple((x, path(x)) for x in (gz, ga, gb, gc))
+            cubic = fock._start(oracle, g)
+            oracle.recent = oracle.recent[1:]
+            return cubic, fock._start(oracle, g), path(g)
+
+        cubic, quadratic, exact = starts(0.1)
+        np.testing.assert_allclose(cubic, exact, rtol=0, atol=1e-12)
+        term = np.linalg.norm(exact - quadratic)
+        assert term > 100 * fock.EXTRAPOLATE_CUBIC_MIN
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fock, "EXTRAPOLATE_CUBIC_MIN", 2 * term)
+            cubic, quadratic, _ = starts(0.1)
+            assert np.array_equal(cubic, quadratic)
+        # 1e4 d: the cubic term is 6e-2 of the linear step
+        cubic, quadratic, exact = starts(1e4)
+        assert np.array_equal(cubic, quadratic)
+        assert not np.allclose(cubic, exact, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("u, v0, share", [(0.4, 0.003, 0.5), (0.03, 0.0, 1.0)])
+    def test_cubic_term_saves_steps_on_a_slow_trajectory(self, reference_model, monkeypatch,
+                                                         u, v0, share):
+        # 200 steps of dt 0.05 at n_max 12 take at most share of the Lanczos
+        # steps that the quadratic start alone takes.  At g/k 0.4, y moving
+        # 1.5e-4 per step: 1153 against 2650.  From rest at g/k 0.03, where
+        # the cubic term is mostly below its noise cut: 692 against 703 (a
+        # cut of 2 RITZ_TOL took 714).
+        config = DynamicsConfig(
+            y0=math.log(0.5 / u), v0=v0, dt=0.05, t_max=10.0,
+            force_route="oracle", oracle_n_max=12,
+        )
+        steps = total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        monkeypatch.setattr(fock, "EXTRAPOLATE_CUBIC_MIN", math.inf)
+        assert steps <= share * total_steps(monkeypatch, lambda: evolve(reference_model, config))
+
+    @pytest.mark.parametrize("u", [0.003, 0.03, 0.1, 0.4])
+    @pytest.mark.parametrize("v0", [0.003, 0.1])
+    def test_cubic_term_moves_the_trajectory_only_at_rounding_level(self, u, v0, monkeypatch):
+        # the same oracle-route run with and without the cubic term: E_vac
+        # agrees to 8 RITZ_TOL and F to 10 RITZ_TOL / (g/k), the stop rule's
+        # bound on <x1 x2>.  Measured at most 2.6 RITZ_TOL and 3.3 RITZ_TOL /
+        # (g/k), at n_max 16.
+        model = make_model()
+        config = DynamicsConfig(
+            y0=math.log(0.5 / u), v0=v0, dt=0.05, t_max=10.0,
+            force_route="oracle", oracle_n_max=16,
+        )
+        cubic = evolve(model, config)
+        monkeypatch.setattr(fock, "EXTRAPOLATE_CUBIC_MIN", math.inf)
+        quadratic = evolve(model, config)
+        tol = fock.RITZ_TOL
+        assert np.all(np.abs(cubic.E_vac - quadratic.E_vac) <= 8 * tol * quadratic.E_vac)
+        assert np.all(np.abs(cubic.F - quadratic.F) <= 10 * tol / u * np.abs(quadratic.F))
+
     def test_extrapolated_start_saves_steps_on_a_slow_trajectory(self, reference_model, monkeypatch):
         # 200 steps of dt 0.05 from rest at g/k = 0.4, n_max 12: the start
         # extrapolated from the last three ground states takes 0.44 of the
@@ -533,9 +602,14 @@ class TestLanczos:
         assert np.all(np.abs(traj.F - expected) <= 1e-12 * np.abs(expected))
 
     def test_converged_start_stops_after_one_step(self, constant_model):
+        # a fresh oracle started from a converged ground state meets the stop
+        # test at k = 1, on T_1 = alpha_1 itself
+        converged = ground_state(FockOracle(constant_model, 20), 0.0)
         oracle = FockOracle(constant_model, 20)
-        ground_state(oracle, 0.0)
-        assert ground_state(oracle, 1.0).steps == 1
+        oracle.start = converged.vector
+        gs = ground_state(oracle, 1.0)
+        assert gs.steps == 1
+        assert gs.E0 == pytest.approx(converged.E0, rel=1e-15)
 
     def test_no_convergence_when_the_basis_fills_the_space(self, reference_model, monkeypatch):
         # with a zero tolerance only an exact breakdown stops a solve; from a
@@ -641,3 +715,46 @@ class TestLanczos:
         for name in ("y", "p_y", "F", "E_vac", "E_total"):
             a, b = getattr(oracle, name), getattr(dense, name)
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
+
+
+class TestReuse:
+    def test_constant_coupling_trajectory_solves_once(self, constant_model, monkeypatch):
+        # every step of an oracle-route run at constant g reuses the first,
+        # cold solve, so E_vac is that solve's E0 on every row
+        calls = 0
+        lanczos = fock._lanczos
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return lanczos(*args)
+
+        monkeypatch.setattr(fock, "_lanczos", counting)
+        config = DynamicsConfig(
+            y0=1.0, v0=0.1, dt=0.05, t_max=10.0, force_route="oracle", oracle_n_max=12
+        )
+        traj = evolve(constant_model, config)
+        assert len(traj) == 201 and calls == 1
+        cold = ground_state(FockOracle(constant_model, 12), 5.0)
+        assert np.all(traj.E_vac == cold.E0)
+
+    def test_reuse_reports_no_steps_and_leaves_the_oracle(self, reference_model):
+        oracle = FockOracle(reference_model, 12)
+        for y in (1.0, 1.001, 1.002, 1.003):
+            last = ground_state(oracle, y)
+        recent, warm_steps = oracle.recent, oracle.warm_steps
+        again = ground_state(oracle, 1.003)
+        assert again.steps == 0 < last.steps
+        assert again.E0 == last.E0 and again.vector is last.vector
+        assert oracle.recent is recent and oracle.start is last.vector
+        assert oracle.warm_steps == warm_steps and oracle.e0 == last.E0
+        # only the last g is reused: the g before it is solved again
+        assert ground_state(oracle, 1.002).steps > 0
+
+    @pytest.mark.parametrize("family", ["exponential", "inverse-power"])
+    def test_non_constant_sweep_never_reuses(self, family):
+        model = make_model(family=family)
+        oracle = FockOracle(model, 16)
+        steps = [ground_state(oracle, y).steps for y in np.linspace(1.0, 1.03, 300)]
+        steps += [ground_state(oracle, y).steps for y in np.linspace(5.0, 0.0, 11)]
+        assert min(steps) > 0
