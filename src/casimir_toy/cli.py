@@ -11,6 +11,10 @@ Subcommands:
 A run is configured by a single JSON document (see README); command-line
 flags override config fields.  The output directory resolves as
 --output-dir > $CASIMIR_TOY_OUTPUT_DIR > config output.directory.
+
+Each cmd_* takes (config, outdir, args), writes its artifacts, prints what
+it wrote and returns the exit code; main loads the config, dispatches and
+maps the errors to exit codes.
 """
 
 from __future__ import annotations
@@ -70,8 +74,7 @@ class OracleConfig:
     y: float | None = None
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be >= 1, got {self.n_max}")
+        dynamics._check_cutoff(self.n_max, "n_max")
         if not self.convergence_tol > 0:
             raise ValueError(f"convergence_tol must be > 0, got {self.convergence_tol}")
 
@@ -215,13 +218,14 @@ def load_config(path: str) -> RunConfig:
 def _artifact(path: Path):
     """The artifact file path opened for writing, its directory made first;
     an OSError on the way (a directory that is a file, a full disk) is a
-    ConfigError naming path."""
+    ConfigError naming path.  Prints `wrote <path>` once the file is closed."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    print(f"wrote {path}")
 
 
 def write_csv(path: Path, header: list[str], rows, precision: int) -> None:
@@ -273,21 +277,20 @@ def _need(config: RunConfig, section: str):
     return value
 
 
-def cmd_spectrum(config: RunConfig, outdir: Path) -> Path:
+def cmd_spectrum(config: RunConfig, outdir: Path, args) -> int:
     model = config.model
 
     def columns(y):
         g, wp, wm = spectrum(model, y)
         return g, model.omega, wp, wm
 
-    path = outdir / "spectrum.csv"
     write_csv(
-        path,
+        outdir / "spectrum.csv",
         ["y", "g", "omega", "omega_plus", "omega_minus"],
         _grid_rows(_need(config, "grid"), columns),
         config.output.precision,
     )
-    return path
+    return EXIT_OK
 
 
 def energy_gradient_fd(model: ValidatedModel, y, h: float):
@@ -340,12 +343,12 @@ def _fd_step(model: ValidatedModel) -> float:
     )
 
 
-def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) -> Path:
+def cmd_force_curve(config: RunConfig, outdir: Path, args) -> int:
     grid = _need(config, "grid")
     model = config.model
     h = _fd_step(model)
     header = ["y", "E_vac", "F_casimir", "F_lifshitz", "F_finite_diff"]
-    if with_oracle:
+    if args.with_oracle:
         oracle = fock.FockOracle(model, config.oracle.n_max)
         header.append("F_oracle")
 
@@ -356,7 +359,7 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
             quantum.lifshitz_force(model, y),
             -energy_gradient_fd(model, y, h),
         ]
-        if with_oracle:
+        if args.with_oracle:
             # point by point in order of increasing g, each solve started from
             # the last ground state: the cold |0,0> start is nearly the ground
             # state at the weakest coupling
@@ -367,14 +370,13 @@ def cmd_force_curve(config: RunConfig, outdir: Path, with_oracle: bool = False) 
             out.append(f)
         return out
 
-    path = outdir / "force_curve.csv"
-    write_csv(path, header, _grid_rows(grid, columns), config.output.precision)
-    return path
+    write_csv(
+        outdir / "force_curve.csv", header, _grid_rows(grid, columns), config.output.precision
+    )
+    return EXIT_OK
 
 
-def cmd_vacuum_content(
-    config: RunConfig, outdir: Path, pair_y: float | None = None, pair_n_max: int = 20
-) -> tuple[Path, Path]:
+def cmd_vacuum_content(config: RunConfig, outdir: Path, args) -> int:
     grid = _need(config, "grid")
     model = config.model
 
@@ -383,30 +385,30 @@ def cmd_vacuum_content(
         c0 = quantum.squeezed_vacuum_expansion(coeffs, N_max=0).c0
         return coeffs.beta_1p, coeffs.beta_1m, quantum.mean_free_quanta(coeffs), c0
 
-    path = outdir / "vacuum_content.csv"
     write_csv(
-        path,
+        outdir / "vacuum_content.csv",
         ["y", "beta_1p", "beta_1m", "N_mean", "c0"],
         _grid_rows(grid, columns),
         config.output.precision,
     )
 
-    y_flag = grid.y_min if pair_y is None else pair_y
+    y_flag = grid.y_min if args.pair_y is None else args.pair_y
     coeffs = quantum.bogoliubov_coefficients(model, y_flag)
-    exp = quantum.squeezed_vacuum_expansion(coeffs, N_max=pair_n_max)
+    exp = quantum.squeezed_vacuum_expansion(coeffs, N_max=args.pair_n_max)
     pair_rows = [
         (float(n), c, c * c) for n, c in enumerate(exp.coefficients)
     ]
-    pair_path = outdir / "pair_distribution.csv"
-    write_csv(pair_path, ["n", "c_n", "c_n_squared"], pair_rows, config.output.precision)
-    return path, pair_path
+    write_csv(
+        outdir / "pair_distribution.csv", ["n", "c_n", "c_n_squared"], pair_rows,
+        config.output.precision,
+    )
+    return EXIT_OK
 
 
-def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) -> tuple[Path, bool]:
+def cmd_oracle_check(config: RunConfig, outdir: Path, args) -> int:
     model = config.model
     oc = config.oracle
-    if y is None:
-        y = oc.y
+    y = oc.y if args.y is None else args.y
     if y is None:
         y = config.grid.y_min if config.grid else model.coupling.y_min
     tol = oc.convergence_tol
@@ -456,19 +458,25 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, y: float | None = None) ->
         "edge_mass": gs.edge_mass(),
         "pass": passed,
     }
-    path = outdir / "oracle_check.json"
-    write_json(path, payload)
-    return path, passed
+    write_json(outdir / "oracle_check.json", payload)
+    if not passed:
+        print("verification FAILED", file=sys.stderr)
+        return EXIT_VERIFICATION
+    return EXIT_OK
 
 
-def cmd_evolve(config: RunConfig, outdir: Path) -> tuple[Path, dynamics.Trajectory]:
+def cmd_evolve(config: RunConfig, outdir: Path, args) -> int:
     traj = dynamics.evolve(config.model, _need(config, "dynamics"))
     rows = _rows(traj.t, traj.y, traj.p_y, traj.F, traj.E_vac, traj.E_total)
-    path = outdir / "trajectory.csv"
     write_csv(
-        path, ["t", "y", "p_y", "F", "E_vac", "E_total"], rows, config.output.precision
+        outdir / "trajectory.csv", ["t", "y", "p_y", "F", "E_vac", "E_total"], rows,
+        config.output.precision,
     )
-    return path, traj
+    drift, _ = dynamics.energy_audit(traj)
+    print(f"final energy drift: {drift:.3e}")
+    if traj.domain_exited:
+        print("note: DOMAIN_EXIT (trajectory left the coupling domain)")
+    return EXIT_OK
 
 
 def reference_casimir_report(
@@ -623,34 +631,16 @@ def main(argv=None) -> int:
                 "adiabatic (slow-y) treatment",
                 file=sys.stderr,
             )
-        outdir = _resolve_outdir(args, config)
-
-        if args.command == "spectrum":
-            path = cmd_spectrum(config, outdir)
-            print(f"wrote {path}")
-        elif args.command == "force-curve":
-            path = cmd_force_curve(config, outdir, with_oracle=args.with_oracle)
-            print(f"wrote {path}")
-        elif args.command == "vacuum-content":
-            path, pair_path = cmd_vacuum_content(
-                config, outdir, pair_y=args.pair_y, pair_n_max=args.pair_n_max
-            )
-            print(f"wrote {path}")
-            print(f"wrote {pair_path}")
-        elif args.command == "oracle-check":
-            path, passed = cmd_oracle_check(config, outdir, y=args.y)
-            print(f"wrote {path}")
-            if not passed:
-                print("verification FAILED", file=sys.stderr)
-                return EXIT_VERIFICATION
-        elif args.command == "evolve":
-            path, traj = cmd_evolve(config, outdir)
-            drift, _ = dynamics.energy_audit(traj)
-            print(f"wrote {path}")
-            print(f"final energy drift: {drift:.3e}")
-            if traj.domain_exited:
-                print("note: DOMAIN_EXIT (trajectory left the coupling domain)")
-        return EXIT_OK
+        # Built per call, so the cmd_* names are looked up when main runs: a
+        # wrapper set on cli.cmd_* (a tracer, a test) is the function run.
+        commands = {
+            "spectrum": cmd_spectrum,
+            "force-curve": cmd_force_curve,
+            "vacuum-content": cmd_vacuum_content,
+            "oracle-check": cmd_oracle_check,
+            "evolve": cmd_evolve,
+        }
+        return commands[args.command](config, _resolve_outdir(args, config), args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ Python floats through quantum's kernels: one g and one g' per step.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from array import array
@@ -24,7 +25,7 @@ FORCE_ROUTES = ("casimir", "lifshitz", "oracle")
 # Projected oracle-route runtime (s) above which evolve warns.
 ORACLE_BUDGET_S = 300.0
 # Most rows a CSV artifact gets (about 80 MB of spectrum.csv): the bound on
-# grid.points and on the step count t_max / dt.
+# grid.points, on t_max / dt and on the entries of an oracle's (n_max + 1)^2 table.
 MAX_ROWS = 1_000_000
 
 
@@ -49,6 +50,12 @@ def step_count(t_max: float, dt: float, dt_name: str = "dt") -> int:
     return steps
 
 
+def _check_cutoff(n_max: int, name: str) -> None:
+    """ValueError naming name unless 1 <= n_max and (n_max + 1)^2 <= MAX_ROWS."""
+    if not (1 <= n_max and (n_max + 1) ** 2 <= MAX_ROWS):
+        raise ValueError(f"{name} must be in [1, {math.isqrt(MAX_ROWS) - 1}], got {n_max}")
+
+
 @dataclass(frozen=True)
 class DynamicsConfig:
     y0: float
@@ -64,8 +71,7 @@ class DynamicsConfig:
             raise ValueError(
                 f"force_route must be one of {FORCE_ROUTES}, got {self.force_route!r}"
             )
-        if self.oracle_n_max < 1:
-            raise ValueError(f"oracle_n_max must be >= 1, got {self.oracle_n_max}")
+        _check_cutoff(self.oracle_n_max, "oracle_n_max")
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ def _route(model: ValidatedModel, config: DynamicsConfig):
         oracle = fock.FockOracle(model, config.oracle_n_max)
 
         def oracle_route(y):
-            gs = fock.ground_state(oracle, y)
-            return -model.g_prime(y) * oracle.correlation(gs.vector), gs.E0
+            # oracle.e0 is read after oracle_force's solve: that solve's E0
+            return fock.oracle_force(oracle, y), oracle.e0
 
         return oracle_route
     # evolve has checked y, so g and g' are evaluated once each, unchecked.

@@ -387,7 +387,7 @@ def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObser
     x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2 = <x1^2> +- <x1 x2>."""
     c = gs.amplitudes
     x = oracle.x
-    x1x2 = cross_correlation(c, x)
+    x1x2 = oracle.correlation(gs.vector)  # the <x1 x2> of oracle_force
     x1_sq = float(np.sum(c * (x @ x @ c)))
     n = np.arange(len(c))
     return VacuumObservables(

@@ -142,6 +142,16 @@ class TestConfigParsing:
         [
             ("oracle.n_max", lambda d: d["oracle"].update(n_max=0)),
             ("dynamics.oracle_n_max", lambda d: d["dynamics"].update(oracle_n_max=0)),
+            # a (n_max + 1)^2 table above MAX_ROWS entries, refused before
+            # any oracle is built
+            pytest.param(
+                "oracle.n_max", lambda d: d["oracle"].update(n_max=1000), id="oracle.n_max-1000"
+            ),
+            pytest.param(
+                "dynamics.oracle_n_max",
+                lambda d: d["dynamics"].update(oracle_n_max=1000),
+                id="dynamics.oracle_n_max-1000",
+            ),
             ("model", lambda d: d.update(model=None)),
             ("grid", lambda d: d.update(grid=None)),
             ("oracle", lambda d: d.update(oracle=[1])),
@@ -259,6 +269,15 @@ class TestConfigParsing:
         path.write_text(json.dumps(doc))
         n_max = cli.load_config(str(path)).oracle.n_max
         assert n_max == 40 and isinstance(n_max, int)
+
+    def test_largest_oracle_cutoff_parses(self, tmp_path):
+        # (999 + 1)^2 = MAX_ROWS table entries; parsed only, no oracle built
+        path, doc = reference_config(tmp_path)
+        doc["oracle"]["n_max"] = 999
+        doc["dynamics"]["oracle_n_max"] = 999
+        path.write_text(json.dumps(doc))
+        config = cli.load_config(str(path))
+        assert config.oracle.n_max == config.dynamics.oracle_n_max == 999
 
     def test_negative_pair_n_max_exits_2_naming_flag(self, tmp_path, capsys):
         path, _ = reference_config(tmp_path)
@@ -385,6 +404,72 @@ def test_readme_library_example_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
     exec(compile(block, "README.md", "exec"), {})
+
+
+class TestStdout:
+    """Every subcommand prints one `wrote <path>` line per artifact, in the
+    order written; evolve's drift line, which the benchmark parses, and its
+    DOMAIN_EXIT note come next.  Refusals and failures go to stderr."""
+
+    @pytest.mark.parametrize(
+        "argv, artifacts",
+        [
+            (["spectrum"], ["spectrum.csv"]),
+            (["force-curve"], ["force_curve.csv"]),
+            (["force-curve", "--with-oracle"], ["force_curve.csv"]),
+            (["vacuum-content"], ["vacuum_content.csv", "pair_distribution.csv"]),
+            (["oracle-check"], ["oracle_check.json"]),
+            (["evolve"], ["trajectory.csv"]),
+        ],
+    )
+    def test_one_line_per_artifact(self, tmp_path, capsys, argv, artifacts):
+        path, _ = reference_config(tmp_path)
+        assert cli.main([*argv, "--config", str(path)]) == cli.EXIT_OK
+        out = capsys.readouterr()
+        lines = out.out.splitlines()
+        wrote = [f"wrote {tmp_path / 'out' / name}" for name in artifacts]
+        assert lines[: len(wrote)] == wrote
+        rest = lines[len(wrote):]
+        if argv[0] == "evolve":
+            assert len(rest) == 1
+            assert re.fullmatch(r"final energy drift: \d\.\d{3}e[+-]\d\d", rest[0])
+        else:
+            assert rest == []
+        assert out.err == ""
+
+    def test_unwritable_second_artifact(self, tmp_path, capsys):
+        # the first file is written and reported, the second is refused
+        # naming its path
+        path, _ = reference_config(tmp_path)
+        blocked = tmp_path / "out" / "pair_distribution.csv"
+        blocked.mkdir(parents=True)
+        assert cli.main(["vacuum-content", "--config", str(path)]) == cli.EXIT_CONFIG
+        out = capsys.readouterr()
+        assert out.out == f"wrote {tmp_path / 'out' / 'vacuum_content.csv'}\n"
+        assert out.err.startswith(f"config error: cannot write {blocked}: ")
+        assert len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "force-curve", "vacuum-content", "oracle-check", "evolve"]
+)
+def test_main_runs_the_cmd_function_bound_in_cli(tmp_path, monkeypatch, command):
+    # main looks cmd_* up in cli when it runs, not through the cached parser,
+    # so a wrapper set on the module (a tracer's span) is the function run
+    path, _ = reference_config(tmp_path)
+    argv = [command, "--config", str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    name = "cmd_" + command.replace("-", "_")
+    original = getattr(cli, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert cli.main(argv) == cli.EXIT_OK
+    assert len(calls) == 1
 
 
 class TestSpectrumCommand:
@@ -623,12 +708,15 @@ class TestOracleCheckCommand:
         assert report["pass"] is True
         assert isinstance(report["solver_steps"], int) and 1 <= report["solver_steps"] <= 100
 
-    def test_under_truncated_fails(self, tmp_path):
+    def test_under_truncated_fails(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)
         doc["oracle"]["n_max"] = 2
         path.write_text(json.dumps(doc))
         code = cli.main(["oracle-check", "--config", str(path)])
         assert code == cli.EXIT_VERIFICATION
+        out = capsys.readouterr()
+        assert out.out == f"wrote {tmp_path / 'out' / 'oracle_check.json'}\n"
+        assert out.err == "verification FAILED\n"
         report = json.loads((tmp_path / "out" / "oracle_check.json").read_text())
         assert report["pass"] is False
         assert report["edge_mass"] > 1e-6
@@ -664,7 +752,10 @@ class TestEvolveCommand:
         doc["dynamics"] = {"y0": 0.05, "v0": -0.5, "dt": 0.1, "t_max": 10.0}
         path.write_text(json.dumps(doc))
         assert cli.main(["evolve", "--config", str(path)]) == 0
-        assert "DOMAIN_EXIT" in capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"wrote {tmp_path / 'out' / 'trajectory.csv'}"
+        assert lines[1].startswith("final energy drift: ")
+        assert lines[2:] == ["note: DOMAIN_EXIT (trajectory left the coupling domain)"]
 
 
 class TestReferenceCasimir:

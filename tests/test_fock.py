@@ -391,6 +391,20 @@ class TestSparseOracle:
                 scale = np.linalg.norm(oracle.x, 2) ** 2
                 assert abs(oracle.correlation(u) - expected) <= 4 * np.finfo(float).eps * scale
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_observables_report_the_correlation_of_the_force(self, family):
+        # oracle-check audits the <x1 x2> that oracle_force multiplies by
+        # -g', bit for bit: a contraction of the table sums the same products
+        # in another order and lands a few ulp away
+        model = make_model(family=family)
+        for n_max in (1, 4, 12, 20, 40):
+            oracle = FockOracle(model, n_max)
+            for y in (0.0, 0.5, 1.0, 3.0):
+                gs = ground_state(oracle, y)
+                x1x2 = oracle_observables(oracle, gs).x1x2
+                assert x1x2 == oracle.correlation(gs.vector)
+                assert oracle_force(oracle, y) == -model.g_prime(y) * x1x2
+
     def test_table_and_residual_are_computed_when_first_read(self, reference_model):
         # a solve leaves both unbuilt, so a force evaluation never pays for them
         gs = ground_state(FockOracle(reference_model, 12), 0.5)
