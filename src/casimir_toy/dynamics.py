@@ -85,9 +85,6 @@ class Trajectory:
     domain_exited: bool = False
     oracle_advisory: bool = False
 
-    def __len__(self) -> int:
-        return len(self.t)
-
 
 class OracleTooSlowWarning(UserWarning):
     """Projected oracle-route runtime exceeds ORACLE_BUDGET_S."""

@@ -376,11 +376,6 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     return GroundStateResult(E0=e0, vector=u, steps=steps, oracle=oracle, g=g)
 
 
-def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:
-    """<x1 x2> of the state with amplitudes table[n, n']: x1 acts on rows."""
-    return float((table * (x @ table @ x)).sum())
-
-
 def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:
     """Expectation values in a ground state of the oracle.  Its table is
     exchange-symmetric (c = c^T exactly), so <x2^2> = <x1^2>, <N2> = <N1> and
@@ -441,16 +436,3 @@ def ground_state_structure_checks(result: GroundStateResult) -> StructureReport:
         symmetry_violation=float(np.max(np.abs(c - c.T))),
         odd_parity_mass=float(np.sum(c[odd] ** 2)),
     )
-
-
-def free_vacuum_correlation(model: ValidatedModel, n_max: int, psi2: np.ndarray) -> float:
-    """<x1 x2> in |0_1> (x) |psi2>; zero for any mode-2 state."""
-    psi2 = np.asarray(psi2, dtype=float)
-    if psi2.shape != (n_max + 1,):
-        raise ValueError(f"psi2 must have length {n_max + 1}")
-    norm = np.linalg.norm(psi2)
-    if not math.isclose(norm, 1.0, rel_tol=1e-9):
-        raise ValueError(f"psi2 must be normalized, got ||psi2|| = {norm}")
-    table = np.zeros((n_max + 1, n_max + 1))
-    table[0] = psi2
-    return cross_correlation(table, position_matrix(model, n_max))

@@ -206,6 +206,15 @@ def validate(params: ModelParams) -> ValidatedModel:
             "(model.k + g(model.coupling.y_min)) / model.m, the largest "
             "Omega+^2, overflows float64"
         )
+    # The vacuum's energy and length^2 scales; the oracle's H0 and x use both.
+    omega = math.sqrt(params.k / params.m)
+    m_omega = params.m * omega
+    scales = (params.hbar * omega, params.hbar / m_omega if m_omega > 0 else math.inf)
+    if not max(scales) < math.inf:
+        raise ConfigError(
+            "model.hbar, model.k and model.m give hbar omega = {!r} and "
+            "hbar / (m omega) = {!r}; both must be finite".format(*scales)
+        )
     return ValidatedModel(
         m=params.m, M=params.M, k=params.k, hbar=params.hbar, coupling=c
     )

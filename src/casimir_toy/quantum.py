@@ -120,8 +120,9 @@ def _lifshitz_force(model: ValidatedModel, g, gp):
 
 def _x1x2(model: ValidatedModel, g, wp, wm):
     """<x1 x2> = (<x+^2> - <x-^2>)/2 via the same cancellation-free difference
-    used for the force: Omega+^2 - Omega-^2 = 2g/m exactly."""
-    return -model.hbar * g / (2.0 * model.m**2 * wp * wm * (wp + wm))
+    used for the force: Omega+^2 - Omega-^2 = 2g/m exactly.  Dividing by m
+    twice, not by m^2, keeps it finite for every validated m."""
+    return -(model.hbar * g / model.m) / (2.0 * model.m * wp * wm * (wp + wm))
 
 
 def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs:
@@ -140,14 +141,6 @@ def bogoliubov_coefficients(model: ValidatedModel, y: float) -> BogoliubovCoeffs
 def _branch_coeffs(big_omega: float, omega: float) -> tuple[float, float]:
     denom = 2.0 * _array_module(big_omega).sqrt(2.0 * big_omega * omega)
     return (big_omega + omega) / denom, (big_omega - omega) / denom
-
-
-def bogoliubov_normalization(coeffs: BogoliubovCoeffs) -> tuple[float, float]:
-    """sum_j (alpha_j+-^2 - beta_j+-^2) = 2(alpha_1+-^2 - beta_1+-^2) per
-    branch; exactly 1 for valid input."""
-    plus = 2.0 * (coeffs.alpha_1p**2 - coeffs.beta_1p**2)
-    minus = 2.0 * (coeffs.alpha_1m**2 - coeffs.beta_1m**2)
-    return plus, minus
 
 
 def mean_free_quanta(coeffs: BogoliubovCoeffs) -> float:

@@ -27,14 +27,10 @@ from casimir_toy import (
 )
 from casimir_toy import cli
 from casimir_toy.dynamics import energy_audit
-from casimir_toy.fock import (
-    FockOracle,
-    free_vacuum_correlation,
-    ground_state_structure_checks,
-    oracle_observables,
-)
-from casimir_toy.quantum import bogoliubov_normalization, mean_free_quanta
+from casimir_toy.fock import FockOracle, ground_state_structure_checks, oracle_observables
+from casimir_toy.quantum import mean_free_quanta
 from conftest import make_model
+from references import bogoliubov_normalization, free_vacuum_correlation
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -211,7 +207,7 @@ def test_criterion_8_dynamics():
     config = DynamicsConfig(y0=8.0, v0=0.0, dt=dt, t_max=n_steps * dt)
     traj = evolve(model, config)
     drift, _ = energy_audit(traj)
-    steps_ok = len(traj) == n_steps + 1 and not traj.domain_exited
+    steps_ok = len(traj.t) == n_steps + 1 and not traj.domain_exited
     attract_ok = traj.y[-1] < traj.y[0]
 
     const = make_model(family="constant", g0=0.3)

@@ -230,6 +230,32 @@ class TestConfigParsing:
                 ),
                 id="model.coupling.lambda-slope-overflow",
             ),
+            # hbar omega, or hbar / (m omega), is inf: the oracle's H0 or x
+            # would be, and oracle-check ended in a LinAlgError traceback
+            pytest.param(
+                "model.hbar, model.k and model.m",
+                lambda d: d["model"].update(hbar=1e300, k=1e20),
+                id="model.hbar-omega-overflow",
+            ),
+            pytest.param(
+                "model.hbar, model.k and model.m",
+                lambda d: (
+                    d["model"].update(hbar=1e300, m=1e-300, k=1e-300),
+                    d["model"]["coupling"].update(g0=0.5e-300),
+                ),
+                id="model.hbar-length-overflow",
+            ),
+            # evolve wrote inf momenta and a nan drift with exit 0
+            pytest.param(
+                "model.M * dynamics.v0",
+                lambda d: d["dynamics"].update(v0=1e200),
+                id="dynamics.v0-momentum-overflow",
+            ),
+            pytest.param(
+                "model.M * dynamics.v0",
+                lambda d: (d["model"].update(M=1e308), d["dynamics"].update(v0=10.0)),
+                id="model.M-momentum-overflow",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
@@ -672,8 +698,7 @@ class TestOracleCheckCommand:
         assert report["rel_err_energy"] < 1e-6
         assert report["rel_err_x1x2"] < 1e-6
         assert report["rel_err_N"] < 1e-6
-        assert report["symmetry_violation"] < 1e-10
-        assert report["odd_parity_mass"] < 1e-20
+        assert "symmetry_violation" not in report and "odd_parity_mass" not in report
         assert len(report["annihilation_residuals"]) > 0
         assert report["residual_norm"] < 1e-12
         assert report["edge_mass"] < 1e-30
@@ -688,10 +713,9 @@ class TestOracleCheckCommand:
             "rel_err_x1x2": 1.85743932176809e-16,
             "rel_err_N": 8.536930668598029e-16,
             "residual_norm": 1.8108949100571183e-15,
-            "symmetry_violation": 2.6020852139652106e-18,
             "edge_mass": 1.3087089701943524e-39,
         }
-        tolerance = {"E0_oracle": 1e-14, "edge_mass": 1e-30, "symmetry_violation": 1e-15}
+        tolerance = {"E0_oracle": 1e-14, "edge_mass": 1e-30}
         config = ROOT / "configs" / "reference.json"
         assert cli.main(["oracle-check", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "oracle_check.json").read_text())
@@ -704,7 +728,6 @@ class TestOracleCheckCommand:
             "20": 4.916115948666909e-18,
             "5": 2.603353118814089e-06,
         }
-        assert report["odd_parity_mass"] == 0.0
         assert report["pass"] is True
         assert isinstance(report["solver_steps"], int) and 1 <= report["solver_steps"] <= 100
 

@@ -49,7 +49,7 @@ class TestEvolve:
         traj = evolve(reference_model, config)
         drift, series = energy_audit(traj)
         assert drift < 1e-6
-        assert len(series) == len(traj)
+        assert len(series) == len(traj.t)
 
     def test_route_independence(self, reference_model):
         kwargs = dict(y0=1.0, v0=0.0, dt=0.1, t_max=30.0)
@@ -113,7 +113,7 @@ class TestEvolve:
             warnings.simplefilter("always")
             traj = evolve(reference_model, config)
         assert next(readings, None) is None
-        assert len(traj) == 401
+        assert len(traj.t) == 401
         assert traj.oracle_advisory == warns
         assert [w.category for w in caught] == [OracleTooSlowWarning] * warns
 
@@ -152,7 +152,7 @@ class TestClosedFormRoutes:
         )
         expected = evolve(model, config)
         assert traj.domain_exited is expected.domain_exited is exits
-        assert len(traj) > 10
+        assert len(traj.t) > 10
         for name in ("t", "y", "p_y", "F", "E_vac", "E_total"):
             assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
 

@@ -15,12 +15,9 @@ from casimir_toy import (
     vacuum_fluctuations,
 )
 from casimir_toy.errors import DomainError
-from casimir_toy.quantum import (
-    BogoliubovCoeffs,
-    bogoliubov_normalization,
-    mean_free_quanta,
-)
+from casimir_toy.quantum import BogoliubovCoeffs, mean_free_quanta
 from conftest import make_model, valid_model_strategy
+from references import bogoliubov_normalization
 
 # closed-form references at k = m = hbar = 1, g = 0.5:
 #   Omega+ = sqrt(1.5), Omega- = sqrt(0.5)
@@ -133,6 +130,17 @@ class TestLifshitzForce:
         fc = casimir_force(model, y)
         fl = lifshitz_force(model, y)
         assert abs(fc - fl) / max(abs(fc), 1e-30) < 1e-12
+
+    @pytest.mark.parametrize("m", [1e-200, 1e-160, 1e-100, 1.0, 1e100, 1e160, 1e200])
+    def test_route_equivalence_at_extreme_masses(self, m):
+        # m = k keeps omega = 1, so both routes give the reference force; m^2
+        # was 0 below 1e-162, subnormal near 1e-160 and overflowed above 1e154
+        model = make_model(m=m, k=m, M=1000.0 * m, g0=0.5 * m)
+        for y in (0.0, 0.5, 3.0, 9.5, np.linspace(0.0, 9.5, 5)):
+            fc = casimir_force(model, y)
+            fl = -model.g_prime(y) * vacuum_fluctuations(model, y).x1x2
+            for f in (lifshitz_force(model, y), fl):
+                assert np.all(abs(f - fc) <= 2 * np.finfo(float).eps * abs(fc))
 
 
 class TestBogoliubov:
