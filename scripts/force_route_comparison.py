@@ -51,11 +51,11 @@ def main() -> int:
     print(f"family={args.family} g0={args.g0} lambda={args.lam} n_max={args.n_max}")
     print(f"{'y':>6} {'mode-sum':>16} {'correlator':>16} {'oracle':>16} {'-dE/dy':>16}")
     worst = 0.0
-    for y in np.linspace(h, args.y_max, args.points):
+    ys = np.linspace(h, args.y_max, args.points)
+    for y, f_fd in zip(ys, -energy_gradient_fd(model, ys, h)):
         f_modes = casimir_force(model, y)
         f_corr = lifshitz_force(model, y)
         f_oracle = oracle_force(oracle, y)
-        f_fd = -energy_gradient_fd(model, y, h)
         print(f"{y:6.3f} {f_modes:16.9e} {f_corr:16.9e} {f_oracle:16.9e} {f_fd:16.9e}")
         scale = max(abs(f_modes), 1e-300)
         worst = max(

@@ -54,7 +54,7 @@ def main() -> int:
     print(f"{'n_max':>6} {'rel err E0':>12} {'rel err x1x2':>13} {'rel err N1':>12} {'ann. residual':>14}")
     for n_max in range(4, args.max_cutoff + 1, 4):
         oracle = FockOracle(model, n_max)
-        obs = oracle_observables(oracle, ground_state(oracle, y))
+        obs = oracle_observables(ground_state(oracle, y))
         expansion = squeezed_vacuum_expansion(coeffs, N_max=max(n_max - 2, 0))
         residual = verify_annihilation(expansion, n_max)
         print(

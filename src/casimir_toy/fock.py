@@ -136,7 +136,6 @@ class FockOracle:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
-        self.n_max = n_max
         quanta, self.pairs, self.weight, self.cols, hops, ratio = _sector(n_max)
         self.h0 = model.hbar * model.omega * quanta
         self.x = position_matrix(model, n_max)
@@ -324,10 +323,14 @@ EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 def _start(oracle: FockOracle, g: float) -> np.ndarray:
     """Where the solve at g starts: the quadratic extrapolation (Newton form)
     of the last three of oracle.recent to g, plus the cubic term from a
-    fourth, where the rules above allow them, else oracle.start."""
-    if len(oracle.recent) < 3 or not abs(g) >= EXTRAPOLATE_MIN_U * oracle.model.k:
+    fourth, where the rules above allow them, else oracle.start.  Each g is
+    taken in units of k: the divided differences scale as 1/k, and in g
+    itself they leave float64 range at extreme k (m = k = 2^+-996)."""
+    k = oracle.model.k
+    g /= k
+    if len(oracle.recent) < 3 or not abs(g) >= EXTRAPOLATE_MIN_U:
         return oracle.start
-    *older, (ga, ua), (gb, ub), (gc, uc) = oracle.recent
+    *older, (ga, ua), (gb, ub), (gc, uc) = [(gi / k, ui) for gi, ui in oracle.recent]
     if ga == gb or gb == gc or ga == gc:
         return oracle.start
     step = (g - gc) / (gc - gb) * (uc - ub)
@@ -376,20 +379,14 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     return GroundStateResult(E0=e0, vector=u, steps=steps, oracle=oracle, g=g)
 
 
-def oracle_observables(oracle: FockOracle, gs: GroundStateResult) -> VacuumObservables:
-    """Expectation values in a ground state of the oracle.  Its table is
-    exchange-symmetric (c = c^T exactly), so <x2^2> = <x1^2>, <N2> = <N1> and
-    x+-^2 = (x1^2 + x2^2 +- 2 x1 x2)/2 = <x1^2> +- <x1 x2>."""
+def oracle_observables(gs: GroundStateResult) -> VacuumObservables:
+    """E0, <x1 x2> and <N1> in a ground state of its oracle.  Its table is
+    exchange-symmetric (c = c^T exactly), so <N2> = <N1>."""
     c = gs.amplitudes
-    x = oracle.x
-    x1x2 = oracle.correlation(gs.vector)  # the <x1 x2> of oracle_force
-    x1_sq = float(np.sum(c * (x @ x @ c)))
     n = np.arange(len(c))
     return VacuumObservables(
         E_vac=gs.E0,
-        x_plus_sq=x1_sq + x1x2,
-        x_minus_sq=x1_sq - x1x2,
-        x1x2=x1x2,
+        x1x2=gs.oracle.correlation(gs.vector),  # the <x1 x2> of oracle_force
         N1=float(n @ (c * c).sum(axis=1)),
     )
 

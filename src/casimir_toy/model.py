@@ -159,6 +159,12 @@ def validate(params: ModelParams) -> ValidatedModel:
     for name in ("m", "M", "k", "hbar"):
         if not getattr(params, name) > 0:
             raise ConfigError(f"model.{name} must be > 0, got {getattr(params, name)}")
+    # evolve's kinetic energy p^2 / 2M would read 0 for every momentum
+    if not 2 * params.M < math.inf:
+        raise ConfigError(
+            f"model.M = {params.M} must be at most float64 max / 2: 2 model.M, "
+            "the denominator of the kinetic energy, overflows"
+        )
     c = params.coupling
     if c.family not in FAMILIES:
         raise ConfigError(f"model.coupling.family must be one of {FAMILIES}, got {c.family!r}")

@@ -90,7 +90,7 @@ def test_criterion_3_oracle_convergence():
     tic = time.perf_counter()
     oracle = FockOracle(model, 40)
     gs = ground_state(oracle, 0.0)
-    obs = oracle_observables(oracle, gs)
+    obs = oracle_observables(gs)
     elapsed = time.perf_counter() - tic
     # analytic closed forms are the predictions under test
     e_pred = vacuum_energy(model, 0.0)
@@ -206,7 +206,7 @@ def test_criterion_8_dynamics():
     n_steps = 100_000
     config = DynamicsConfig(y0=8.0, v0=0.0, dt=dt, t_max=n_steps * dt)
     traj = evolve(model, config)
-    drift, _ = energy_audit(traj)
+    drift = energy_audit(traj)
     steps_ok = len(traj.t) == n_steps + 1 and not traj.domain_exited
     attract_ok = traj.y[-1] < traj.y[0]
 

@@ -253,8 +253,15 @@ class TestConfigParsing:
             ),
             pytest.param(
                 "model.M * dynamics.v0",
-                lambda d: (d["model"].update(M=1e308), d["dynamics"].update(v0=10.0)),
+                lambda d: (d["model"].update(M=8e307), d["dynamics"].update(v0=10.0)),
                 id="model.M-momentum-overflow",
+            ),
+            # 2M overflowed, so evolve's kinetic energy p^2 / 2M read 0 and it
+            # reported a drift of 0 with exit 0
+            pytest.param(
+                "model.M = 1e+308 must be at most float64 max / 2",
+                lambda d: (d["model"].update(M=1e308), d["dynamics"].update(v0=1e-200)),
+                id="model.M-double-overflow",
             ),
         ],
     )

@@ -118,18 +118,16 @@ class TestOracleObservables:
     def test_free_case(self):
         model = make_model(g0=0.0)
         oracle = FockOracle(model, 8)
-        obs = oracle_observables(oracle, ground_state(oracle, 0.0))
+        obs = oracle_observables(ground_state(oracle, 0.0))
         assert abs(obs.x1x2) < 1e-14
         assert abs(obs.N1) < 1e-14
 
     def test_reference_values_match_analytic(self, reference_model):
         oracle = FockOracle(reference_model, 40)
-        obs = oracle_observables(oracle, ground_state(oracle, 0.0))
+        obs = oracle_observables(ground_state(oracle, 0.0))
         analytic = vacuum_fluctuations(reference_model, 0.0)
         assert obs.E_vac == pytest.approx(analytic.E_vac, rel=1e-6)
         assert obs.x1x2 == pytest.approx(analytic.x1x2, rel=1e-6)
-        assert obs.x_plus_sq == pytest.approx(analytic.x_plus_sq, rel=1e-6)
-        assert obs.x_minus_sq == pytest.approx(analytic.x_minus_sq, rel=1e-6)
         assert obs.N1 == pytest.approx(analytic.N1, rel=1e-6)
 
     def test_oracle_force_matches_analytic(self, reference_model):
@@ -230,7 +228,7 @@ def dense_parts(model, n_max):
 
 def dense_reference(model, y, n_max):
     """E0 and observables from a dense kron-built H and scipy.linalg.eigh."""
-    h0, v_op, x, num = dense_parts(model, n_max)
+    h0, v_op, _, num = dense_parts(model, n_max)
     eye = np.eye(n_max + 1)
     vals, vecs = scipy.linalg.eigh(h0 + model.g(y) * v_op, subset_by_index=[0, 0])
     v = vecs[:, 0]
@@ -238,12 +236,8 @@ def dense_reference(model, y, n_max):
     def expect(op):
         return float(v @ op @ v)
 
-    x1_sq, x2_sq = expect(np.kron(x @ x, eye)), expect(np.kron(eye, x @ x))
-    x1x2 = expect(v_op)
     return float(vals[0]), {
-        "x1x2": x1x2,
-        "x_plus_sq": (x1_sq + x2_sq) / 2 + x1x2,
-        "x_minus_sq": (x1_sq + x2_sq) / 2 - x1x2,
+        "x1x2": expect(v_op),
         "N1": expect(np.kron(num, eye)),
         "N2": expect(np.kron(eye, num)),
     }
@@ -294,7 +288,7 @@ class TestSparseOracle:
         oracle = FockOracle(model, n_max)
         gs = ground_state(oracle, 0.4)
         e0, expected = dense_reference(model, 0.4, n_max)
-        assert_matches(gs, oracle_observables(oracle, gs), e0, expected)
+        assert_matches(gs, oracle_observables(gs), e0, expected)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_warm_started_grid_matches_cold_solves(self, family):
@@ -304,10 +298,10 @@ class TestSparseOracle:
             gs = ground_state(warm, y)
             cold = FockOracle(model, 16)
             gs_cold = ground_state(cold, y)
-            obs_cold = oracle_observables(cold, gs_cold)
+            obs_cold = oracle_observables(gs_cold)
             expected = {name: getattr(obs_cold, name)
-                        for name in ("x1x2", "x_plus_sq", "x_minus_sq", "N1")}
-            assert_matches(gs, oracle_observables(warm, gs), gs_cold.E0, expected)
+                        for name in ("x1x2", "N1")}
+            assert_matches(gs, oracle_observables(gs), gs_cold.E0, expected)
 
     def test_dense_view_is_the_sparse_hamiltonian(self, reference_model):
         # the audit view, the oracle's table matvec and a Kronecker-built H agree
@@ -397,7 +391,7 @@ class TestSparseOracle:
             oracle = FockOracle(model, n_max)
             for y in (0.0, 0.5, 1.0, 3.0):
                 gs = ground_state(oracle, y)
-                x1x2 = oracle_observables(oracle, gs).x1x2
+                x1x2 = oracle_observables(gs).x1x2
                 assert x1x2 == oracle.correlation(gs.vector)
                 assert oracle_force(oracle, y) == -model.g_prime(y) * x1x2
 
@@ -587,6 +581,27 @@ class TestLanczos:
         steps = total_steps(monkeypatch, sweep)
         monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
         assert steps <= total_steps(monkeypatch, sweep)
+
+    def test_extrapolated_start_depends_on_the_scales_only_through_g_over_k(
+        self, monkeypatch
+    ):
+        # m = k = s keeps omega = 1: H in units of hbar omega is the same at
+        # every s, bit for bit, and so is the start in units of k.  With g
+        # itself, the divided differences overflowed at s = 2^-996, and at
+        # 2^996 the sweep took the plain warm start's steps
+        def sweep(s):
+            oracle = FockOracle(make_model(m=s, k=s, M=1000.0 * s, g0=0.5 * s), 12)
+            run = []
+            for y in np.linspace(1.0, 1.01, 10).tolist():
+                gs = ground_state(oracle, y)
+                run.append((gs.steps, gs.E0, oracle_force(oracle, y)))
+            return run
+
+        runs = [sweep(s) for s in (2.0**-996, 1.0, 2.0**996)]
+        assert runs[0] == runs[1] == runs[2]
+        monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
+        plain = sweep(1.0)
+        assert sum(r[0] for r in runs[1]) < sum(r[0] for r in plain)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n_max", [12, 16, 20])

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -49,6 +50,13 @@ class TestValidate:
             make_model(family="exponential", k=1e10, g0=1e9, lam=1e-300)
         assert "model.coupling.g0" in str(exc.value)
         assert "model.coupling.lambda" in str(exc.value)
+
+    def test_heavy_mass_whose_double_overflows_rejected(self):
+        # 2M is the kinetic energy's denominator: at M = 1e308 it was inf, so
+        # p^2 / 2M read 0 and evolve reported a drift of 0
+        with pytest.raises(ConfigError, match=r"^model\.M = 1e\+308 must be at most"):
+            make_model(M=1e308)
+        assert make_model(M=sys.float_info.max / 2).M == sys.float_info.max / 2
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ConfigError, match=r"model\.coupling\.family must be one of"):

@@ -98,23 +98,16 @@ class TestCasimirForce:
 class TestVacuumFluctuations:
     def test_free_case_uncorrelated(self):
         model = make_model(g0=0.0)
-        obs = vacuum_fluctuations(model, 0.0)
-        assert obs.x_plus_sq == pytest.approx(0.5, rel=1e-15)
-        assert obs.x_minus_sq == pytest.approx(0.5, rel=1e-15)
-        assert obs.x1x2 == 0.0
+        assert vacuum_fluctuations(model, 0.0).x1x2 == 0.0
 
     def test_reference_values(self, reference_model):
         obs = vacuum_fluctuations(reference_model, 0.0)
-        assert obs.x_plus_sq == pytest.approx(XP2_REF, rel=1e-14)
-        assert obs.x_minus_sq == pytest.approx(XM2_REF, rel=1e-14)
         assert obs.x1x2 == pytest.approx(X1X2_REF, rel=1e-14)
 
     @given(valid_model_strategy(), st.floats(min_value=0.0, max_value=10.0))
     def test_negative_correlation_whenever_coupled(self, model, y):
-        obs = vacuum_fluctuations(model, y)
-        assert obs.x_plus_sq > 0 and obs.x_minus_sq > 0
         if model.g(y) > 1e-12:
-            assert obs.x1x2 < 0
+            assert vacuum_fluctuations(model, y).x1x2 < 0
 
 
 class TestLifshitzForce:
@@ -141,6 +134,26 @@ class TestLifshitzForce:
             fl = -model.g_prime(y) * vacuum_fluctuations(model, y).x1x2
             for f in (lifshitz_force(model, y), fl):
                 assert np.all(abs(f - fc) <= 2 * np.finfo(float).eps * abs(fc))
+
+    @pytest.mark.parametrize("a", [-500, -350, -200, 200, 350, 500])
+    @pytest.mark.parametrize("scaled", ["k", "m"])
+    def test_force_and_correlation_scale_with_omega_exactly(self, a, scaled):
+        # omega = 2^a from k = 4^a (g proportional to k) or from m = 4^-a: the
+        # force scales as omega and <x1 x2> as hbar / (m omega), bit for bit.
+        # m Omega+ Omega- (Omega+ + Omega-) scales as k omega: as one product
+        # it overflowed to inf (F = -0) or underflowed to 0 (a
+        # ZeroDivisionError) at k = 4^+-350 and beyond
+        unit = make_model()
+        if scaled == "k":
+            model = make_model(k=4.0**a, g0=0.5 * 4.0**a)
+        else:
+            model = make_model(m=4.0**-a)
+        length = 1.0 / (model.m * 2.0**a)
+        for y in (0.0, 0.5, 3.0, 9.5, np.linspace(0.0, 9.5, 5)):
+            for force in (casimir_force, lifshitz_force):
+                assert np.array_equal(force(model, y), 2.0**a * force(unit, y))
+            x1x2 = vacuum_fluctuations(model, y).x1x2
+            assert np.array_equal(x1x2, length * vacuum_fluctuations(unit, y).x1x2)
 
 
 class TestBogoliubov:

@@ -77,7 +77,7 @@ def test_array_columns_match_point_by_point(tmp_path, family, g0):
             (vac["N_mean"][i], quantum.mean_free_quanta(coeffs)),
             (vac["c0"][i], quantum.squeezed_vacuum_expansion(coeffs, 0).c0),
         ]
-        fd.append((force["F_finite_diff"][i], -cli.energy_gradient_fd(model, y, h), e))
+        fd.append((force["F_finite_diff"][i], -cli.energy_gradient_fd(model, np.array([y]), h)[0], e))
     for a, v in relative:
         assert abs(a - v) <= ULPS * EPS * abs(v), (a, v)
     for a, v in absolute:
