@@ -425,7 +425,7 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, args) -> int:
     errors = {}
     for key, name in (("energy", "E_vac"), ("x1x2", "x1x2"), ("N", "N1")):
         a, b = getattr(obs, name), getattr(analytic, name)
-        errors[f"rel_err_{key}"] = abs(a - b) / max(abs(b), 1e-30) if b != 0 else abs(a)
+        errors[f"rel_err_{key}"] = abs(a - b) / abs(b) if b != 0 else abs(a)
 
     coeffs = quantum.bogoliubov_coefficients(model, y)
     residuals = {}

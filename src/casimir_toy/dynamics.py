@@ -187,4 +187,4 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
 def energy_audit(trajectory: Trajectory) -> float:
     """Max relative drift of E_total, max |E_total - E_total[0]| / |E_total[0]|."""
     e0 = trajectory.E_total[0]
-    return float(np.max(np.abs(trajectory.E_total - e0)) / max(abs(e0), 1e-30))
+    return float(np.max(np.abs(trajectory.E_total - e0)) / abs(e0))

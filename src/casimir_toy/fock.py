@@ -1,27 +1,32 @@
 """Brute-force oracle in a truncated two-mode Fock basis.
 
 H(y) = hbar omega (N1 + N2 + 1) + g(y) x1 x2 over product states |n, n'>
-with n, n' <= n_max.  H commutes with mode exchange and with the parity of
-n + n' (x changes n by +-1), so its ground state lies in the exchange-
-symmetric, even-parity sector: the pairs n <= n' with n + n' even, held as
-orthonormal coordinates u = w c[n, n'] (w = sqrt 2 off the diagonal, 1 on
-it) of the amplitude table c[n, n'].  The sector has d = (n_max+2)^2 // 4
-coordinates (121 at n_max = 20, 441 at 40) against (n_max+1)^2 table
-entries, and a FockOracle holds H on it as a five-row stencil: the H0
-diagonal and the x (x) x couplings to (n+-1, n'+-1).  ground_state finds the
-lowest eigenpair by thick-restart Lanczos with full reorthogonalization
-(numpy only) on u, in a basis of at most 24 vectors that restarts from its 8
-lowest Ritz vectors; no matrix of side (n_max+1)^2 is built.  The first
-solve of an oracle starts from |0,0>, each later one from the previous
-ground state, or from the quadratic extrapolation of the last three to the
-new g where that is safe, plus the cubic term from a fourth where that term is
-above the stored states' rounding noise, 4 RITZ_TOL (4-12% fewer trajectory
-steps on the oracle benchmark; see EXTRAPOLATE_MIN_U), so a grid sweep or a
-trajectory is warm-started and reruns stay deterministic.  A solve at the
-last solve's g reuses it, so a constant-g trajectory solves once.
-A GroundStateResult holds u; its amplitude table, and the residual measured
-with the full-table H0 o c + g(y) x c x (FockOracle.apply), are computed on
-first read.  <x1 x2> = u . (V u) comes from the stencil
+with n, n' <= n_max.  With x = sqrt(hbar/(m omega)) X, X = (a + a')/sqrt 2,
+H/(hbar omega) = N1 + N2 + 1 + u X1 X2 at u = g(y)/k.  The oracle solves that,
+which depends on n_max alone, and applies the model's scales once each: E0 =
+hbar omega theta_0, <x1 x2> = hbar/(m omega) <X1 X2>, and the residual is
+hbar omega times the dimensionless one.  H commutes with mode exchange and
+with the parity of n + n' (X changes n by +-1), so its ground state lies in
+the exchange-symmetric, even-parity sector: the pairs n <= n' with n + n'
+even, held as orthonormal coordinates v = w c[n, n'] (w = sqrt 2 off the
+diagonal, 1 on it) of the amplitude table c[n, n'].  The sector has
+d = (n_max+2)^2 // 4 coordinates (121 at n_max = 20, 441 at 40) against
+(n_max+1)^2 table entries, and _sector builds H/(hbar omega) on it once per
+n_max as a five-row stencil: the diagonal n + n' + 1 and the X (x) X
+couplings to (n+-1, n'+-1).  ground_state finds the lowest eigenpair by
+thick-restart Lanczos with full reorthogonalization (numpy only) on v, in a
+basis of at most 24 vectors that restarts from its 8 lowest Ritz vectors; no
+matrix of side (n_max+1)^2 is built.  The first solve of an oracle starts
+from |0,0>, each later one from the previous ground state, or from the
+quadratic extrapolation of the last three to the new u where that is safe,
+plus the cubic term from a fourth where that term is above the stored
+states' rounding noise, 4 RITZ_TOL (4-12% fewer trajectory steps on the
+oracle benchmark; see EXTRAPOLATE_MIN_U), so a grid sweep or a trajectory is
+warm-started and reruns stay deterministic.  A solve at the last solve's u
+reuses it, so a constant-g trajectory solves once.
+A GroundStateResult holds v; its amplitude table, and the residual measured
+with the full-table (N1 + N2 + 1) o c + u X c X (FockOracle.apply), are
+computed on first read.  <x1 x2> comes from the stencil
 (FockOracle.correlation); the other observables are contracted on the table.
 """
 
@@ -50,15 +55,15 @@ class OperatorMatrix:
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """E0 and the sector coordinates u of a ground state of oracle's H at
-    coupling g; the amplitude table and the residual are computed on first
+    """E0 and the sector coordinates v of a ground state of oracle's H at
+    u = g/k; the amplitude table and the residual are computed on first
     read."""
 
     E0: float
     vector: np.ndarray
     steps: int  # Lanczos steps: matvecs, across restarts; 0 on a reuse
     oracle: FockOracle = field(repr=False)
-    g: float
+    u: float
 
     @functools.cached_property
     def amplitudes(self) -> np.ndarray:
@@ -67,12 +72,12 @@ class GroundStateResult:
 
     @functools.cached_property
     def residual_norm(self) -> float:
-        """||H c - E0 c|| by the full-table H (FockOracle.apply), so it
-        audits the sector stencil too."""
-        c = self.amplitudes
-        r = self.oracle.apply(self.g, c).ravel()
-        r -= self.E0 * c.ravel()
-        return math.sqrt(r @ r)
+        """||H c - E0 c|| = hbar omega ||H/(hbar omega) c - E0/(hbar omega) c||
+        by the full-table apply, so it audits the sector stencil too."""
+        c, scale = self.amplitudes, self.oracle.hbar_omega
+        r = self.oracle.apply(self.u, c).ravel()
+        r -= self.E0 / scale * c.ravel()
+        return scale * math.sqrt(r @ r)
 
     def edge_mass(self) -> float:
         """Sum of c[n, n']^2 over n = n_max or n' = n_max: the weight on the
@@ -87,24 +92,21 @@ class StructureReport:
     odd_parity_mass: float
 
 
-def position_matrix(model: ValidatedModel, n_max: int) -> np.ndarray:
-    """Single-mode x = sqrt(hbar/(2 m omega)) (a' + a)."""
-    a = _lowering(n_max)
-    return math.sqrt(model.hbar / (2.0 * model.m * model.omega)) * (a + a.T)
-
-
 @functools.cache
 def _sector(n_max: int):
-    """The parts of a FockOracle that depend on n_max alone, read-only.
+    """The parts of every FockOracle at n_max, built once and read-only.
 
-    Returns the table n + n' + 1; the sector pairs (n, m), n <= m, n + m
-    even, (0, 0) first; their weights w; the stencil columns (row 0 the
-    pair itself, rows 1-4 the coordinate of (n + a, m + b) for (a, b) =
-    (1, 1), (1, -1), (-1, 1), (-1, -1), mapped back to n <= m); the indices
-    into hop of x[n, n + a] and x[m, m + b]; and w_i / w_j.
+    Returns the table n + n' + 1; the single-mode X = (a + a')/sqrt 2; the
+    sector pairs (n, m), n <= m, n + m even, (0, 0) first; their weights w;
+    the stencil columns (row 0 the pair itself, rows 1-4 the coordinate of
+    (n + a, m + b) for (a, b) = (1, 1), (1, -1), (-1, 1), (-1, -1), mapped
+    back to n <= m); the stencil (row 0 n + m + 1, rows 1-4 X[n, n + a]
+    X[m, m + b] w_i / w_j); and the cold start |0,0>.
     """
     levels = np.arange(n_max + 1, dtype=float)
     quanta = levels[:, None] + levels[None, :] + 1.0
+    lower = _lowering(n_max)
+    x = math.sqrt(0.5) * (lower + lower.T)
     n, m = np.triu_indices(n_max + 1)
     even = (n + m) % 2 == 0
     n, m = n[even], m[even]
@@ -116,17 +118,19 @@ def _sector(n_max: int):
     a = np.array([[1], [1], [-1], [-1]])
     b = np.array([[1], [-1], [1], [-1]])
     cols = index[n + 1 + a, m + 1 + b]
-    ratio = weight / weight[cols]
+    hop = np.pad(np.diag(x, 1), 1)  # hop[k] = X[k - 1, k], 0 outside the basis
+    hops = hop[n + (a + 1) // 2] * hop[m + (b + 1) // 2] * (weight / weight[cols])
+    stencil = np.vstack([quanta[n, m], hops])
     cols = np.vstack([np.arange(n.size), cols])
-    hops = (n + (a + 1) // 2, m + (b + 1) // 2)
-    parts = (quanta, n, m, weight, cols, *hops, ratio)
-    for array in parts:
+    start = np.eye(1, n.size)[0]
+    for array in (quanta, x, n, m, weight, cols, stencil, start):
         array.flags.writeable = False
-    return quanta, (n, m), weight, cols, hops, ratio
+    return quanta, x, (n, m), weight, cols, stencil, start
 
 
 class FockOracle:
-    """H(y) = H0 + g(y) V for n, n' <= n_max, and where its next solve starts.
+    """H(y)/(hbar omega) = N1 + N2 + 1 + u(y) X1 X2 for n, n' <= n_max, the
+    model's two scales, and where its next solve starts.
 
     Build one per (model, n_max) and pass it to ground_state for every y of a
     sweep: each solve starts from the ground state of the one before.
@@ -136,58 +140,53 @@ class FockOracle:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
-        quanta, self.pairs, self.weight, self.cols, hops, ratio = _sector(n_max)
-        self.h0 = model.hbar * model.omega * quanta
-        self.x = position_matrix(model, n_max)
-        # Stencil rows 1-4: hop[k] = x[k - 1, k], with hop[0] = hop[n_max + 1]
-        # = 0 for the neighbours that leave the basis.
-        hop = np.zeros(n_max + 2)
-        hop[1:-1] = np.diag(self.x, 1)
-        n, m = self.pairs
-        self.stencil = np.vstack([self.h0[n, m], hop[hops[0]] * hop[hops[1]] * ratio])
-        self.start = np.zeros(n.size)
-        self.start[0] = 1.0  # |0,0>
-        # recent: (g, u) of the last four ground states at most, oldest
+        (self.quanta, self.x, self.pairs, self.weight, self.cols, self.stencil,
+         self.cold_start) = _sector(n_max)
+        self.hbar_omega = model.hbar * model.omega
+        self.length_sq = model.hbar / (model.m * model.omega)  # x = sqrt(length_sq) X
+        # recent: (u, v) of the last four ground states at most, oldest
         # first, for the extrapolated start (see _start); empty until the
         # first solve, which is cold.  e0: the last solve's E0, which a solve
-        # at the same g reuses.  warm_steps: the step count of the last warm
+        # at the same u reuses.  warm_steps: the step count of the last warm
         # solve (0 before one), below which the next solve skips checks (see
         # ground_state).
         self.recent = ()
         self.e0 = math.nan
         self.warm_steps = 0
 
-    def apply(self, g: float, c: np.ndarray) -> np.ndarray:
-        """H0 + g V applied to amplitude tables c[..., n, n']: V = x (x) x acts
-        as x c x, x1 on the rows and x2 on the columns."""
-        return self.h0 * c + g * (self.x @ c @ self.x)
+    def apply(self, u: float, c: np.ndarray) -> np.ndarray:
+        """H/(hbar omega) at g/k = u applied to amplitude tables c[..., n, n']:
+        X1 X2 acts as X c X, X1 on the rows and X2 on the columns."""
+        return self.quanta * c + u * (self.x @ c @ self.x)
 
-    def sector_operator(self, g: float):
-        """H0 + g V on sector coordinates u, as a function of u."""
-        vals = self.stencil * np.array([1.0, g, g, g, g])[:, None]
+    def sector_operator(self, u: float):
+        """H/(hbar omega) at u on sector coordinates v, as a function of v."""
+        vals = self.stencil * np.array([1.0, u, u, u, u])[:, None]
         cols = self.cols
-        return lambda u: (vals * u[cols]).sum(0)
+        return lambda v: (vals * v[cols]).sum(0)
 
-    def correlation(self, u: np.ndarray) -> float:
-        """<x1 x2> = u . (V u) of normalized sector coordinates u, with V on
-        rows 1-4 of the stencil."""
-        return float(u @ (self.stencil[1:] * u[self.cols[1:]]).sum(0))
+    def correlation(self, v: np.ndarray) -> float:
+        """<x1 x2> = hbar/(m omega) v . (W v) of normalized sector
+        coordinates v, with W = X (x) X on rows 1-4 of the stencil."""
+        return self.length_sq * float(v @ (self.stencil[1:] * v[self.cols[1:]]).sum(0))
 
-    def table(self, u: np.ndarray) -> np.ndarray:
-        """The amplitude table c[n, n'] of sector coordinates u."""
-        c = np.zeros_like(self.h0)
+    def table(self, v: np.ndarray) -> np.ndarray:
+        """The amplitude table c[n, n'] of sector coordinates v."""
+        c = np.zeros_like(self.quanta)
         n, m = self.pairs
-        c[n, m] = c[m, n] = u / self.weight
+        c[n, m] = c[m, n] = v / self.weight
         return c
 
 
 def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMatrix:
     """Dense view of the oracle's H(y), for auditing its matrix elements:
-    column j is the oracle's H applied to basis state j = n*(n_max+1)+n'."""
+    column j is hbar omega times the oracle's apply on basis state
+    j = n*(n_max+1)+n'."""
     side = n_max + 1
     dim = side * side
     units = np.eye(dim).reshape(dim, side, side)
-    columns = FockOracle(model, n_max).apply(model.g(y), units)
+    oracle = FockOracle(model, n_max)
+    columns = oracle.hbar_omega * oracle.apply(model.g(y) / model.k, units)
     return OperatorMatrix(matrix=columns.reshape(dim, dim).T)
 
 
@@ -292,14 +291,14 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
 
 
 # A solve starts from the quadratic extrapolation q of the last three ground
-# states to the new g (the predictor of predictor-corrector continuation:
-# Allgower & Georg, Numerical Continuation Methods, 1990) when the three g
+# states to the new u = g/k (the predictor of predictor-corrector continuation:
+# Allgower & Georg, Numerical Continuation Methods, 1990) when the three u
 # differ and both of these hold; otherwise from the last ground state.
-# - g/k >= EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13, about 2.2e-3.  Below it the
+# - u >= EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13, about 2.2e-3.  Below it the
 #   stop rule bounds <x1 x2> only to RITZ_TOL / (g/k) relative, and a start
 #   that close lets a solve stop early with <x1 x2> off by more than 1e-12;
 #   the plain warm start keeps the sweeps to g/k = 1e-9 within 1e-12.
-# - ||q - l|| < EXTRAPOLATE_BEND ||l - u_c||, l the linear extrapolation from
+# - ||q - l|| < EXTRAPOLATE_BEND ||l - v_c||, l the linear extrapolation from
 #   the last two.  Along a slow trajectory the ratio is 1e-5 or less, and
 #   from q a run takes 0.44-0.63 of the Lanczos steps (n_max 12, g/k 0.4).
 #   On force-curve grids, where g moves 18-73% between points, the ratio is
@@ -307,7 +306,7 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
 #   322 steps against 317, with 1e-3 it keeps the plain start and takes 317.
 #   Where g moves about 1% per step (ratio near 2e-3) q saves no steps.
 # With a fourth stored state, q gains the cubic term t of the Newton form when
-# EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - u_c||.  Over 20
+# EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - v_c||.  Over 20
 # cycles of the oracle benchmark on seven seeds, t cut the trajectories'
 # Lanczos steps by 4-12% against q alone; a 200-step run at n_max 12, g/k 0.4,
 # y moving 1.5e-4 lambda per step, took 1153 against 2650.  Below the lower
@@ -320,30 +319,27 @@ EXTRAPOLATE_BEND = 1e-3
 EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 
 
-def _start(oracle: FockOracle, g: float) -> np.ndarray:
-    """Where the solve at g starts: the quadratic extrapolation (Newton form)
-    of the last three of oracle.recent to g, plus the cubic term from a
-    fourth, where the rules above allow them, else oracle.start.  Each g is
-    taken in units of k: the divided differences scale as 1/k, and in g
-    itself they leave float64 range at extreme k (m = k = 2^+-996)."""
-    k = oracle.model.k
-    g /= k
-    if len(oracle.recent) < 3 or not abs(g) >= EXTRAPOLATE_MIN_U:
-        return oracle.start
-    *older, (ga, ua), (gb, ub), (gc, uc) = [(gi / k, ui) for gi, ui in oracle.recent]
-    if ga == gb or gb == gc or ga == gc:
-        return oracle.start
-    step = (g - gc) / (gc - gb) * (uc - ub)
-    slope = (ua - ub) / (ga - gb)
-    curve = slope - (ub - uc) / (gb - gc)  # (ga - gc) times f[a, b, c]
-    bend = (g - gc) * (g - gb) / (ga - gc) * curve
+def _start(oracle: FockOracle, u: float) -> np.ndarray:
+    """Where the solve at u = g/k starts: |0,0> on the oracle's first solve;
+    after it the quadratic extrapolation (Newton form) of the last three of
+    oracle.recent to u, plus the cubic term from a fourth, where the rules
+    above allow them, else the last ground state."""
+    if len(oracle.recent) < 3 or not abs(u) >= EXTRAPOLATE_MIN_U:
+        return oracle.recent[-1][1] if oracle.recent else oracle.cold_start
+    *older, (ua, va), (ub, vb), (uc, vc) = oracle.recent
+    if ua == ub or ub == uc or ua == uc:
+        return vc
+    step = (u - uc) / (uc - ub) * (vc - vb)
+    slope = (va - vb) / (ua - ub)
+    curve = slope - (vb - vc) / (ub - uc)  # (ua - uc) times f[a, b, c]
+    bend = (u - uc) * (u - ub) / (ua - uc) * curve
     if not bend @ bend < EXTRAPOLATE_BEND**2 * (step @ step):
-        return oracle.start
-    start = uc + step + bend
-    if older and older[0][0] not in (ga, gb, gc):
-        ((gz, uz),) = older
-        cubic = (g - gc) * (g - gb) * (g - ga) / (gz - gc) * (
-            ((uz - ua) / (gz - ga) - slope) / (gz - gb) - curve / (ga - gc)
+        return vc
+    start = vc + step + bend
+    if older and older[0][0] not in (ua, ub, uc):
+        ((uz, vz),) = older
+        cubic = (u - uc) * (u - ub) * (u - ua) / (uz - uc) * (
+            ((vz - va) / (uz - ua) - slope) / (uz - ub) - curve / (ua - uc)
         )
         if EXTRAPOLATE_CUBIC_MIN**2 < cubic @ cubic < EXTRAPOLATE_BEND**2 * (step @ step):
             start += cubic
@@ -353,9 +349,9 @@ def _start(oracle: FockOracle, g: float) -> np.ndarray:
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) by Lanczos on the oracle's sector
     coordinates, started from its last ground state or their extrapolation
-    (|0,0> on its first solve; see _start).  At the g of its last solve,
-    bit for bit, it returns that solve's E0 and vector with steps = 0 and
-    leaves the oracle as it is: that H already met the stop rule.
+    (|0,0> on its first solve; see _start).  At the u = g/k of its last
+    solve, bit for bit, it returns that solve's E0 and vector with steps = 0
+    and leaves the oracle as it is: that H already met the stop rule.
 
     The eigenvector is normalized with its |0,0> amplitude positive; steps
     counts the matvecs across restarts.  A warm solve spends most of its
@@ -363,20 +359,19 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     it, so it skips the checks below the last schedule point under that
     count; the cold first solve and the first warm one check at every point.
     """
-    g = oracle.model.g(y)
-    if oracle.recent and oracle.recent[-1][0] == g:
-        u = oracle.recent[-1][1]
-        return GroundStateResult(E0=oracle.e0, vector=u, steps=0, oracle=oracle, g=g)
-    e0, u, steps = _lanczos(oracle.sector_operator(g), _start(oracle, g), oracle.warm_steps)
+    u = oracle.model.g(y) / oracle.model.k
+    if oracle.recent and oracle.recent[-1][0] == u:
+        v = oracle.recent[-1][1]
+        return GroundStateResult(E0=oracle.e0, vector=v, steps=0, oracle=oracle, u=u)
+    theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
     if oracle.recent:
         oracle.warm_steps = steps
-    u /= math.sqrt(u @ u)
-    if u[0] < 0:
-        u = -u
-    oracle.start = u
-    oracle.recent = (*oracle.recent[-3:], (g, u))
-    oracle.e0 = e0
-    return GroundStateResult(E0=e0, vector=u, steps=steps, oracle=oracle, g=g)
+    v /= math.sqrt(v @ v)
+    if v[0] < 0:
+        v = -v
+    oracle.recent = (*oracle.recent[-3:], (u, v))
+    oracle.e0 = oracle.hbar_omega * theta
+    return GroundStateResult(E0=oracle.e0, vector=v, steps=steps, oracle=oracle, u=u)
 
 
 def oracle_observables(gs: GroundStateResult) -> VacuumObservables:

@@ -11,6 +11,7 @@ array of points (a whole grid); each picks math or numpy once per call.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,14 +213,16 @@ def validate(params: ModelParams) -> ValidatedModel:
             "(model.k + g(model.coupling.y_min)) / model.m, the largest "
             "Omega+^2, overflows float64"
         )
-    # The vacuum's energy and length^2 scales; the oracle's H0 and x use both.
+    # The vacuum's energy and length^2 scales, by which the oracle multiplies
+    # its E0 and <x1 x2>: below the least normal float64 they lose bits or are 0.
     omega = math.sqrt(params.k / params.m)
     m_omega = params.m * omega
     scales = (params.hbar * omega, params.hbar / m_omega if m_omega > 0 else math.inf)
-    if not max(scales) < math.inf:
+    if not (sys.float_info.min <= min(scales) and max(scales) < math.inf):
         raise ConfigError(
             "model.hbar, model.k and model.m give hbar omega = {!r} and "
-            "hbar / (m omega) = {!r}; both must be finite".format(*scales)
+            "hbar / (m omega) = {!r}; both must be finite and at least "
+            "{!r}, the least normal float64".format(*scales, sys.float_info.min)
         )
     return ValidatedModel(
         m=params.m, M=params.M, k=params.k, hbar=params.hbar, coupling=c

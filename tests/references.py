@@ -4,9 +4,15 @@ The program never computes these: each is a direct transcription of a
 definition, kept apart from the code under test.
 """
 
+import math
+
 import numpy as np
 
-from casimir_toy.fock import position_matrix
+
+def position_matrix(model, n_max: int) -> np.ndarray:
+    """Single-mode x = sqrt(hbar/(2 m omega)) (a' + a) for n <= n_max."""
+    a = np.diag(np.sqrt(np.arange(1.0, n_max + 1)), k=1)
+    return math.sqrt(model.hbar / (2.0 * model.m * model.omega)) * (a + a.T)
 
 
 def cross_correlation(table: np.ndarray, x: np.ndarray) -> float:

@@ -245,6 +245,23 @@ class TestConfigParsing:
                 ),
                 id="model.hbar-length-overflow",
             ),
+            # hbar omega, or hbar / (m omega), is below the smallest normal
+            # float64: at hbar = k = 1e-300 hbar omega read 0, oracle-check
+            # exited 4 with rel_err_N 1.0 and evolve wrote E_vac = 0 with a
+            # drift of 0
+            pytest.param(
+                "model.hbar, model.k and model.m",
+                lambda d: (
+                    d["model"].update(hbar=1e-300, k=1e-300),
+                    d["model"]["coupling"].update(g0=0.5e-300),
+                ),
+                id="model.hbar-omega-underflow",
+            ),
+            pytest.param(
+                "model.hbar, model.k and model.m",
+                lambda d: d["model"].update(hbar=1e-300, m=1e10, k=1e10),
+                id="model.hbar-length-underflow",
+            ),
             # evolve wrote inf momenta and a nan drift with exit 0
             pytest.param(
                 "model.M * dynamics.v0",
@@ -737,6 +754,26 @@ class TestOracleCheckCommand:
         }
         assert report["pass"] is True
         assert isinstance(report["solver_steps"], int) and 1 <= report["solver_steps"] <= 100
+
+    def test_relative_errors_do_not_depend_on_the_scale_of_k(self, tmp_path):
+        # at m = hbar = 1, k = 2^-1000 every energy is 2^-500 times, and every
+        # <x1 x2> 2^500 times, that at k = 1, exactly, so the relative errors
+        # are the same numbers.  A floor of 1e-30 under the divisor made
+        # rel_err_energy read about 1e-136 there, and pass held for any E0.
+        keys = ("rel_err_energy", "rel_err_x1x2", "rel_err_N")
+        reports = []
+        for scale in (1.0, 2.0**-1000):
+            path, doc = reference_config(tmp_path)
+            doc["model"]["k"] = scale
+            doc["model"]["coupling"]["g0"] = 0.9 * scale  # no error is exactly 0
+            path.write_text(json.dumps(doc))
+            outdir = tmp_path / repr(scale)
+            assert cli.main(["oracle-check", "--config", str(path), "--output-dir", str(outdir)]) == 0
+            reports.append(json.loads((outdir / "oracle_check.json").read_text()))
+        unit, scaled = reports
+        assert all(unit[key] > 0 for key in keys)
+        assert [scaled[key] for key in keys] == [unit[key] for key in keys]
+        assert scaled["residual_norm"] == 2.0**-500 * unit["residual_norm"] > 0
 
     def test_under_truncated_fails(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 import warnings
@@ -162,6 +163,13 @@ class TestEnergyAudit:
             F=np.array([0.0]), E_vac=np.array([1.0]), E_total=np.array([1.0]),
         )
         assert energy_audit(traj) == 0.0
+
+    def test_drift_does_not_depend_on_the_scale_of_the_energy(self, reference_model):
+        # a floor of 1e-30 under |E_total[0]| made the drift of a model whose
+        # energies lie below it read about 1e-300 of the true one
+        traj = evolve(reference_model, DynamicsConfig(y0=2.0, v0=0.0, dt=0.05, t_max=50.0))
+        scaled = dataclasses.replace(traj, E_total=2.0**-1000 * traj.E_total)
+        assert energy_audit(scaled) == energy_audit(traj) > 0
 
     def test_constant_family_zero_drift(self, constant_model):
         config = DynamicsConfig(y0=1.0, v0=0.01, dt=0.1, t_max=20.0)

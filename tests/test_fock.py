@@ -26,10 +26,9 @@ from casimir_toy.fock import (
     ground_state_structure_checks,
     oracle_force,
     oracle_observables,
-    position_matrix,
 )
 from conftest import make_model
-from references import cross_correlation, free_vacuum_correlation
+from references import cross_correlation, free_vacuum_correlation, position_matrix
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +71,16 @@ class TestBuildHamiltonian:
         h = build_hamiltonian(reference_model, 0.3, 10).matrix
         assert np.max(np.abs(h - h.T)) < 1e-14
 
-    def test_position_matrix_scale(self, reference_model):
-        x = position_matrix(reference_model, 4)
-        assert x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-14)
-        assert x[1, 2] == pytest.approx(1.0, rel=1e-14)
+    def test_position_matrix_scale(self):
+        # the oracle's X = (a + a')/sqrt 2 is dimensionless; its length^2
+        # scale makes it x = sqrt(hbar/(2 m omega)) (a + a')
+        model = make_model(m=2.0, k=3.0, hbar=0.7)
+        oracle = FockOracle(model, 4)
+        assert oracle.x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert oracle.x[1, 2] == pytest.approx(1.0, rel=1e-15)
+        np.testing.assert_allclose(
+            math.sqrt(oracle.length_sq) * oracle.x, position_matrix(model, 4), rtol=1e-15
+        )
 
 
 class TestGroundState:
@@ -216,8 +221,7 @@ def dense_parts(model, n_max):
     """H0, V = x (x) x, x and N of H(y) = H0 + g(y) V, built densely from
     Kronecker products."""
     side = n_max + 1
-    a = np.diag(np.sqrt(np.arange(1.0, side)), k=1)
-    x = math.sqrt(model.hbar / (2 * model.m * model.omega)) * (a + a.T)
+    x = position_matrix(model, n_max)
     num = np.diag(np.arange(side, dtype=float))
     eye = np.eye(side)
     h0 = model.hbar * model.omega * (
@@ -252,12 +256,12 @@ def assert_matches(gs, obs, e0, expected):
         assert got == pytest.approx(value, rel=1e-12, abs=1e-15), name
 
 
-def sector_matrix(oracle, g):
-    """H on the oracle's sector coordinates, densely, from the full-table
-    apply of each coordinate's table."""
+def sector_matrix(oracle, u):
+    """H/(hbar omega) at g/k = u on the oracle's sector coordinates, densely,
+    from the full-table apply of each coordinate's table."""
     n, m = oracle.pairs
     tables = np.stack([oracle.table(e) for e in np.eye(n.size)])
-    return oracle.apply(g, tables)[:, n, m] * oracle.weight
+    return oracle.apply(u, tables)[:, n, m] * oracle.weight
 
 
 def total_steps(monkeypatch, run):
@@ -309,7 +313,8 @@ class TestSparseOracle:
         h = h0 + reference_model.g(0.7) * v_op
         assert np.array_equal(build_hamiltonian(reference_model, 0.7, 6).matrix, h)
         c = np.random.default_rng(3).normal(size=(7, 7))
-        applied = FockOracle(reference_model, 6).apply(reference_model.g(0.7), c)
+        oracle = FockOracle(reference_model, 6)
+        applied = oracle.hbar_omega * oracle.apply(reference_model.g(0.7) / reference_model.k, c)
         np.testing.assert_allclose(applied.ravel(), h @ c.ravel(), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -320,17 +325,17 @@ class TestSparseOracle:
         rng = np.random.default_rng(11)
         for n_max in range(1, 13):
             oracle = FockOracle(model, n_max)
-            g = model.g(0.4)
+            u = model.g(0.4) / model.k
             n, m = oracle.pairs
             assert n.size == (n_max + 2) ** 2 // 4
-            u = rng.normal(size=n.size)
-            table = oracle.apply(g, oracle.table(u))
+            v = rng.normal(size=n.size)
+            table = oracle.apply(u, oracle.table(v))
             h_norm = np.linalg.norm(build_hamiltonian(model, 0.4, n_max).matrix, 2)
             np.testing.assert_allclose(
-                oracle.sector_operator(g)(u),
+                oracle.sector_operator(u)(v),
                 table[n, m] * oracle.weight,
                 rtol=0,
-                atol=4 * np.finfo(float).eps * h_norm * np.linalg.norm(u),
+                atol=4 * np.finfo(float).eps * h_norm / oracle.hbar_omega * np.linalg.norm(v),
             )
 
     @given(
@@ -347,23 +352,25 @@ class TestSparseOracle:
         # to zeros whatever the order
         model = make_model(g0=g0, family=family)
         oracle = FockOracle(model, n_max)
-        g = model.g(y)
+        u = model.g(y) / model.k
         c = np.random.default_rng(seed).normal(size=(n_max + 1, n_max + 1))
         x = np.abs(oracle.x)
-        bound = 8 * np.finfo(float).eps * (oracle.h0 * np.abs(c) + g * (x @ np.abs(c) @ x))
-        assert np.all(np.abs(oracle.apply(g, c.T) - oracle.apply(g, c).T) <= bound.T)
+        bound = 8 * np.finfo(float).eps * (oracle.quanta * np.abs(c) + u * (x @ np.abs(c) @ x))
+        assert np.all(np.abs(oracle.apply(u, c.T) - oracle.apply(u, c).T) <= bound.T)
         n = np.arange(n_max + 1)
         odd = (n[:, None] + n[None, :]) % 2 == 1
         c[odd] = 0.0
-        assert np.all(oracle.apply(g, c)[odd] == 0.0)
+        assert np.all(oracle.apply(u, c)[odd] == 0.0)
 
-    def test_residual_is_the_full_table_residual(self, reference_model):
-        oracle = FockOracle(reference_model, 12)
+    def test_residual_is_the_full_table_residual(self):
+        model = make_model(m=2.0, k=3.0, hbar=0.7, g0=1.5)
+        oracle = FockOracle(model, 12)
+        scale = oracle.hbar_omega
         for y in (0.0, 0.5, 1.0):
             gs = ground_state(oracle, y)
             c = gs.amplitudes
-            r = oracle.apply(reference_model.g(y), c) - gs.E0 * c
-            assert gs.residual_norm == pytest.approx(np.linalg.norm(r), rel=1e-12, abs=0)
+            r = oracle.apply(model.g(y) / model.k, c) - gs.E0 / scale * c
+            assert gs.residual_norm == pytest.approx(scale * np.linalg.norm(r), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_correlation_is_the_table_contraction(self, family):
@@ -374,12 +381,13 @@ class TestSparseOracle:
         rng = np.random.default_rng(5)
         for n_max in range(1, 41):
             oracle = FockOracle(model, n_max)
+            x = position_matrix(model, n_max)
             for _ in range(3):
-                u = rng.normal(size=oracle.pairs[0].size)
-                u /= np.linalg.norm(u)
-                expected = cross_correlation(oracle.table(u), oracle.x)
-                scale = np.linalg.norm(oracle.x, 2) ** 2
-                assert abs(oracle.correlation(u) - expected) <= 4 * np.finfo(float).eps * scale
+                v = rng.normal(size=oracle.pairs[0].size)
+                v /= np.linalg.norm(v)
+                expected = cross_correlation(oracle.table(v), x)
+                scale = np.linalg.norm(x, 2) ** 2
+                assert abs(oracle.correlation(v) - expected) <= 4 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_observables_report_the_correlation_of_the_force(self, family):
@@ -454,8 +462,9 @@ class TestLanczos:
         # epsilon ||T_k|| let the error grow to about 1e-9
         model = make_model(y_max=25.0)
         oracle = FockOracle(model, n_max)
+        x = position_matrix(model, n_max)
         for y in np.linspace(0.0, math.log(5e8), 200):
-            x1x2 = cross_correlation(ground_state(oracle, y).amplitudes, oracle.x)
+            x1x2 = cross_correlation(ground_state(oracle, y).amplitudes, x)
             exact = vacuum_fluctuations(model, y).x1x2
             assert abs(x1x2 - exact) <= 1e-12 * abs(exact), y
 
@@ -466,7 +475,7 @@ class TestLanczos:
         # the linear step
         oracle = FockOracle(reference_model, 6)
         rng = np.random.default_rng(2)
-        a, b, c = rng.normal(size=(3, oracle.start.size)) * [[1.0], [1.0], [0.1]]
+        a, b, c = rng.normal(size=(3, oracle.pairs[0].size)) * [[1.0], [1.0], [0.1]]
 
         def path(g):
             return a + b * g + c * g * g
@@ -476,11 +485,14 @@ class TestLanczos:
 
         oracle.recent = recent(0.300, 0.301, 0.302)
         np.testing.assert_allclose(fock._start(oracle, 0.303), path(0.303), rtol=0, atol=1e-12)
-        oracle.start = path(0.302)
         for gs, g in (((0.300, 0.301, 0.301), 0.302), ((0.300, 0.301, 0.302), 0.302),
                       ((1e-3, 1.1e-3, 1.2e-3), 1.3e-3), ((0.1, 0.2, 0.3), 0.4)):
             oracle.recent = recent(*gs)
-            assert fock._start(oracle, g) is oracle.start, (gs, g)
+            assert fock._start(oracle, g) is oracle.recent[-1][1], (gs, g)
+        oracle.recent = recent(0.300, 0.301)
+        assert fock._start(oracle, 0.302) is oracle.recent[-1][1]
+        oracle.recent = ()
+        assert np.array_equal(fock._start(oracle, 0.3), np.eye(1, a.size)[0])
 
     def test_extrapolated_start_adds_the_cubic_term_between_its_cuts(self, reference_model):
         # four states on u(g) = a + b g + d (g - ga)(g - gb)(g - gc): the last
@@ -491,7 +503,7 @@ class TestLanczos:
         # quadratic of the last three, bit for bit.
         oracle = FockOracle(reference_model, 6)
         rng = np.random.default_rng(3)
-        a, b, d = rng.normal(size=(3, oracle.start.size))
+        a, b, d = rng.normal(size=(3, oracle.pairs[0].size))
         gz, ga, gb, gc, g = 0.300, 0.301, 0.302, 0.303, 0.304
 
         def starts(scale):
@@ -585,23 +597,33 @@ class TestLanczos:
     def test_extrapolated_start_depends_on_the_scales_only_through_g_over_k(
         self, monkeypatch
     ):
-        # m = k = s keeps omega = 1: H in units of hbar omega is the same at
-        # every s, bit for bit, and so is the start in units of k.  With g
-        # itself, the divided differences overflowed at s = 2^-996, and at
-        # 2^996 the sweep took the plain warm start's steps
-        def sweep(s):
-            oracle = FockOracle(make_model(m=s, k=s, M=1000.0 * s, g0=0.5 * s), 12)
+        # H/(hbar omega) depends on the model only through u = g/k.  With
+        # hbar, m, k and omega powers of two, the steps, E0/(hbar omega),
+        # residual/(hbar omega) and F/(g' hbar/(m omega)) of a sweep are the
+        # unit model's, bit for bit.  m = k keeps omega = 1; the other two take
+        # both scales far from 1 (hbar omega = 2^-805 with hbar/(m omega) =
+        # 2^195, and 2^700 with 2^300).  Solving H itself, the divided
+        # differences of the start overflowed at m = k = 2^-996, and at
+        # hbar omega = 2^-805 the residual's squares underflowed to 0.
+        def sweep(hbar, m, k):
+            model = make_model(m=m, k=k, hbar=hbar, M=1000.0 * m, g0=0.5 * k)
+            oracle = FockOracle(model, 12)
+            energy, length = oracle.hbar_omega, oracle.length_sq
             run = []
             for y in np.linspace(1.0, 1.01, 10).tolist():
                 gs = ground_state(oracle, y)
-                run.append((gs.steps, gs.E0, oracle_force(oracle, y)))
+                force = oracle_force(oracle, y) / (model.g_prime(y) * length)
+                run.append((gs.steps, gs.E0 / energy, gs.residual_norm / energy, force))
             return run
 
-        runs = [sweep(s) for s in (2.0**-996, 1.0, 2.0**996)]
-        assert runs[0] == runs[1] == runs[2]
+        unit = sweep(1.0, 1.0, 1.0)
+        assert all(r[2] > 0 for r in unit)
+        for hbar, m, k in ((1.0, 2.0**-996, 2.0**-996), (1.0, 2.0**996, 2.0**996),
+                           (2.0**-300, 2.0**10, 2.0**-1000), (2.0**200, 2.0**-600, 2.0**400)):
+            assert sweep(hbar, m, k) == unit, (hbar, m, k)
         monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
-        plain = sweep(1.0)
-        assert sum(r[0] for r in runs[1]) < sum(r[0] for r in plain)
+        plain = sweep(1.0, 1.0, 1.0)
+        assert sum(r[0] for r in unit) < sum(r[0] for r in plain)
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("n_max", [12, 16, 20])
@@ -631,7 +653,7 @@ class TestLanczos:
         # test at k = 1, on T_1 = alpha_1 itself
         converged = ground_state(FockOracle(constant_model, 20), 0.0)
         oracle = FockOracle(constant_model, 20)
-        oracle.start = converged.vector
+        oracle.recent = ((0.0, converged.vector),)
         gs = ground_state(oracle, 1.0)
         assert gs.steps == 1
         assert gs.E0 == pytest.approx(converged.E0, rel=1e-15)
@@ -642,7 +664,7 @@ class TestLanczos:
         # exchange-symmetric, even-parity sector at n_max=3 first
         monkeypatch.setattr(fock, "RITZ_TOL", 0.0)
         oracle = FockOracle(reference_model, 3)
-        oracle.start = np.random.default_rng(1).normal(size=6)
+        oracle.recent = ((0.0, np.random.default_rng(1).normal(size=6)),)
         with pytest.raises(NoConvergenceError, match="dimension 6"):
             ground_state(oracle, 0.5)
 
@@ -685,8 +707,9 @@ class TestLanczos:
         assert gs.steps > fock.BASIS_MAX
         vals, vecs = scipy.linalg.eigh(sector_matrix(oracle, u), subset_by_index=[0, 0])
         assert gs.E0 == pytest.approx(vals[0], rel=1e-13, abs=0)
-        x1x2 = cross_correlation(oracle.table(vecs[:, 0]), oracle.x)
-        assert cross_correlation(gs.amplitudes, oracle.x) == pytest.approx(
+        x = position_matrix(model, n_max)
+        x1x2 = cross_correlation(oracle.table(vecs[:, 0]), x)
+        assert cross_correlation(gs.amplitudes, x) == pytest.approx(
             x1x2, rel=1e-12, abs=0
         )
 
@@ -771,7 +794,7 @@ class TestReuse:
         again = ground_state(oracle, 1.003)
         assert again.steps == 0 < last.steps
         assert again.E0 == last.E0 and again.vector is last.vector
-        assert oracle.recent is recent and oracle.start is last.vector
+        assert oracle.recent is recent and oracle.recent[-1][1] is last.vector
         assert oracle.warm_steps == warm_steps and oracle.e0 == last.E0
         # only the last g is reused: the g before it is solved again
         assert ground_state(oracle, 1.002).steps > 0
