@@ -12,16 +12,19 @@ even, held as orthonormal coordinates v = w c[n, n'] (w = sqrt 2 off the
 diagonal, 1 on it) of the amplitude table c[n, n'].  The sector has
 d = (n_max+2)^2 // 4 coordinates (121 at n_max = 20, 441 at 40) against
 (n_max+1)^2 table entries, and _sector builds H/(hbar omega) on it once per
-n_max as a five-row stencil: the diagonal n + n' + 1 and the X (x) X
-couplings to (n+-1, n'+-1).  ground_state finds the lowest eigenpair by
-thick-restart Lanczos with full reorthogonalization (numpy only) on v, in a
-basis of at most 24 vectors that restarts from its 8 lowest Ritz vectors; no
-matrix of side (n_max+1)^2 is built.  The first solve of an oracle starts
-from |0,0>, each later one from the previous ground state, or from the
+n_max as a five-row stencil: the diagonal D = n + n' + 1 and the
+W = X (x) X couplings to (n+-1, n'+-1); no matrix of side (n_max+1)^2 is
+built.  Below |u| = SERIES_MAX_U (about 2.2e-3) ground_state sums the
+weak-coupling series of D + u W about |0,0>, whose coefficients of u^n are
+built once per n_max (_series): no start vector and no matvec.  Otherwise it
+finds the lowest eigenpair by thick-restart Lanczos with full
+reorthogonalization (numpy only) on v, in a basis of at most 24 vectors that
+restarts from its 8 lowest Ritz vectors.  The first solve of an oracle
+starts from |0,0>, each later one from the previous ground state, or from the
 quadratic extrapolation of the last three to the new u where that is safe,
 plus the cubic term from a fourth where that term is above the stored
 states' rounding noise, 4 RITZ_TOL (4-12% fewer trajectory steps on the
-oracle benchmark; see EXTRAPOLATE_MIN_U), so a grid sweep or a trajectory is
+oracle benchmark; see EXTRAPOLATE_BEND), so a grid sweep or a trajectory is
 warm-started and reruns stay deterministic.  A solve at the last solve's u
 reuses it, so a constant-g trajectory solves once.
 A GroundStateResult holds v; its amplitude table, and the residual measured
@@ -61,7 +64,7 @@ class GroundStateResult:
 
     E0: float
     vector: np.ndarray
-    steps: int  # Lanczos steps: matvecs, across restarts; 0 on a reuse
+    steps: int  # matvecs, across Lanczos restarts; 0 on a reuse or a series solve
     oracle: FockOracle = field(repr=False)
     u: float
 
@@ -290,21 +293,17 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
         np.divide(w, b, out=basis[j])
 
 
-# A solve starts from the quadratic extrapolation q of the last three ground
-# states to the new u = g/k (the predictor of predictor-corrector continuation:
-# Allgower & Georg, Numerical Continuation Methods, 1990) when the three u
-# differ and both of these hold; otherwise from the last ground state.
-# - u >= EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13, about 2.2e-3.  Below it the
-#   stop rule bounds <x1 x2> only to RITZ_TOL / (g/k) relative, and a start
-#   that close lets a solve stop early with <x1 x2> off by more than 1e-12;
-#   the plain warm start keeps the sweeps to g/k = 1e-9 within 1e-12.
-# - ||q - l|| < EXTRAPOLATE_BEND ||l - v_c||, l the linear extrapolation from
-#   the last two.  Along a slow trajectory the ratio is 1e-5 or less, and
-#   from q a run takes 0.44-0.63 of the Lanczos steps (n_max 12, g/k 0.4).
-#   On force-curve grids, where g moves 18-73% between points, the ratio is
-#   5e-3 to 0.2: with a bound of 1e-2 the reference sweep at n_max 28 took
-#   322 steps against 317, with 1e-3 it keeps the plain start and takes 317.
-#   Where g moves about 1% per step (ratio near 2e-3) q saves no steps.
+# A Lanczos solve starts from the quadratic extrapolation q of the last three
+# ground states to the new u = g/k (the predictor of predictor-corrector
+# continuation: Allgower & Georg, Numerical Continuation Methods, 1990) when
+# the three u differ and ||q - l|| < EXTRAPOLATE_BEND ||l - v_c||, l the linear
+# extrapolation from the last two; otherwise from the last ground state.
+# Along a slow trajectory the ratio is 1e-5 or less, and from q a run takes
+# 0.44-0.63 of the Lanczos steps (n_max 12, g/k 0.4).  On force-curve grids,
+# where g moves 18-73% between points, the ratio is 5e-3 to 0.2: with a bound
+# of 1e-2 the reference sweep at n_max 28 took 322 steps against 317, with
+# 1e-3 it keeps the plain start and takes 317.  Where g moves about 1% per
+# step (ratio near 2e-3) q saves no steps.
 # With a fourth stored state, q gains the cubic term t of the Newton form when
 # EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - v_c||.  Over 20
 # cycles of the oracle benchmark on seven seeds, t cut the trajectories'
@@ -314,17 +313,16 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
 # 2-4% against q, with a cut of 1 RITZ_TOL 30-60% of the gain was lost.  A cut
 # of 2 RITZ_TOL saved at most 0.8% more than 4, but took more steps than q on
 # runs from rest at g/k 0.03 and 0.1; 16 took up to 2.9% more than 4.
-EXTRAPOLATE_MIN_U = RITZ_TOL / 1e-13
 EXTRAPOLATE_BEND = 1e-3
 EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 
 
 def _start(oracle: FockOracle, u: float) -> np.ndarray:
-    """Where the solve at u = g/k starts: |0,0> on the oracle's first solve;
-    after it the quadratic extrapolation (Newton form) of the last three of
-    oracle.recent to u, plus the cubic term from a fourth, where the rules
-    above allow them, else the last ground state."""
-    if len(oracle.recent) < 3 or not abs(u) >= EXTRAPOLATE_MIN_U:
+    """Where the Lanczos solve at u = g/k starts: |0,0> on the oracle's first
+    solve; after it the quadratic extrapolation (Newton form) of the last
+    three of oracle.recent to u, plus the cubic term from a fourth, where the
+    rules above allow them, else the last ground state."""
+    if len(oracle.recent) < 3:
         return oracle.recent[-1][1] if oracle.recent else oracle.cold_start
     *older, (ua, va), (ub, vb), (uc, vc) = oracle.recent
     if ua == ub or ub == uc or ua == uc:
@@ -346,26 +344,85 @@ def _start(oracle: FockOracle, u: float) -> np.ndarray:
     return start
 
 
+# Below |g/k| = SERIES_MAX_U = RITZ_TOL / 1e-13, about 2.2e-3, a solve sums
+# the Rayleigh-Schroedinger series about |0,0> (_series) in place of Lanczos,
+# whose stop rule bounds <x1 x2> only to RITZ_TOL / (g/k) relative: below
+# RITZ_TOL a solve stopped at |0,0> with <x1 x2> = 0, and a warm one took 5-9
+# steps and two eighs.  The series' stop is relative to its first-order term,
+# which sets <x1 x2>: within 3.9 RITZ_TOL of the closed form at n_max 12-40
+# and g/k 1e-300 to the cut, E0 within 0.44 RITZ_TOL of the extended-precision
+# Rayleigh quotient of a dense eigenvector, and an oracle-route evolve row at
+# g/k 1e-4 in 15 us against 129 by Lanczos (n_max 12; 180 at n_max 20).  At
+# the cut a term is 1.2e-3 to 2e-3 of the one before, so 9 terms suffice (8 at
+# n_max 1); every solve at or above it is the Lanczos solve it was, so the
+# reference grid (g/k >= 3.4e-3) keeps its bits.
+SERIES_MAX_U = RITZ_TOL / 1e-13
+
+
+@functools.cache
+def _series(n_max: int, u_max: float):
+    """The Rayleigh-Schroedinger series of H/(hbar omega) = D + u W about
+    |0,0> (London's picture of the van der Waals energy, Z. Phys. 63, 245
+    (1930)) in intermediate normalization: the ground state is
+    sum_n u^n b_n and theta_0 = sum_n u^n e_n, with b_0 = |0,0>, e_0 = 1,
+    e_n = (W b_{n-1})[0] and (D - 1) b_n = sum_{k<n} e_k b_{n-k} - W b_{n-1},
+    b_n[0] = 0.  Neither depends on u, so one stencil matvec per order builds
+    them once, until two consecutive terms u_max^n ||b_n|| are at most
+    RITZ_TOL times the first-order one (at n_max = 1 every even order is
+    exactly 0).  Every |u| <= u_max sums all of them.  Returns (orders, b, e),
+    read-only; raises NoConvergenceError when a term at u_max is above the
+    one two orders before it, u_max being past the series' radius.
+    """
+    _, _, _, _, cols, stencil, start = _sector(n_max)
+    gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
+    inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+    terms, energies, sizes = [start], [1.0], [1.0]
+    while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
+        if len(sizes) > 2 and not sizes[-1] <= sizes[-3]:
+            raise NoConvergenceError(
+                f"the weak-coupling series at g/k = {u_max:.3e}, n_max = {n_max} "
+                f"does not converge: term {len(sizes) - 1} is {sizes[-1]:.3e} "
+                f"against {sizes[-3]:.3e} two orders before"
+            )
+        w = (stencil[1:] * terms[-1][cols[1:]]).sum(0)  # W b_{n-1}
+        energies.append(float(w[0]))
+        b = (sum(e * t for e, t in zip(energies[1:-1], reversed(terms[1:]))) - w) * inverse
+        terms.append(b)
+        sizes.append(u_max ** (len(terms) - 1) * math.sqrt(b @ b))
+    series = np.arange(len(terms)), np.array(terms), np.array(energies)
+    for array in series:
+        array.flags.writeable = False
+    return series
+
+
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
-    """Lowest eigenpair of H(y) by Lanczos on the oracle's sector
-    coordinates, started from its last ground state or their extrapolation
-    (|0,0> on its first solve; see _start).  At the u = g/k of its last
-    solve, bit for bit, it returns that solve's E0 and vector with steps = 0
-    and leaves the oracle as it is: that H already met the stop rule.
+    """Lowest eigenpair of H(y) on the oracle's sector coordinates: below
+    |u| = SERIES_MAX_U by the weak-coupling series (_series), which takes no
+    start and no matvec (steps = 0), else by Lanczos, started from the last
+    ground state or their extrapolation (|0,0> on the first solve; see
+    _start).  At the u = g/k of its last solve, bit for bit, it returns that
+    solve's E0 and vector with steps = 0 and leaves the oracle as it is: that
+    H already met the stop rule.
 
     The eigenvector is normalized with its |0,0> amplitude positive; steps
-    counts the matvecs across restarts.  A warm solve spends most of its
-    steps on rounding noise and takes about as many as the warm solve before
-    it, so it skips the checks below the last schedule point under that
-    count; the cold first solve and the first warm one check at every point.
+    counts the matvecs across restarts.  A warm Lanczos solve spends most of
+    its steps on rounding noise and takes about as many as the warm solve
+    before it, so it skips the checks below the last schedule point under
+    that count; the cold first solve and the first warm one check at every
+    point.
     """
     u = oracle.model.g(y) / oracle.model.k
     if oracle.recent and oracle.recent[-1][0] == u:
         v = oracle.recent[-1][1]
         return GroundStateResult(E0=oracle.e0, vector=v, steps=0, oracle=oracle, u=u)
-    theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
-    if oracle.recent:
-        oracle.warm_steps = steps
+    if abs(u) < SERIES_MAX_U:
+        orders, terms, energies = _series(len(oracle.quanta) - 1, SERIES_MAX_U)
+        powers = u**orders
+        theta, v, steps = float(powers @ energies), powers @ terms, 0
+    else:
+        theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
+        if oracle.recent:
+            oracle.warm_steps = steps
     v /= math.sqrt(v @ v)
     if v[0] < 0:
         v = -v

@@ -160,6 +160,14 @@ def validate(params: ModelParams) -> ValidatedModel:
     for name in ("m", "M", "k", "hbar"):
         if not getattr(params, name) > 0:
             raise ConfigError(f"model.{name} must be > 0, got {getattr(params, name)}")
+    # The closed forms take k +- g, which a subnormal k rounds to a few bits
+    # (<N1> was 1e-14 off at k = 1e-310); a subnormal g0 under a normal k is
+    # weak coupling and stays.
+    if params.k < sys.float_info.min:
+        raise ConfigError(
+            f"model.k = {params.k!r} must be at least {sys.float_info.min!r}, "
+            "the least normal float64"
+        )
     # evolve's kinetic energy p^2 / 2M would read 0 for every momentum
     if not 2 * params.M < math.inf:
         raise ConfigError(

@@ -280,6 +280,16 @@ class TestConfigParsing:
                 lambda d: (d["model"].update(M=1e308), d["dynamics"].update(v0=1e-200)),
                 id="model.M-double-overflow",
             ),
+            # a subnormal k: the closed forms rounded k +- g on the subnormal
+            # grid, and oracle-check passed with rel_err_N 1.0e-14
+            pytest.param(
+                "model.k = 1e-310 must be at least",
+                lambda d: (
+                    d["model"].update(k=1e-310),
+                    d["model"]["coupling"].update(g0=0.5e-310),
+                ),
+                id="model.k-subnormal",
+            ),
         ],
     )
     def test_malformed_config_exits_2_naming_field(self, tmp_path, capsys, field, edit):
@@ -774,6 +784,19 @@ class TestOracleCheckCommand:
         assert all(unit[key] > 0 for key in keys)
         assert [scaled[key] for key in keys] == [unit[key] for key in keys]
         assert scaled["residual_norm"] == 2.0**-500 * unit["residual_norm"] > 0
+
+    @pytest.mark.parametrize("g0", [1e-20, 1e-300])
+    def test_weak_coupling_passes(self, tmp_path, g0):
+        # below g/k = RITZ_TOL a Lanczos solve stopped at |0,0>: <x1 x2> read
+        # 0 and the check failed with rel_err_x1x2 1.0.  The series, which
+        # takes no matvec, holds it to a few RITZ_TOL.
+        path, doc = reference_config(tmp_path)
+        doc["model"]["coupling"].update(family="constant", g0=g0)
+        path.write_text(json.dumps(doc))
+        assert cli.main(["oracle-check", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "oracle_check.json").read_text())
+        assert report["pass"] is True and report["solver_steps"] == 0
+        assert report["rel_err_x1x2"] <= 8 * fock.RITZ_TOL
 
     def test_under_truncated_fails(self, tmp_path, capsys):
         path, doc = reference_config(tmp_path)

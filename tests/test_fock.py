@@ -457,9 +457,11 @@ class TestLanczos:
 
     @pytest.mark.parametrize("n_max", [12, 24, 40])
     def test_warm_sweep_to_tiny_coupling_keeps_the_correlation(self, n_max):
-        # g/k from 0.5 down to 1e-9, each solve warm-started: the stop rule
-        # relative to |theta_0| keeps <x1 x2> within 3e-13 here; a floor of
-        # epsilon ||T_k|| let the error grow to about 1e-9
+        # g/k from 0.5 down to 1e-9: warm-started Lanczos solves down to
+        # SERIES_MAX_U, whose stop rule relative to |theta_0| keeps <x1 x2>
+        # within 1e-13 there (a floor of epsilon ||T_k|| let the error grow
+        # to about 1e-9), and the series below it.  Measured 6.3e-14; 1.8e-13
+        # when Lanczos solved the whole sweep.
         model = make_model(y_max=25.0)
         oracle = FockOracle(model, n_max)
         x = position_matrix(model, n_max)
@@ -470,9 +472,8 @@ class TestLanczos:
 
     def test_extrapolated_start_is_the_quadratic_through_the_last_three(self, reference_model):
         # on a quadratic path u(g) = a + b g + c g^2 the Newton-form start is
-        # exact; it falls back to the last ground state when two g coincide,
-        # below the g/k cut, or when the quadratic term is not small against
-        # the linear step
+        # exact; it falls back to the last ground state when two g coincide
+        # or when the quadratic term is not small against the linear step
         oracle = FockOracle(reference_model, 6)
         rng = np.random.default_rng(2)
         a, b, c = rng.normal(size=(3, oracle.pairs[0].size)) * [[1.0], [1.0], [0.1]]
@@ -486,7 +487,7 @@ class TestLanczos:
         oracle.recent = recent(0.300, 0.301, 0.302)
         np.testing.assert_allclose(fock._start(oracle, 0.303), path(0.303), rtol=0, atol=1e-12)
         for gs, g in (((0.300, 0.301, 0.301), 0.302), ((0.300, 0.301, 0.302), 0.302),
-                      ((1e-3, 1.1e-3, 1.2e-3), 1.3e-3), ((0.1, 0.2, 0.3), 0.4)):
+                      ((0.1, 0.2, 0.3), 0.4)):
             oracle.recent = recent(*gs)
             assert fock._start(oracle, g) is oracle.recent[-1][1], (gs, g)
         oracle.recent = recent(0.300, 0.301)
@@ -572,7 +573,7 @@ class TestLanczos:
             force_route="oracle", oracle_n_max=12,
         )
         steps = total_steps(monkeypatch, lambda: evolve(reference_model, config))
-        monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
+        monkeypatch.setattr(fock, "EXTRAPOLATE_BEND", 0.0)
         plain = total_steps(monkeypatch, lambda: evolve(reference_model, config))
         assert steps <= 0.7 * plain
 
@@ -591,7 +592,7 @@ class TestLanczos:
                 oracle_force(oracle, y)
 
         steps = total_steps(monkeypatch, sweep)
-        monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
+        monkeypatch.setattr(fock, "EXTRAPOLATE_BEND", 0.0)
         assert steps <= total_steps(monkeypatch, sweep)
 
     def test_extrapolated_start_depends_on_the_scales_only_through_g_over_k(
@@ -621,7 +622,7 @@ class TestLanczos:
         for hbar, m, k in ((1.0, 2.0**-996, 2.0**-996), (1.0, 2.0**996, 2.0**996),
                            (2.0**-300, 2.0**10, 2.0**-1000), (2.0**200, 2.0**-600, 2.0**400)):
             assert sweep(hbar, m, k) == unit, (hbar, m, k)
-        monkeypatch.setattr(fock, "EXTRAPOLATE_MIN_U", math.inf)
+        monkeypatch.setattr(fock, "EXTRAPOLATE_BEND", 0.0)
         plain = sweep(1.0, 1.0, 1.0)
         assert sum(r[0] for r in unit) < sum(r[0] for r in plain)
 
@@ -630,10 +631,11 @@ class TestLanczos:
     @pytest.mark.parametrize("u", [2e-3, 3e-3, 1e-2, 0.1, 0.5])
     def test_oracle_route_force_matches_casimir_force(self, family, n_max, u):
         # 100 oracle-route steps from g/k = u towards weaker coupling (g/k
-        # falls by up to e^-0.5, so the u = 3e-3 runs cross the g/k cut of
-        # the extrapolated start) against the closed-form force at the same
-        # y.  Measured at most 1.4e-13 relative; 6.4e-14 with plain warm
-        # starts.  For a constant g both are exactly 0.
+        # falls by up to e^-0.5, so the u = 3e-3 runs cross SERIES_MAX_U into
+        # the series, which solves the u = 2e-3 runs throughout) against the
+        # closed-form force at the same y.  Measured at most 1.4e-13
+        # relative, on Lanczos solves at u = 3e-3; 6.4e-14 with plain warm
+        # starts, 1.1e-15 on the series.  For a constant g both are exactly 0.
         if family == "constant":
             model, y0 = make_model(g0=u, family=family), 1.0
         elif family == "exponential":
@@ -763,6 +765,85 @@ class TestLanczos:
         for name in ("y", "p_y", "F", "E_vac", "E_total"):
             a, b = getattr(oracle, name), getattr(dense, name)
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
+
+
+WEAK_U = [0.0, 1e-300, 1e-12, 1e-6, 1e-4, float(np.nextafter(fock.SERIES_MAX_U, 0.0))]
+
+
+class TestSeries:
+    @pytest.mark.parametrize("n_max", [1, 2, 12, 40])
+    @pytest.mark.parametrize("u", WEAK_U)
+    def test_series_matches_dense_eigh(self, n_max, u):
+        # below the cut the series against scipy's eigh of the sector matrix.
+        # eigh's eigenvalue rounds at about epsilon ||H|| (35 epsilon at
+        # n_max 40), so E0 is compared with the Rayleigh quotient of its
+        # eigenvector, whose error is second order, summed in extended
+        # precision: measured at most 0.44 epsilon (2 epsilon against a
+        # float64 quotient).  <x1 x2> is within 3.9 RITZ_TOL of eigh's where
+        # eigh resolves it (its off-diagonal of u/2 is deflated at 1e-300, as
+        # Lanczos stopped at |0,0> for g/k below RITZ_TOL: both read 0), and
+        # of the closed form where truncation is nil (n_max 12 and 40, or a
+        # truncation error of about (g/k)^2 below 1e-24).
+        model = make_model(family="constant", g0=u)
+        oracle = FockOracle(model, n_max)
+        gs = ground_state(oracle, 0.0)
+        assert gs.steps == 0
+        h = sector_matrix(oracle, u)
+        vec = scipy.linalg.eigh(h, subset_by_index=[0, 0])[1][:, 0]
+        wide = vec.astype(np.longdouble)
+        quotient = float(wide @ h.astype(np.longdouble) @ wide / (wide @ wide))
+        assert abs(gs.E0 - quotient) <= 4 * np.finfo(float).eps * quotient
+        x1x2 = oracle.correlation(gs.vector)
+        references = []
+        if u == 0.0 or u >= 1e-12:
+            references.append(oracle.correlation(vec))
+        if n_max >= 12 or u <= 1e-12:
+            references.append(vacuum_fluctuations(model, 0.0).x1x2)
+        for reference in references:
+            assert abs(x1x2 - reference) <= 8 * fock.RITZ_TOL * abs(reference)
+        assert (x1x2 == 0.0) == (u == 0.0)
+
+    @pytest.mark.parametrize("n_max", [12, 40])
+    def test_weak_coupling_state_does_not_depend_on_the_solve_history(self, n_max):
+        # the series has no start vector: a cold solve at g/k 1e-4 and one
+        # after a Lanczos sweep down from g/k 0.5 give the same bits
+        model = make_model(y_max=25.0)
+        y = math.log(0.5 / 1e-4)
+        cold = ground_state(FockOracle(model, n_max), y)
+        oracle = FockOracle(model, n_max)
+        for sweep_y in np.linspace(0.0, y, 50)[:-1]:
+            ground_state(oracle, sweep_y)
+        warm = ground_state(oracle, y)
+        assert warm.E0 == cold.E0 and np.array_equal(warm.vector, cold.vector)
+
+    def test_series_trajectory_takes_no_matvecs(self, reference_model, monkeypatch):
+        # 200 oracle-route steps at g/k near 1e-4, n_max 12: every solve is a
+        # series sum, with no matvec, where the Lanczos path (cut at 0) took
+        # 619, and F stays within 1e-13 of the closed-form force (measured
+        # 1.2e-15; on the Lanczos path 3.2e-12, its stop rule bounding it only
+        # to about RITZ_TOL / (g/k))
+        config = DynamicsConfig(
+            y0=math.log(0.5 / 1e-4), v0=0.003, dt=0.05, t_max=10.0,
+            force_route="oracle", oracle_n_max=12,
+        )
+        runs = []
+        steps = total_steps(monkeypatch, lambda: runs.append(evolve(reference_model, config)))
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
+        plain = total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        assert steps <= 0.6 * plain and plain > 0
+        (traj,) = runs
+        assert len(traj.t) == 201
+        expected = np.array([casimir_force(reference_model, y) for y in traj.y])
+        assert np.all(np.abs(traj.F - expected) <= 1e-13 * np.abs(expected))
+
+    def test_series_past_its_radius_raises(self, monkeypatch):
+        # with the cut raised to g/k 1.5, past the radius of the series at
+        # n_max 12 (its terms at 1.5 grow from the third on), the table for
+        # the cut cannot be built, whatever the g/k of the solve
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 1.5)
+        oracle = FockOracle(make_model(family="constant", g0=0.5), 12)
+        with pytest.raises(NoConvergenceError, match="does not converge: term 4 "):
+            ground_state(oracle, 0.0)
 
 
 class TestReuse:

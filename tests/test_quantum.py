@@ -319,16 +319,17 @@ class TestVanDerWaalsLimit:
             assert lifshitz_force(constant_model, y) == 0.0
 
     def test_oracle_reproduces_the_expansion(self):
-        # one oracle point at u = 1e-3: the oracle's stop rule bounds the
-        # relative error of <x1 x2>, and so of F, by about RITZ_TOL / u
-        # (see fock.RITZ_TOL), 2.2e-13 here, and at n_max 12 the truncation
-        # error is below 1e-30; the tolerance u^4 + 10 RITZ_TOL / u is 3.2e-12
-        # against a 5u^2/8 term of 6.3e-7.  Measured 5.2e-13, of which the
-        # 63u^4/128 term is 4.9e-13.
+        # one oracle point at u = 1e-3, below fock.SERIES_MAX_U: the series
+        # holds the relative error of <x1 x2>, and so of F, to a few RITZ_TOL,
+        # and at n_max 12 the truncation error is below 1e-30; the tolerance
+        # u^4 + 10 RITZ_TOL is 1.0e-12 against a 5u^2/8 term of 6.3e-7.
+        # Measured 4.93e-13, the 63u^4/128 term (4.92e-13); a Lanczos solve,
+        # whose stop rule bounds the error only to about RITZ_TOL / u, read
+        # 5.2e-13.
         model = make_model()
         y = math.log(0.5 / 1e-3)
         u = model.g(y) / model.k
         force = fock.oracle_force(fock.FockOracle(model, 12), y)
         assert abs(force / london_force(model, y) - 1.0 - 5.0 * u**2 / 8.0) <= (
-            u**4 + 10.0 * fock.RITZ_TOL / u
+            u**4 + 10.0 * fock.RITZ_TOL
         )
