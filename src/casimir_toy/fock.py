@@ -14,19 +14,22 @@ d = (n_max+2)^2 // 4 coordinates (121 at n_max = 20, 441 at 40) against
 (n_max+1)^2 table entries, and _sector builds H/(hbar omega) on it once per
 n_max as a five-row stencil: the diagonal D = n + n' + 1 and the
 W = X (x) X couplings to (n+-1, n'+-1); no matrix of side (n_max+1)^2 is
-built.  Below |u| = SERIES_MAX_U (about 2.2e-3) ground_state sums the
-weak-coupling series of D + u W about |0,0>, whose coefficients of u^n are
-built once per n_max (_series): no start vector and no matvec.  Otherwise it
-finds the lowest eigenpair by thick-restart Lanczos with full
-reorthogonalization (numpy only) on v, in a basis of at most 24 vectors that
-restarts from its 8 lowest Ritz vectors.  The first solve of an oracle
-starts from |0,0>, each later one from the previous ground state, or from the
-quadratic extrapolation of the last three to the new u where that is safe,
-plus the cubic term from a fourth where that term is above the stored
-states' rounding noise, 4 RITZ_TOL (4-12% fewer trajectory steps on the
-oracle benchmark; see EXTRAPOLATE_BEND), so a grid sweep or a trajectory is
-warm-started and reruns stay deterministic.  A solve at the last solve's u
-reuses it, so a constant-g trajectory solves once.
+built.  Below |u| = SERIES_MAX_U = 0.5 ground_state sums the weak-coupling
+series of D + u W about |0,0>, whose coefficients of u^n are built once per
+n_max (_series): 51 of them from n_max 9 up, the one of order n zero outside
+the pairs with max(n, n') <= n, so they are held on the pairs up to a cutoff
+of 64 at most.  Such a solve takes no start vector and no matvec.  At the
+strong-coupling end, |u| >= 0.5, it finds the lowest eigenpair by
+thick-restart Lanczos with full reorthogonalization (numpy only) on v, in a
+basis of at most 24 vectors that restarts from its 8 lowest Ritz vectors.
+The first solve of an oracle starts from |0,0>, each later one from the
+previous ground state, or from the quadratic extrapolation of the last three
+to the new u where that is safe, plus the cubic term from a fourth where that
+term is above the stored states' rounding noise, 4 RITZ_TOL (together
+0.34-0.82 of the plain start's steps on slow trajectories at g/k 0.6-0.9;
+see EXTRAPOLATE_BEND), so a grid sweep or a trajectory is warm-started and
+reruns stay deterministic.  A solve at the last solve's u reuses it, so a
+constant-g trajectory solves once.
 A GroundStateResult holds v; its amplitude table, and the residual measured
 with the full-table (N1 + N2 + 1) o c + u X c X (FockOracle.apply), are
 computed on first read.  <x1 x2> comes from the stencil
@@ -298,21 +301,22 @@ def _lanczos(matvec, start: np.ndarray, skip_below: int) -> tuple[float, np.ndar
 # continuation: Allgower & Georg, Numerical Continuation Methods, 1990) when
 # the three u differ and ||q - l|| < EXTRAPOLATE_BEND ||l - v_c||, l the linear
 # extrapolation from the last two; otherwise from the last ground state.
-# Along a slow trajectory the ratio is 1e-5 or less, and from q a run takes
-# 0.44-0.63 of the Lanczos steps (n_max 12, g/k 0.4).  On force-curve grids,
-# where g moves 18-73% between points, the ratio is 5e-3 to 0.2: with a bound
-# of 1e-2 the reference sweep at n_max 28 took 322 steps against 317, with
-# 1e-3 it keeps the plain start and takes 317.  Where g moves about 1% per
-# step (ratio near 2e-3) q saves no steps.
 # With a fourth stored state, q gains the cubic term t of the Newton form when
-# EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - v_c||.  Over 20
-# cycles of the oracle benchmark on seven seeds, t cut the trajectories'
-# Lanczos steps by 4-12% against q alone; a 200-step run at n_max 12, g/k 0.4,
-# y moving 1.5e-4 lambda per step, took 1153 against 2650.  Below the lower
-# cut t is rounding noise of the stored states: with no cut the steps rose by
-# 2-4% against q, with a cut of 1 RITZ_TOL 30-60% of the gain was lost.  A cut
-# of 2 RITZ_TOL saved at most 0.8% more than 4, but took more steps than q on
-# runs from rest at g/k 0.03 and 0.1; 16 took up to 2.9% more than 4.
+# EXTRAPOLATE_CUBIC_MIN < ||t|| < EXTRAPOLATE_BEND ||l - v_c||.
+# Where Lanczos runs (g/k 0.5 and up), on 200-step runs of dt 0.05 at n_max
+# 12 and 20, g/k 0.6-0.9 (exponential family, g0 0.95): from rest or with y
+# moving 1.5e-4 lambda per step, q takes 0.53-0.91 of the plain start's steps
+# and t 0.63-0.95 of q's, together 0.34-0.82; with y moving 5e-4 per step,
+# q 0.82-1.00 and t 0.70-1.00 (no saving at g/k 0.9); from 1.5e-3 per step
+# (g moving 0.15% or more) the bend test keeps the plain start and the steps
+# are the plain start's, bit for bit.  On force-curve grids the ratio is
+# larger still: an 11-point grid from g/k 0.52 to 0.95 (g moving 6% between
+# points) keeps the plain start (664 steps at n_max 28).  The two cuts were
+# set when Lanczos also solved g/k 0.03-0.4: a bound of 1e-2 took 322 steps
+# against 317 on the reference sweep at n_max 28; below the lower cut t is
+# rounding noise of the stored states (with no cut the steps rose by 2-4%
+# against q, with 1 RITZ_TOL 30-60% of the gain was lost, 2 RITZ_TOL took more
+# steps than q from rest at g/k 0.03 and 0.1, and 16 up to 2.9% more than 4).
 EXTRAPOLATE_BEND = 1e-3
 EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 
@@ -344,19 +348,23 @@ def _start(oracle: FockOracle, u: float) -> np.ndarray:
     return start
 
 
-# Below |g/k| = SERIES_MAX_U = RITZ_TOL / 1e-13, about 2.2e-3, a solve sums
-# the Rayleigh-Schroedinger series about |0,0> (_series) in place of Lanczos,
-# whose stop rule bounds <x1 x2> only to RITZ_TOL / (g/k) relative: below
-# RITZ_TOL a solve stopped at |0,0> with <x1 x2> = 0, and a warm one took 5-9
-# steps and two eighs.  The series' stop is relative to its first-order term,
-# which sets <x1 x2>: within 3.9 RITZ_TOL of the closed form at n_max 12-40
-# and g/k 1e-300 to the cut, E0 within 0.44 RITZ_TOL of the extended-precision
-# Rayleigh quotient of a dense eigenvector, and an oracle-route evolve row at
-# g/k 1e-4 in 15 us against 129 by Lanczos (n_max 12; 180 at n_max 20).  At
-# the cut a term is 1.2e-3 to 2e-3 of the one before, so 9 terms suffice (8 at
-# n_max 1); every solve at or above it is the Lanczos solve it was, so the
-# reference grid (g/k >= 3.4e-3) keeps its bits.
-SERIES_MAX_U = RITZ_TOL / 1e-13
+# Below |g/k| = SERIES_MAX_U = 0.5 a solve sums the Rayleigh-Schroedinger
+# series about |0,0> (_series) in place of Lanczos, whose stop rule bounds
+# <x1 x2> only to RITZ_TOL / (g/k) relative (below RITZ_TOL a solve stopped at
+# |0,0> with <x1 x2> = 0) and whose result depends on its start.  The series
+# has no start, and its stop is relative to its first-order term, which sets
+# <x1 x2>: from g/k 1e-300 to the cut, E0 within 0.52 RITZ_TOL of the
+# extended-precision Rayleigh quotient of a dense eigenvector, and <x1 x2>
+# within 4.4 RITZ_TOL of the closed form where truncation is nil (Lanczos: 0.51
+# and 6.2, n_max 12-40, g/k 3e-3 to 0.49).  A solve along a force-curve sweep
+# at g/k 0.3 takes 24-34 us against 190-640 us by warm Lanczos (n_max 12-40).
+# At the cut the build takes 51 terms from n_max 9 up (26 at n_max 1, where
+# every even order is 0), and it converges at every n_max from 1 to 60 and at
+# 999.  The series' radius is below 0.9 at n_max 2, and at 0.7 the build's
+# guard fires at n_max 2 and 3, so 0.5 keeps a margin.  Every solve at g/k 0.5
+# or above on an oracle that has solved nothing below it is the Lanczos solve
+# it was; the reference oracle-check sits at g/k 0.5 exactly.
+SERIES_MAX_U = 0.5
 
 
 @functools.cache
@@ -369,27 +377,47 @@ def _series(n_max: int, u_max: float):
     b_n[0] = 0.  Neither depends on u, so one stencil matvec per order builds
     them once, until two consecutive terms u_max^n ||b_n|| are at most
     RITZ_TOL times the first-order one (at n_max = 1 every even order is
-    exactly 0).  Every |u| <= u_max sums all of them.  Returns (orders, b, e),
-    read-only; raises NoConvergenceError when a term at u_max is above the
-    one two orders before it, u_max being past the series' radius.
+    exactly 0).  Every |u| <= u_max sums all of them.
+
+    W moves each mode by one quantum, so b_n is zero outside the pairs with
+    max(n, n') <= n, and the terms up to order c are the same, bit for bit,
+    at every cutoff of c or more.  So they are built on the sector of the
+    first cutoff c of 1, 2, 4, ..., n_max that holds them all (a build that
+    would reach order c + 1 below n_max starts again at min(n_max, 2c)), and
+    at every n_max of 64 or more the series at SERIES_MAX_U is that of
+    cutoff 64: 51 terms on 1089 coordinates, 0.4 MB, where full-length terms
+    would take 102 MB at n_max 999.
+    Returns (orders, b, e, at), read-only, with b on cutoff c's sector and
+    at its coordinates in n_max's; raises NoConvergenceError when a term at
+    u_max is above the one two orders before it, u_max being past the
+    series' radius.
     """
-    _, _, _, _, cols, stencil, start = _sector(n_max)
-    gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
-    inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
-    terms, energies, sizes = [start], [1.0], [1.0]
-    while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
-        if len(sizes) > 2 and not sizes[-1] <= sizes[-3]:
-            raise NoConvergenceError(
-                f"the weak-coupling series at g/k = {u_max:.3e}, n_max = {n_max} "
-                f"does not converge: term {len(sizes) - 1} is {sizes[-1]:.3e} "
-                f"against {sizes[-3]:.3e} two orders before"
-            )
-        w = (stencil[1:] * terms[-1][cols[1:]]).sum(0)  # W b_{n-1}
-        energies.append(float(w[0]))
-        b = (sum(e * t for e, t in zip(energies[1:-1], reversed(terms[1:]))) - w) * inverse
-        terms.append(b)
-        sizes.append(u_max ** (len(terms) - 1) * math.sqrt(b @ b))
-    series = np.arange(len(terms)), np.array(terms), np.array(energies)
+    cutoff = 1
+    while True:
+        _, _, (n, m), _, cols, stencil, start = _sector(cutoff)
+        gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
+        inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+        terms, energies, sizes = [start], [1.0], [1.0]
+        while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
+            if len(sizes) > 2 and not sizes[-1] <= sizes[-3]:
+                raise NoConvergenceError(
+                    f"the weak-coupling series at g/k = {u_max:.3e}, n_max = {n_max} "
+                    f"does not converge: term {len(sizes) - 1} is {sizes[-1]:.3e} "
+                    f"against {sizes[-3]:.3e} two orders before"
+                )
+            if len(terms) > cutoff < n_max:
+                break  # the next order reaches past this cutoff
+            w = (stencil[1:] * terms[-1][cols[1:]]).sum(0)  # W b_{n-1}
+            energies.append(float(w[0]))
+            b = (sum(e * t for e, t in zip(energies[1:-1], reversed(terms[1:]))) - w) * inverse
+            terms.append(b)
+            sizes.append(u_max ** (len(terms) - 1) * math.sqrt(b @ b))
+        else:
+            break
+        cutoff = min(n_max, 2 * cutoff)
+    big_n, big_m = _sector(n_max)[2]
+    at = np.searchsorted(big_n * (n_max + 1) + big_m, n * (n_max + 1) + m)
+    series = np.arange(len(terms)), np.array(terms), np.array(energies), at
     for array in series:
         array.flags.writeable = False
     return series
@@ -416,9 +444,10 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
         v = oracle.recent[-1][1]
         return GroundStateResult(E0=oracle.e0, vector=v, steps=0, oracle=oracle, u=u)
     if abs(u) < SERIES_MAX_U:
-        orders, terms, energies = _series(len(oracle.quanta) - 1, SERIES_MAX_U)
+        orders, terms, energies, at = _series(len(oracle.quanta) - 1, SERIES_MAX_U)
         powers = u**orders
-        theta, v, steps = float(powers @ energies), powers @ terms, 0
+        theta, v, steps = float(powers @ energies), np.zeros(oracle.weight.size), 0
+        v[at] = powers @ terms
     else:
         theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
         if oracle.recent:

@@ -604,7 +604,8 @@ class TestForceCurveCommand:
         # |0,0> start at the weakest coupling, and written in grid order.  It
         # matches a cold solve at each point within 1e-12 relative, the bound
         # a warm sweep down to g/k = 1e-9 keeps against the closed form
-        # (test_fock); measured at most 6.4e-14.  The exponential case takes
+        # (test_fock); measured at most 7.4e-16, the series solving every
+        # point below g/k 0.5 with no start vector.  The exponential case takes
         # g/k from 0.5 down to 1e-7 at n_max 24, like the workload's weak slot.
         doc = json.loads((ROOT / "configs" / "reference.json").read_text())
         doc["output"] = {"directory": str(tmp_path / "out"), "precision": 17}
@@ -639,10 +640,11 @@ class TestForceCurveCommand:
         np.testing.assert_allclose(rows[:, 5], cold, rtol=1e-12, atol=0)
 
     def test_constant_coupling_oracle_column_solves_once(self, tmp_path, monkeypatch):
-        # every grid point has the same g, so the first, cold solve serves
-        # all 11, and the column is that solve's force on every row
+        # every grid point has the same g (g/k 0.7, above the series), so the
+        # first, cold solve serves all 11, and the column is that solve's
+        # force on every row
         path, doc = reference_config(tmp_path)
-        doc["model"]["coupling"].update(family="constant", g0=0.3)
+        doc["model"]["coupling"].update(family="constant", g0=0.7)
         doc["oracle"]["n_max"] = 12
         path.write_text(json.dumps(doc))
         calls = 0

@@ -421,11 +421,13 @@ class TestSparseOracle:
 
 
 class TestLanczos:
-    def test_warm_start_takes_few_steps(self, reference_model):
-        # 300-point slow sweep, each solve started from the last ground state:
+    def test_warm_start_takes_few_steps(self, reference_model, monkeypatch):
+        # 300-point slow sweep at g/k near 0.18, solved by Lanczos (the
+        # series cut at 0), each solve started from the last ground state:
         # the cold first solve takes 40 steps at both cutoffs, the warm ones
         # a median of 12 (n_max=20) and 18 (n_max=40); the bounds allow one
         # more convergence check
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
         for n_max, bound in ((20, 15), (40, 22)):
             oracle = FockOracle(reference_model, n_max)
             steps = [ground_state(oracle, y).steps for y in np.linspace(1.0, 1.03, 300)]
@@ -433,10 +435,11 @@ class TestLanczos:
             assert statistics.median(steps) <= bound
 
     def test_warm_solves_skip_the_checks_they_cannot_stop_at(self, reference_model, monkeypatch):
-        # the sweep above: a warm solve checks at k = 1 and then from the
-        # schedule point below the last warm solve's step count, so it needs a
-        # median of 2 dense eigh calls where checking at every point took 10
-        # (n_max=20) and 12 (n_max=40)
+        # the sweep above, by Lanczos: a warm solve checks at k = 1 and then
+        # from the schedule point below the last warm solve's step count, so it
+        # needs a median of 2 dense eigh calls where checking at every point
+        # took 10 (n_max=20) and 12 (n_max=40)
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
         calls = 0
         eigh = np.linalg.eigh
 
@@ -457,11 +460,12 @@ class TestLanczos:
 
     @pytest.mark.parametrize("n_max", [12, 24, 40])
     def test_warm_sweep_to_tiny_coupling_keeps_the_correlation(self, n_max):
-        # g/k from 0.5 down to 1e-9: warm-started Lanczos solves down to
-        # SERIES_MAX_U, whose stop rule relative to |theta_0| keeps <x1 x2>
-        # within 1e-13 there (a floor of epsilon ||T_k|| let the error grow
-        # to about 1e-9), and the series below it.  Measured 6.3e-14; 1.8e-13
-        # when Lanczos solved the whole sweep.
+        # g/k from 0.5 down to 1e-9: a Lanczos solve at 0.5, whose stop rule
+        # relative to |theta_0| keeps <x1 x2> within 1e-13 (a floor of epsilon
+        # ||T_k|| let the error grow to about 1e-9 on a Lanczos sweep), and the
+        # series below SERIES_MAX_U.  Measured 1.1e-15 at n_max 24 and 40; at
+        # 12, 6.3e-14, the truncation at g/k 0.5.  Lanczos down to g/k 2.2e-3
+        # read 3.3e-14, and 1.8e-13 on the whole sweep.
         model = make_model(y_max=25.0)
         oracle = FockOracle(model, n_max)
         x = position_matrix(model, n_max)
@@ -529,34 +533,43 @@ class TestLanczos:
         assert np.array_equal(cubic, quadratic)
         assert not np.allclose(cubic, exact, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("u, v0, share", [(0.4, 0.003, 0.5), (0.03, 0.0, 1.0)])
-    def test_cubic_term_saves_steps_on_a_slow_trajectory(self, reference_model, monkeypatch,
-                                                         u, v0, share):
-        # 200 steps of dt 0.05 at n_max 12 take at most share of the Lanczos
-        # steps that the quadratic start alone takes.  At g/k 0.4, y moving
-        # 1.5e-4 per step: 1153 against 2650.  From rest at g/k 0.03, where
-        # the cubic term is mostly below its noise cut: 692 against 703 (a
-        # cut of 2 RITZ_TOL took 714).
+    @pytest.mark.parametrize("u, v0, share", [(0.4, 0.003, 0.5), (0.03, 0.0, 1.0),
+                                              (0.7, 0.003, 0.8), (0.9, 0.0, 1.0)])
+    def test_cubic_term_saves_steps_on_a_slow_trajectory(self, monkeypatch, u, v0, share):
+        # 200 steps of dt 0.05 at n_max 12, every solve by Lanczos (the series
+        # cut at 0), take at most share of the steps that the quadratic start
+        # alone takes.  At g/k 0.4, y moving 1.5e-4 per step: 1153 against
+        # 2650; at 0.7, 2250 against 3289.  From rest at g/k 0.03, where the
+        # cubic term is mostly below its noise cut: 692 against 703 (a cut of
+        # 2 RITZ_TOL took 714); at 0.9, 6466 against 6888.  The runs below
+        # g/k 0.5 are on the reference model.
+        g0 = 0.5 if u < 0.5 else 0.95
+        model = make_model(g0=g0)
         config = DynamicsConfig(
-            y0=math.log(0.5 / u), v0=v0, dt=0.05, t_max=10.0,
+            y0=math.log(g0 / u), v0=v0, dt=0.05, t_max=10.0,
             force_route="oracle", oracle_n_max=12,
         )
-        steps = total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
+        steps = total_steps(monkeypatch, lambda: evolve(model, config))
         monkeypatch.setattr(fock, "EXTRAPOLATE_CUBIC_MIN", math.inf)
-        assert steps <= share * total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        assert steps <= share * total_steps(monkeypatch, lambda: evolve(model, config))
 
-    @pytest.mark.parametrize("u", [0.003, 0.03, 0.1, 0.4])
+    @pytest.mark.parametrize("u", [0.003, 0.03, 0.1, 0.4, 0.6, 0.9])
     @pytest.mark.parametrize("v0", [0.003, 0.1])
     def test_cubic_term_moves_the_trajectory_only_at_rounding_level(self, u, v0, monkeypatch):
-        # the same oracle-route run with and without the cubic term: E_vac
-        # agrees to 8 RITZ_TOL and F to 10 RITZ_TOL / (g/k), the stop rule's
-        # bound on <x1 x2>.  Measured at most 2.6 RITZ_TOL and 3.3 RITZ_TOL /
-        # (g/k), at n_max 16.
-        model = make_model()
+        # the same oracle-route run with and without the cubic term, every
+        # solve by Lanczos (the series cut at 0): E_vac agrees to 8 RITZ_TOL
+        # and F to 10 RITZ_TOL / (g/k), the stop rule's bound on <x1 x2>.
+        # Measured at most 3.5 RITZ_TOL and 6.8 RITZ_TOL / (g/k), at n_max 16
+        # and g/k 0.9 (2.6 and 3.2 below 0.5); the runs below g/k 0.5 are on
+        # the reference model.
+        g0 = 0.5 if u < 0.5 else 0.95
+        model = make_model(g0=g0)
         config = DynamicsConfig(
-            y0=math.log(0.5 / u), v0=v0, dt=0.05, t_max=10.0,
+            y0=math.log(g0 / u), v0=v0, dt=0.05, t_max=10.0,
             force_route="oracle", oracle_n_max=16,
         )
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
         cubic = evolve(model, config)
         monkeypatch.setattr(fock, "EXTRAPOLATE_CUBIC_MIN", math.inf)
         quadratic = evolve(model, config)
@@ -564,30 +577,30 @@ class TestLanczos:
         assert np.all(np.abs(cubic.E_vac - quadratic.E_vac) <= 8 * tol * quadratic.E_vac)
         assert np.all(np.abs(cubic.F - quadratic.F) <= 10 * tol / u * np.abs(quadratic.F))
 
-    def test_extrapolated_start_saves_steps_on_a_slow_trajectory(self, reference_model, monkeypatch):
-        # 200 steps of dt 0.05 from rest at g/k = 0.4, n_max 12: the start
-        # extrapolated from the last three ground states takes 0.44 of the
-        # Lanczos steps of the plain warm start (1099 against 2488)
+    def test_extrapolated_start_saves_steps_on_a_slow_trajectory(self, monkeypatch):
+        # 200 steps of dt 0.05 from rest at g/k = 0.7, n_max 12: the start
+        # extrapolated from the last ground states takes 0.37 of the Lanczos
+        # steps of the plain warm start (1779 against 4801)
+        model = make_model(g0=0.95)
         config = DynamicsConfig(
-            y0=math.log(0.5 / 0.4), v0=0.0, dt=0.05, t_max=10.0,
+            y0=math.log(0.95 / 0.7), v0=0.0, dt=0.05, t_max=10.0,
             force_route="oracle", oracle_n_max=12,
         )
-        steps = total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        steps = total_steps(monkeypatch, lambda: evolve(model, config))
         monkeypatch.setattr(fock, "EXTRAPOLATE_BEND", 0.0)
-        plain = total_steps(monkeypatch, lambda: evolve(reference_model, config))
+        plain = total_steps(monkeypatch, lambda: evolve(model, config))
         assert steps <= 0.7 * plain
 
-    def test_extrapolated_start_costs_no_steps_on_a_force_curve_sweep(
-        self, reference_model, monkeypatch
-    ):
-        # the reference grid at 11 points, solved from the weak-coupling end
-        # at n_max 28 as force-curve does: g moves 65% between points, the
-        # quadratic term is 5e-3 to 0.2 of the linear step, and the sweep
-        # keeps the plain warm start (317 steps either way)
-        ys = np.linspace(0.0, 5.0, 11)[::-1]
+    def test_extrapolated_start_costs_no_steps_on_a_force_curve_sweep(self, monkeypatch):
+        # an 11-point grid from g/k 0.52 to 0.95, solved by Lanczos from the
+        # weak-coupling end at n_max 28 as force-curve does: g moves 6%
+        # between points, and the sweep keeps the plain warm start (664 steps
+        # either way; on the reference grid, by Lanczos throughout, 317)
+        model = make_model(g0=0.95)
+        ys = np.linspace(0.0, 0.6, 11)[::-1]
 
         def sweep():
-            oracle = FockOracle(reference_model, 28)
+            oracle = FockOracle(model, 28)
             for y in ys:
                 oracle_force(oracle, y)
 
@@ -600,18 +613,19 @@ class TestLanczos:
     ):
         # H/(hbar omega) depends on the model only through u = g/k.  With
         # hbar, m, k and omega powers of two, the steps, E0/(hbar omega),
-        # residual/(hbar omega) and F/(g' hbar/(m omega)) of a sweep are the
-        # unit model's, bit for bit.  m = k keeps omega = 1; the other two take
-        # both scales far from 1 (hbar omega = 2^-805 with hbar/(m omega) =
-        # 2^195, and 2^700 with 2^300).  Solving H itself, the divided
-        # differences of the start overflowed at m = k = 2^-996, and at
-        # hbar omega = 2^-805 the residual's squares underflowed to 0.
+        # residual/(hbar omega) and F/(g' hbar/(m omega)) of a Lanczos sweep
+        # at g/k near 0.68 are the unit model's, bit for bit.  m = k keeps
+        # omega = 1; the other two take both scales far from 1 (hbar omega =
+        # 2^-805 with hbar/(m omega) = 2^195, and 2^700 with 2^300).  The
+        # extrapolated start takes 196 steps against 267.  Solving H itself,
+        # the divided differences of the start overflowed at m = k = 2^-996,
+        # and at hbar omega = 2^-805 the residual's squares underflowed to 0.
         def sweep(hbar, m, k):
-            model = make_model(m=m, k=k, hbar=hbar, M=1000.0 * m, g0=0.5 * k)
+            model = make_model(m=m, k=k, hbar=hbar, M=1000.0 * m, g0=0.75 * k)
             oracle = FockOracle(model, 12)
             energy, length = oracle.hbar_omega, oracle.length_sq
             run = []
-            for y in np.linspace(1.0, 1.01, 10).tolist():
+            for y in np.linspace(0.1, 0.101, 10).tolist():
                 gs = ground_state(oracle, y)
                 force = oracle_force(oracle, y) / (model.g_prime(y) * length)
                 run.append((gs.steps, gs.E0 / energy, gs.residual_norm / energy, force))
@@ -631,11 +645,12 @@ class TestLanczos:
     @pytest.mark.parametrize("u", [2e-3, 3e-3, 1e-2, 0.1, 0.5])
     def test_oracle_route_force_matches_casimir_force(self, family, n_max, u):
         # 100 oracle-route steps from g/k = u towards weaker coupling (g/k
-        # falls by up to e^-0.5, so the u = 3e-3 runs cross SERIES_MAX_U into
-        # the series, which solves the u = 2e-3 runs throughout) against the
-        # closed-form force at the same y.  Measured at most 1.4e-13
-        # relative, on Lanczos solves at u = 3e-3; 6.4e-14 with plain warm
-        # starts, 1.1e-15 on the series.  For a constant g both are exactly 0.
+        # falls by up to e^-0.5, so the u = 0.5 runs start on Lanczos and cross
+        # SERIES_MAX_U into the series, which solves the other runs
+        # throughout) against the closed-form force at the same y.  Measured at
+        # most 1.6e-15 relative on the series; 6.4e-14 at u = 0.5, the
+        # truncation at n_max 12.  Lanczos solves read up to 1.4e-13, at u =
+        # 3e-3.  For a constant g both are exactly 0.
         if family == "constant":
             model, y0 = make_model(g0=u, family=family), 1.0
         elif family == "exponential":
@@ -650,21 +665,24 @@ class TestLanczos:
         expected = np.array([casimir_force(model, y) for y in traj.y])
         assert np.all(np.abs(traj.F - expected) <= 1e-12 * np.abs(expected))
 
-    def test_converged_start_stops_after_one_step(self, constant_model):
+    def test_converged_start_stops_after_one_step(self):
         # a fresh oracle started from a converged ground state meets the stop
-        # test at k = 1, on T_1 = alpha_1 itself
-        converged = ground_state(FockOracle(constant_model, 20), 0.0)
-        oracle = FockOracle(constant_model, 20)
+        # test at k = 1, on T_1 = alpha_1 itself (g/k 0.55, above the series)
+        model = make_model(family="constant", g0=0.55)
+        converged = ground_state(FockOracle(model, 20), 0.0)
+        oracle = FockOracle(model, 20)
         oracle.recent = ((0.0, converged.vector),)
         gs = ground_state(oracle, 1.0)
         assert gs.steps == 1
         assert gs.E0 == pytest.approx(converged.E0, rel=1e-15)
 
     def test_no_convergence_when_the_basis_fills_the_space(self, reference_model, monkeypatch):
-        # with a zero tolerance only an exact breakdown stops a solve; from a
-        # random sector start the Krylov basis fills all 6 dimensions of the
-        # exchange-symmetric, even-parity sector at n_max=3 first
+        # with a zero tolerance only an exact breakdown stops a Lanczos solve
+        # (the series cut at 0); from a random sector start the Krylov basis
+        # fills all 6 dimensions of the exchange-symmetric, even-parity sector
+        # at n_max=3 first
         monkeypatch.setattr(fock, "RITZ_TOL", 0.0)
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
         oracle = FockOracle(reference_model, 3)
         oracle.recent = ((0.0, np.random.default_rng(1).normal(size=6)),)
         with pytest.raises(NoConvergenceError, match="dimension 6"):
@@ -716,18 +734,19 @@ class TestLanczos:
         )
 
     def test_short_warm_solves_are_those_of_an_unrestarted_basis(self, reference_model, monkeypatch):
-        # the 300-point sweep above after its cold solve: every warm solve
-        # stops within 22 steps, so the basis never fills, and a basis that
-        # holds the whole space gives the same bits
+        # the 300-point Lanczos sweep above after its cold solve: every warm
+        # solve stops within 22 steps, so the basis never fills, and a basis
+        # that holds the whole space gives the same bits
+        monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
         ys = np.linspace(1.0, 1.03, 300)
         for n_max in (20, 40):
             oracle = FockOracle(reference_model, n_max)
             ground_state(oracle, 1.0)
             twin = copy.copy(oracle)
             restarted = [ground_state(oracle, y) for y in ys]
-            monkeypatch.setattr(fock, "BASIS_MAX", 10**6)
-            whole = [ground_state(twin, y) for y in ys]
-            monkeypatch.undo()
+            with monkeypatch.context() as patch:
+                patch.setattr(fock, "BASIS_MAX", 10**6)
+                whole = [ground_state(twin, y) for y in ys]
             assert max(gs.steps for gs in restarted) <= fock.BASIS_MAX
             for a, b in zip(restarted, whole):
                 assert a.steps == b.steps and a.E0 == b.E0
@@ -737,7 +756,8 @@ class TestLanczos:
         # 1000 oracle-route steps at n_max=20 against a route that diagonalizes
         # H(y) densely at every step, in its exchange-symmetric even-parity
         # block (where the ground state lies; the full 441 x 441 eigh would
-        # take 10 s).  Both this solver and ARPACK eigsh stay within 6e-15.
+        # take 10 s).  At g/k near 0.18 the series solves every step; it,
+        # warm-started Lanczos and ARPACK eigsh all stay within 6e-15.
         n_max = 20
         side = n_max + 1
         pairs = [(n, m) for n in range(side) for m in range(n, side) if (n + m) % 2 == 0]
@@ -767,23 +787,28 @@ class TestLanczos:
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
 
 
-WEAK_U = [0.0, 1e-300, 1e-12, 1e-6, 1e-4, float(np.nextafter(fock.SERIES_MAX_U, 0.0))]
+# g/k below the cut, from 0 to just under it; 2.2e-3 is just under RITZ_TOL /
+# 1e-13, where the Lanczos stop rule bounds <x1 x2> to 1e-13 relative
+WEAK_U = [0.0, 1e-300, 1e-12, 1e-6, 1e-4, float(np.nextafter(fock.RITZ_TOL / 1e-13, 0.0)),
+          1e-2, 0.1, 0.3, float(np.nextafter(fock.SERIES_MAX_U, 0.0))]
 
 
 class TestSeries:
-    @pytest.mark.parametrize("n_max", [1, 2, 12, 40])
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5, 6, 12, 20, 40])
     @pytest.mark.parametrize("u", WEAK_U)
     def test_series_matches_dense_eigh(self, n_max, u):
         # below the cut the series against scipy's eigh of the sector matrix.
         # eigh's eigenvalue rounds at about epsilon ||H|| (35 epsilon at
         # n_max 40), so E0 is compared with the Rayleigh quotient of its
         # eigenvector, whose error is second order, summed in extended
-        # precision: measured at most 0.44 epsilon (2 epsilon against a
-        # float64 quotient).  <x1 x2> is within 3.9 RITZ_TOL of eigh's where
+        # precision: measured at most 0.52 epsilon (2 epsilon against a
+        # float64 quotient).  <x1 x2> is within 3.4 RITZ_TOL of eigh's where
         # eigh resolves it (its off-diagonal of u/2 is deflated at 1e-300, as
         # Lanczos stopped at |0,0> for g/k below RITZ_TOL: both read 0), and
-        # of the closed form where truncation is nil (n_max 12 and 40, or a
-        # truncation error of about (g/k)^2 below 1e-24).
+        # within 4.4 RITZ_TOL of the closed form where truncation is nil: an
+        # edge mass below 1e-20, or g/k at most 1e-12.  (At n_max 12 and g/k
+        # 0.5 an edge mass of 1.7e-16 puts <x1 x2> 285 epsilon from the
+        # closed form; at n_max 6 and g/k 0.1, 1.7e-17 and 3 epsilon.)
         model = make_model(family="constant", g0=u)
         oracle = FockOracle(model, n_max)
         gs = ground_state(oracle, 0.0)
@@ -797,7 +822,7 @@ class TestSeries:
         references = []
         if u == 0.0 or u >= 1e-12:
             references.append(oracle.correlation(vec))
-        if n_max >= 12 or u <= 1e-12:
+        if gs.edge_mass() < 1e-20 or u <= 1e-12:
             references.append(vacuum_fluctuations(model, 0.0).x1x2)
         for reference in references:
             assert abs(x1x2 - reference) <= 8 * fock.RITZ_TOL * abs(reference)
@@ -805,16 +830,19 @@ class TestSeries:
 
     @pytest.mark.parametrize("n_max", [12, 40])
     def test_weak_coupling_state_does_not_depend_on_the_solve_history(self, n_max):
-        # the series has no start vector: a cold solve at g/k 1e-4 and one
-        # after a Lanczos sweep down from g/k 0.5 give the same bits
-        model = make_model(y_max=25.0)
-        y = math.log(0.5 / 1e-4)
-        cold = ground_state(FockOracle(model, n_max), y)
-        oracle = FockOracle(model, n_max)
-        for sweep_y in np.linspace(0.0, y, 50)[:-1]:
-            ground_state(oracle, sweep_y)
-        warm = ground_state(oracle, y)
-        assert warm.E0 == cold.E0 and np.array_equal(warm.vector, cold.vector)
+        # the series has no start vector: a cold solve at g/k 0.3 or 1e-4 and
+        # one after a sweep down from g/k 0.9, by Lanczos down to the cut,
+        # give the same bits
+        model = make_model(g0=0.9, y_max=25.0)
+        for u in (0.3, 1e-4):
+            y = math.log(0.9 / u)
+            cold = ground_state(FockOracle(model, n_max), y)
+            oracle = FockOracle(model, n_max)
+            for sweep_y in np.linspace(0.0, y, 50)[:-1]:
+                ground_state(oracle, sweep_y)
+            warm = ground_state(oracle, y)
+            assert warm.steps == cold.steps == 0
+            assert warm.E0 == cold.E0 and np.array_equal(warm.vector, cold.vector)
 
     def test_series_trajectory_takes_no_matvecs(self, reference_model, monkeypatch):
         # 200 oracle-route steps at g/k near 1e-4, n_max 12: every solve is a
@@ -836,6 +864,53 @@ class TestSeries:
         expected = np.array([casimir_force(reference_model, y) for y in traj.y])
         assert np.all(np.abs(traj.F - expected) <= 1e-13 * np.abs(expected))
 
+    def test_series_builds_at_every_cutoff(self):
+        # at the cut the build converges at every cutoff: 26 terms at n_max
+        # 1 (every even order 0), 51 from n_max 9 up, the largest at 999
+        counts = {n_max: fock._series(n_max, fock.SERIES_MAX_U)[0].size
+                  for n_max in [*range(1, 61), 999]}
+        assert counts[1] == 26 and max(counts.values()) == 51
+        assert all(counts[n_max] == 51 for n_max in [*range(9, 61), 999])
+
+    @pytest.mark.parametrize("n_max", [1, 12, 40, 80, 999])
+    def test_order_n_lives_on_the_pairs_up_to_n(self, n_max):
+        # W moves each mode by one quantum, so the term of order n is zero
+        # outside the pairs (n', n'') with max(n', n'') <= n, and nonzero at
+        # (n, n) inside the basis
+        orders, terms, _, at = fock._series(n_max, fock.SERIES_MAX_U)
+        n, m = FockOracle(make_model(), n_max).pairs
+        top = m[at]  # max(n, n') of each coordinate, n <= n' in the sector
+        for order, term in zip(orders, terms):
+            assert np.all(term[top > order] == 0.0), order
+            if order <= n_max and (n_max > 1 or order < 2):
+                assert term[(top == order) & (n[at] == order)].item() != 0.0, order
+
+    def test_series_above_its_last_order_is_the_smaller_cutoffs(self):
+        # at u_max = SERIES_MAX_U the last order is 50, so the basis edge of
+        # any n_max >= 50 is never reached and the series is that of cutoff
+        # 50 with its pairs' coordinates in the n_max sector, bit for bit
+        orders, terms, energies, at = fock._series(50, fock.SERIES_MAX_U)
+        assert orders[-1] == 50
+        n, m = FockOracle(make_model(), 50).pairs
+        for n_max in (51, 63, 64, 80, 200, 999):
+            big_orders, big_terms, big_energies, big_at = fock._series(n_max, fock.SERIES_MAX_U)
+            assert np.array_equal(big_orders, orders) and np.array_equal(big_energies, energies)
+            big_n, big_m = FockOracle(make_model(), n_max).pairs
+            coordinate = {pair: i for i, pair in enumerate(zip(big_n.tolist(), big_m.tolist()))}
+            expected = np.zeros((orders.size, big_n.size))
+            expected[:, [coordinate[pair] for pair in zip(n[at].tolist(), m[at].tolist())]] = terms
+            got = np.zeros_like(expected)
+            got[:, big_at] = big_terms
+            assert np.array_equal(got, expected), n_max
+
+    def test_largest_cutoff_holds_a_small_table(self):
+        # 51 terms on 1089 of the 250,500 coordinates at n_max 999 (cutoff
+        # 64, the first power of 2 past the last order, 50), not 51 of full
+        # length (102 MB)
+        series = fock._series(999, fock.SERIES_MAX_U)
+        assert series[1].shape == (51, 1089)
+        assert sum(array.nbytes for array in series) < 1e6
+
     def test_series_past_its_radius_raises(self, monkeypatch):
         # with the cut raised to g/k 1.5, past the radius of the series at
         # n_max 12 (its terms at 1.5 grow from the third on), the table for
@@ -847,9 +922,11 @@ class TestSeries:
 
 
 class TestReuse:
-    def test_constant_coupling_trajectory_solves_once(self, constant_model, monkeypatch):
-        # every step of an oracle-route run at constant g reuses the first,
-        # cold solve, so E_vac is that solve's E0 on every row
+    def test_constant_coupling_trajectory_solves_once(self, monkeypatch):
+        # every step of an oracle-route run at constant g (g/k 0.7, above the
+        # series) reuses the first, cold solve, so E_vac is that solve's E0 on
+        # every row
+        constant_model = make_model(family="constant", g0=0.7)
         calls = 0
         lanczos = fock._lanczos
 
@@ -867,23 +944,25 @@ class TestReuse:
         cold = ground_state(FockOracle(constant_model, 12), 5.0)
         assert np.all(traj.E_vac == cold.E0)
 
-    def test_reuse_reports_no_steps_and_leaves_the_oracle(self, reference_model):
-        oracle = FockOracle(reference_model, 12)
-        for y in (1.0, 1.001, 1.002, 1.003):
+    def test_reuse_reports_no_steps_and_leaves_the_oracle(self):
+        # Lanczos solves at g/k near 0.74
+        oracle = FockOracle(make_model(g0=0.9), 12)
+        for y in (0.2, 0.201, 0.202, 0.203):
             last = ground_state(oracle, y)
         recent, warm_steps = oracle.recent, oracle.warm_steps
-        again = ground_state(oracle, 1.003)
+        again = ground_state(oracle, 0.203)
         assert again.steps == 0 < last.steps
         assert again.E0 == last.E0 and again.vector is last.vector
         assert oracle.recent is recent and oracle.recent[-1][1] is last.vector
         assert oracle.warm_steps == warm_steps and oracle.e0 == last.E0
         # only the last g is reused: the g before it is solved again
-        assert ground_state(oracle, 1.002).steps > 0
+        assert ground_state(oracle, 0.202).steps > 0
 
     @pytest.mark.parametrize("family", ["exponential", "inverse-power"])
     def test_non_constant_sweep_never_reuses(self, family):
-        model = make_model(family=family)
+        # g/k from 0.52 to 0.9, where every solve is a Lanczos solve
+        model = make_model(g0=0.9, family=family)
         oracle = FockOracle(model, 16)
-        steps = [ground_state(oracle, y).steps for y in np.linspace(1.0, 1.03, 300)]
-        steps += [ground_state(oracle, y).steps for y in np.linspace(5.0, 0.0, 11)]
+        steps = [ground_state(oracle, y).steps for y in np.linspace(0.1, 0.13, 300)]
+        steps += [ground_state(oracle, y).steps for y in np.linspace(0.5, 0.0, 11)]
         assert min(steps) > 0
