@@ -365,9 +365,8 @@ def cmd_force_curve(config: RunConfig, outdir: Path, args) -> int:
             -energy_gradient_fd(model, y, h),
         ]
         if args.with_oracle:
-            # point by point in order of increasing g, each solve started from
-            # the last ground state: the cold |0,0> start is nearly the ground
-            # state at the weakest coupling
+            # point by point in order of increasing g, each solve (g/k 0.9 and
+            # up) started from the last ground state
             f = np.empty_like(y)
             points = y.tolist()
             for i in np.argsort(np.broadcast_to(model.g(y), y.shape), kind="stable").tolist():

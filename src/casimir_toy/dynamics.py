@@ -9,6 +9,7 @@ Python floats through quantum's kernels: one g and one g' per step.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 import warnings
@@ -93,15 +94,11 @@ class OracleTooSlowWarning(UserWarning):
 def _route(model: ValidatedModel, config: DynamicsConfig):
     """The selected route as one function y -> (force, E_vac)."""
     if config.force_route == "oracle":
-        # One FockOracle for the run, so each step's Lanczos solve starts
-        # from the previous step's ground state (the first from |0,0>).
+        # One FockOracle for the run: below g/k 0.9 a step evaluates its
+        # cached polynomials, above it each step's Lanczos solve starts from
+        # the previous step's ground state (the first from |0,0>).
         oracle = fock.FockOracle(model, config.oracle_n_max)
-
-        def oracle_route(y):
-            # oracle.e0 is read after oracle_force's solve: that solve's E0
-            return fock.oracle_force(oracle, y), oracle.e0
-
-        return oracle_route
+        return functools.partial(fock._force_and_energy, oracle)
     # evolve has checked y, so g and g' are evaluated once each, unchecked.
     c = model.coupling
     casimir = config.force_route == "casimir"

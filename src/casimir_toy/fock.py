@@ -18,8 +18,13 @@ built.  Below |u| = SERIES_MAX_U = 0.5 ground_state sums the weak-coupling
 series of D + u W about |0,0>, whose coefficients of u^n are built once per
 n_max (_series): 51 of them from n_max 9 up, the one of order n zero outside
 the pairs with max(n, n') <= n, so they are held on the pairs up to a cutoff
-of 64 at most.  Such a solve takes no start vector and no matvec.  At the
-strong-coupling end, |u| >= 0.5, it finds the lowest eigenpair by
+of 50 at most.  Such a solve takes no start vector and no matvec.  A force
+or an E_vac (oracle_force, and the oracle route of dynamics.evolve) needs no
+state below |u| = POLYNOMIAL_MAX_U = 0.9: E0/(hbar omega) = theta_0(u) =
+sum e_n u^n and, by Hellmann-Feynman, <X1 X2> = theta_0'(u), two
+polynomials whose coefficients the same build gives to 0.9 (_polynomial,
+which keeps no vector term).  At the strong-coupling end, |u| >= 0.5 for a
+state and |u| >= 0.9 for a force, ground_state finds the lowest eigenpair by
 thick-restart Lanczos with full reorthogonalization (numpy only) on v, in a
 basis of at most 24 vectors that restarts from its 8 lowest Ritz vectors.
 The first solve of an oracle starts from |0,0>, each later one from the
@@ -359,12 +364,28 @@ def _start(oracle: FockOracle, u: float) -> np.ndarray:
 # and 6.2, n_max 12-40, g/k 3e-3 to 0.49).  A solve along a force-curve sweep
 # at g/k 0.3 takes 24-34 us against 190-640 us by warm Lanczos (n_max 12-40).
 # At the cut the build takes 51 terms from n_max 9 up (26 at n_max 1, where
-# every even order is 0), and it converges at every n_max from 1 to 60 and at
-# 999.  The series' radius is below 0.9 at n_max 2, and at 0.7 the build's
-# guard fires at n_max 2 and 3, so 0.5 keeps a margin.  Every solve at g/k 0.5
-# or above on an oracle that has solved nothing below it is the Lanczos solve
-# it was; the reference oracle-check sits at g/k 0.5 exactly.
+# every even order is 0).  The series itself converges further (to dense eigh
+# at g/k 0.98 at every n_max tried, 1-40), but its vector terms are kept: to
+# 0.9 they would be 305 of them, 57 MB from n_max 304 up, so the cut of the
+# vector path stays at 0.5.  Every solve at g/k 0.5 or above on an oracle that
+# has solved nothing below it is the Lanczos solve it was; the reference
+# oracle-check sits at g/k 0.5 exactly.
 SERIES_MAX_U = 0.5
+
+# Below |g/k| = POLYNOMIAL_MAX_U = 0.9 a force or an E_vac reads no state: by
+# Hellmann-Feynman (exact for an eigenpair of the truncated H) <X1 X2> =
+# theta_0'(u), so _force_and_energy evaluates theta_0 = sum e_n u^n and its
+# derivative from the energy coefficients of a build to 0.9 (_polynomial),
+# which keeps no vector term.  The build converges at every n_max from 1 to 64
+# and at 999: 42 terms at n_max 1, 263 at 12, 305 from 34 up.  Against dense
+# eigh of the sector, theta_0 and theta_0' agree within 2e-14 relative at
+# n_max 1-40 up to the cut.  An oracle-route evolve step takes 4.9-7.4 us at
+# n_max 12 and 20, g/k 1e-4 to 0.85, against 14-18 us by the vector series
+# and 200-330 us by warm Lanczos at g/k 0.7-0.85 (one BLAS thread, 2-vCPU
+# Xeon).  No state is kept below the cut, so the first Lanczos solve above it
+# starts from |0,0>, as on a fresh oracle.  Past the cut the series needs
+# 1437 terms at g/k 0.98 (n_max 40), and Lanczos serves.
+POLYNOMIAL_MAX_U = 0.9
 
 
 @functools.cache
@@ -374,63 +395,102 @@ def _series(n_max: int, u_max: float):
     (1930)) in intermediate normalization: the ground state is
     sum_n u^n b_n and theta_0 = sum_n u^n e_n, with b_0 = |0,0>, e_0 = 1,
     e_n = (W b_{n-1})[0] and (D - 1) b_n = sum_{k<n} e_k b_{n-k} - W b_{n-1},
-    b_n[0] = 0.  Neither depends on u, so one stencil matvec per order builds
-    them once, until two consecutive terms u_max^n ||b_n|| are at most
-    RITZ_TOL times the first-order one (at n_max = 1 every even order is
-    exactly 0).  Every |u| <= u_max sums all of them.
+    b_n[0] = 0.  Neither depends on u, so one stencil matvec and one product
+    with the terms before it per order build them once, until two consecutive
+    terms u_max^n ||b_n|| are at most RITZ_TOL times the first-order one (at
+    n_max = 1 every even order is exactly 0).
 
     W moves each mode by one quantum, so b_n is zero outside the pairs with
-    max(n, n') <= n, and the terms up to order c are the same, bit for bit,
-    at every cutoff of c or more.  So they are built on the sector of the
-    first cutoff c of 1, 2, 4, ..., n_max that holds them all (a build that
-    would reach order c + 1 below n_max starts again at min(n_max, 2c)), and
-    at every n_max of 64 or more the series at SERIES_MAX_U is that of
-    cutoff 64: 51 terms on 1089 coordinates, 0.4 MB, where full-length terms
-    would take 102 MB at n_max 999.
-    Returns (orders, b, e, at), read-only, with b on cutoff c's sector and
-    at its coordinates in n_max's; raises NoConvergenceError when a term at
-    u_max is above the one two orders before it, u_max being past the
-    series' radius.
+    max(n, n') <= n, and the terms up to order c are the same at every cutoff
+    of c or more.  So they are built at cutoff 1 first, and again at the
+    cutoff of the last order that build reached (n_max at most) until a build
+    stops within its cutoff: the series at every n_max of 50 or more at
+    SERIES_MAX_U is that of cutoff 50 (51 terms on 676 coordinates), and at
+    POLYNOMIAL_MAX_U that of cutoff 304 (305 terms, 57 MB while it is built).
+    Returns (orders, b, e, at), read-only, with b on the last cutoff's sector
+    and at its coordinates in n_max's; raises NoConvergenceError when a term
+    at u_max is above the first-order one, u_max being past the series'
+    radius (at small cutoffs the terms oscillate, so a test against the term
+    two orders before fires on series that converge).
     """
-    cutoff = 1
+    cutoff, rows = 1, 64
     while True:
         _, _, (n, m), _, cols, stencil, start = _sector(cutoff)
         gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
         inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
-        terms, energies, sizes = [start], [1.0], [1.0]
+        terms = np.zeros((rows, start.size))
+        terms[0] = start
+        energies, sizes = [1.0], [1.0]
         while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
-            if len(sizes) > 2 and not sizes[-1] <= sizes[-3]:
+            if len(sizes) > 2 and not sizes[-1] <= sizes[1]:
                 raise NoConvergenceError(
                     f"the weak-coupling series at g/k = {u_max:.3e}, n_max = {n_max} "
                     f"does not converge: term {len(sizes) - 1} is {sizes[-1]:.3e} "
-                    f"against {sizes[-3]:.3e} two orders before"
+                    f"against {sizes[1]:.3e} at first order"
                 )
-            if len(terms) > cutoff < n_max:
-                break  # the next order reaches past this cutoff
-            w = (stencil[1:] * terms[-1][cols[1:]]).sum(0)  # W b_{n-1}
+            k = len(energies)
+            if k == rows:
+                rows *= 2
+                grown = np.zeros((rows, start.size))
+                grown[:k] = terms
+                terms = grown
+            w = (stencil[1:] * terms[k - 1][cols[1:]]).sum(0)  # W b_{n-1}
             energies.append(float(w[0]))
-            b = (sum(e * t for e, t in zip(energies[1:-1], reversed(terms[1:]))) - w) * inverse
-            terms.append(b)
-            sizes.append(u_max ** (len(terms) - 1) * math.sqrt(b @ b))
-        else:
+            terms[k] = (np.array(energies[k - 1:0:-1]) @ terms[1:k] - w) * inverse
+            sizes.append(u_max**k * math.sqrt(terms[k] @ terms[k]))
+        if k <= cutoff or cutoff == n_max:
             break
-        cutoff = min(n_max, 2 * cutoff)
+        cutoff, rows = min(n_max, k), k + 1
     big_n, big_m = _sector(n_max)[2]
     at = np.searchsorted(big_n * (n_max + 1) + big_m, n * (n_max + 1) + m)
-    series = np.arange(len(terms)), np.array(terms), np.array(energies), at
+    series = np.arange(k + 1), terms[:k + 1], np.array(energies), at
     for array in series:
         array.flags.writeable = False
     return series
 
 
+@functools.cache
+def _polynomial(n_max: int, u_max: float):
+    """theta_0 of the series to u_max (_series, whose vector terms are built
+    and dropped) as (orders, coefficients, counts): coefficients[0] = e_n and
+    coefficients[1] = (n + 1) e_{n+1}, so that both rows times u^orders give
+    theta_0 and theta_0' = <X1 X2>; counts[j] is how many orders to sum at
+    2^-(j+1) <= |u| < 2^-j (j = 0 at |u| >= 0.5 and at u = 0), the last one
+    also below its range.
+
+    A count is the least one, at least 3, whose left-out terms |n e_n|
+    u^(n-1) add up to at most RITZ_TOL |theta_0'| at the top of its range
+    (u_max at j = 0), where they are largest: so g/k 1e-9 sums 3 orders, and
+    a small u sums no power that underflows.
+    """
+    energies = _series.__wrapped__(n_max, u_max)[2]
+    orders = np.arange(energies.size)
+    coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
+    for array in (orders, coefficients):
+        array.flags.writeable = False
+    counts = []
+    while not counts or counts[-1] > 3:
+        slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
+        left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
+        fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
+        counts.append(max(3, int(fits[0]) + 1 if fits.size else energies.size))
+    return orders, coefficients, tuple(counts)
+
+
+def _order_count(counts: tuple, u: float) -> int:
+    """The orders of a _polynomial to sum at u, |u| < 1."""
+    return counts[min(-math.frexp(u)[1], len(counts) - 1)]
+
+
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) on the oracle's sector coordinates: below
-    |u| = SERIES_MAX_U by the weak-coupling series (_series), which takes no
-    start and no matvec (steps = 0), else by Lanczos, started from the last
-    ground state or their extrapolation (|0,0> on the first solve; see
-    _start).  At the u = g/k of its last solve, bit for bit, it returns that
-    solve's E0 and vector with steps = 0 and leaves the oracle as it is: that
-    H already met the stop rule.
+    |u| = SERIES_MAX_U by the weak-coupling series (_series, summed over the
+    orders _polynomial counts at u), which takes no start and no matvec
+    (steps = 0), else by Lanczos, started from the last ground state or their
+    extrapolation (|0,0> on the first solve; see _start).  At the u = g/k of
+    its last solve, bit for bit, it returns that solve's E0 and vector with
+    steps = 0 and leaves the oracle as it is: that H already met the stop
+    rule.
 
     The eigenvector is normalized with its |0,0> amplitude positive; steps
     counts the matvecs across restarts.  A warm Lanczos solve spends most of
@@ -444,10 +504,12 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
         v = oracle.recent[-1][1]
         return GroundStateResult(E0=oracle.e0, vector=v, steps=0, oracle=oracle, u=u)
     if abs(u) < SERIES_MAX_U:
-        orders, terms, energies, at = _series(len(oracle.quanta) - 1, SERIES_MAX_U)
-        powers = u**orders
-        theta, v, steps = float(powers @ energies), np.zeros(oracle.weight.size), 0
-        v[at] = powers @ terms
+        n_max = len(oracle.quanta) - 1
+        orders, terms, energies, at = _series(n_max, SERIES_MAX_U)
+        count = _order_count(_polynomial(n_max, SERIES_MAX_U)[2], u)
+        powers = u ** orders[:count]
+        theta, v, steps = float(powers @ energies[:count]), np.zeros(oracle.weight.size), 0
+        v[at] = powers @ terms[:count]
     else:
         theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
         if oracle.recent:
@@ -467,15 +529,30 @@ def oracle_observables(gs: GroundStateResult) -> VacuumObservables:
     n = np.arange(len(c))
     return VacuumObservables(
         E_vac=gs.E0,
-        x1x2=gs.oracle.correlation(gs.vector),  # the <x1 x2> of oracle_force
+        x1x2=gs.oracle.correlation(gs.vector),  # the <x1 x2> of oracle_force above the cut
         N1=float(n @ (c * c).sum(axis=1)),
     )
 
 
-def oracle_force(oracle: FockOracle, y: float) -> float:
-    """F = -g'(y) <x1 x2> in the numerical ground state."""
+def _force_and_energy(oracle: FockOracle, y: float) -> tuple[float, float]:
+    """(F, E_vac) = (-g'(y) <x1 x2>, E0) in the oracle's ground state at y:
+    below |u| = POLYNOMIAL_MAX_U from theta_0 and theta_0' of _polynomial,
+    with no state vector, and leaving the oracle as it is; else from
+    ground_state and the stencil contraction of its vector."""
+    model = oracle.model
+    u = model.g(y) / model.k
+    if abs(u) < POLYNOMIAL_MAX_U:
+        orders, coefficients, counts = _polynomial(len(oracle.quanta) - 1, POLYNOMIAL_MAX_U)
+        count = _order_count(counts, u)
+        theta, slope = (coefficients[:, :count] @ u ** orders[:count]).tolist()
+        return -model.g_prime(y) * (oracle.length_sq * slope), oracle.hbar_omega * theta
     gs = ground_state(oracle, y)
-    return -oracle.model.g_prime(y) * oracle.correlation(gs.vector)
+    return -model.g_prime(y) * oracle.correlation(gs.vector), gs.E0
+
+
+def oracle_force(oracle: FockOracle, y: float) -> float:
+    """F = -g'(y) <x1 x2> in the numerical ground state (_force_and_energy)."""
+    return _force_and_energy(oracle, y)[0]
 
 
 def verify_annihilation(expansion: VacuumExpansion, n_max: int) -> float:

@@ -600,23 +600,31 @@ class TestForceCurveCommand:
 
     @pytest.mark.parametrize("case", ["reference", "exponential-to-1e-7", "constant"])
     def test_oracle_column_is_solved_from_the_weak_coupling_end(self, tmp_path, monkeypatch, case):
-        # The oracle column is solved in order of increasing g, from the cold
-        # |0,0> start at the weakest coupling, and written in grid order.  It
-        # matches a cold solve at each point within 1e-12 relative, the bound
-        # a warm sweep down to g/k = 1e-9 keeps against the closed form
-        # (test_fock); measured at most 7.4e-16, the series solving every
-        # point below g/k 0.5 with no start vector.  The exponential case takes
-        # g/k from 0.5 down to 1e-7 at n_max 24, like the workload's weak slot.
+        # Where ground_state serves the force, the oracle column is solved in
+        # order of increasing g, from the cold |0,0> start at the weakest
+        # coupling, and written in grid order.  It matches a cold solve at each
+        # point within 1e-12 relative, the bound a warm sweep down to g/k =
+        # 1e-9 keeps against the closed form (test_fock).  The reference case
+        # is the reference grid with g0 0.99, so g/k runs from 0.99 down to
+        # 0.9, and the constant case sits at g/k 0.95: Lanczos solves every
+        # point.  The exponential case takes g/k from 0.5 down to 1e-7 at
+        # n_max 24, like the workload's weak slot, with the polynomial cut at
+        # 0, so that the series serves every point but the first; measured at
+        # most 7.4e-16.
         doc = json.loads((ROOT / "configs" / "reference.json").read_text())
         doc["output"] = {"directory": str(tmp_path / "out"), "precision": 17}
         if case == "exponential-to-1e-7":
             doc["model"]["coupling"]["y_max"] = 20.0
             doc["grid"] = {"y_min": 0.0, "y_max": math.log(0.5 / 1e-7), "points": 11}
             doc["oracle"]["n_max"] = 24
+            monkeypatch.setattr(fock, "POLYNOMIAL_MAX_U", 0.0)
         elif case == "constant":
-            doc["model"]["coupling"].update(family="constant", g0=0.3)
+            doc["model"]["coupling"].update(family="constant", g0=0.95)
             doc["grid"]["points"] = 11
             doc["oracle"]["n_max"] = 12
+        else:
+            doc["model"]["coupling"]["g0"] = 0.99
+            doc["grid"]["y_max"] = math.log(0.99 / 0.9)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(doc))
         config = cli.load_config(str(path))
@@ -627,9 +635,9 @@ class TestForceCurveCommand:
             solved.append(y)
             return ground_state(oracle, y)
 
-        monkeypatch.setattr(fock, "ground_state", recording)
-        assert cli.main(["force-curve", "--config", str(path), "--with-oracle"]) == 0
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(fock, "ground_state", recording)
+            assert cli.main(["force-curve", "--config", str(path), "--with-oracle"]) == 0
         _, rows = read_csv(tmp_path / "out" / "force_curve.csv")
         y = rows[:, 0].tolist()
         # every family's g is non-increasing in y: the far end comes first,
@@ -640,11 +648,11 @@ class TestForceCurveCommand:
         np.testing.assert_allclose(rows[:, 5], cold, rtol=1e-12, atol=0)
 
     def test_constant_coupling_oracle_column_solves_once(self, tmp_path, monkeypatch):
-        # every grid point has the same g (g/k 0.7, above the series), so the
+        # every grid point has the same g (g/k 0.95, above both cuts), so the
         # first, cold solve serves all 11, and the column is that solve's
         # force on every row
         path, doc = reference_config(tmp_path)
-        doc["model"]["coupling"].update(family="constant", g0=0.7)
+        doc["model"]["coupling"].update(family="constant", g0=0.95)
         doc["oracle"]["n_max"] = 12
         path.write_text(json.dumps(doc))
         calls = 0

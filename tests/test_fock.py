@@ -1,6 +1,7 @@
 import copy
 import math
 import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -392,12 +393,14 @@ class TestSparseOracle:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_observables_report_the_correlation_of_the_force(self, family):
         # oracle-check audits the <x1 x2> that oracle_force multiplies by
-        # -g', bit for bit: a contraction of the table sums the same products
-        # in another order and lands a few ulp away
-        model = make_model(family=family)
+        # -g', bit for bit, where ground_state serves the force (g/k 0.9 and
+        # above): a contraction of the table sums the same products in
+        # another order and lands a few ulp away
+        model = make_model(family=family, g0=0.99)
         for n_max in (1, 4, 12, 20, 40):
             oracle = FockOracle(model, n_max)
-            for y in (0.0, 0.5, 1.0, 3.0):
+            for y in (0.0, 0.03, 0.06, 0.09):
+                assert model.g(y) / model.k >= fock.POLYNOMIAL_MAX_U
                 gs = ground_state(oracle, y)
                 x1x2 = oracle_observables(gs).x1x2
                 assert x1x2 == oracle.correlation(gs.vector)
@@ -845,8 +848,9 @@ class TestSeries:
             assert warm.E0 == cold.E0 and np.array_equal(warm.vector, cold.vector)
 
     def test_series_trajectory_takes_no_matvecs(self, reference_model, monkeypatch):
-        # 200 oracle-route steps at g/k near 1e-4, n_max 12: every solve is a
-        # series sum, with no matvec, where the Lanczos path (cut at 0) took
+        # 200 oracle-route steps at g/k near 1e-4, n_max 12, with every force
+        # from ground_state (the polynomial cut at 0): every solve is a series
+        # sum, with no matvec, where the Lanczos path (both cuts at 0) took
         # 619, and F stays within 1e-13 of the closed-form force (measured
         # 1.2e-15; on the Lanczos path 3.2e-12, its stop rule bounding it only
         # to about RITZ_TOL / (g/k))
@@ -854,6 +858,7 @@ class TestSeries:
             y0=math.log(0.5 / 1e-4), v0=0.003, dt=0.05, t_max=10.0,
             force_route="oracle", oracle_n_max=12,
         )
+        monkeypatch.setattr(fock, "POLYNOMIAL_MAX_U", 0.0)
         runs = []
         steps = total_steps(monkeypatch, lambda: runs.append(evolve(reference_model, config)))
         monkeypatch.setattr(fock, "SERIES_MAX_U", 0.0)
@@ -904,11 +909,10 @@ class TestSeries:
             assert np.array_equal(got, expected), n_max
 
     def test_largest_cutoff_holds_a_small_table(self):
-        # 51 terms on 1089 of the 250,500 coordinates at n_max 999 (cutoff
-        # 64, the first power of 2 past the last order, 50), not 51 of full
-        # length (102 MB)
+        # 51 terms on 676 of the 250,500 coordinates at n_max 999 (cutoff
+        # 50, the last order), not 51 of full length (102 MB)
         series = fock._series(999, fock.SERIES_MAX_U)
-        assert series[1].shape == (51, 1089)
+        assert series[1].shape == (51, 676)
         assert sum(array.nbytes for array in series) < 1e6
 
     def test_series_past_its_radius_raises(self, monkeypatch):
@@ -921,12 +925,199 @@ class TestSeries:
             ground_state(oracle, 0.0)
 
 
+# g/k below the polynomial cut, from 0 to just under it
+STRONG_U = [0.0, 1e-300, 1e-9, 1e-4, 0.01, 0.1, 0.3, 0.49, 0.5, 0.6, 0.7, 0.8, 0.85,
+            float(np.nextafter(fock.POLYNOMIAL_MAX_U, 0.0))]
+
+
+def binomial_half(n):
+    """The coefficient of u^n in sqrt(1 + u), exactly."""
+    c = Fraction(1)
+    for j in range(n):
+        c *= (Fraction(1, 2) - j) / (j + 1)
+    return c
+
+
+def polynomial_values(n_max, u, count=None):
+    """(theta_0, theta_0') at u from the polynomial of n_max, summed over count
+    orders (all of them by default)."""
+    orders, coefficients, _ = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)
+    count = orders.size if count is None else count
+    return coefficients[:, :count] @ u ** orders[:count]
+
+
+class TestPolynomial:
+    def test_polynomial_builds_at_every_cutoff(self):
+        # the series to g/k 0.9 converges at every cutoff from 1 to 64 (a
+        # guard against the term two orders before would fire at n_max 2, 3
+        # and 4, where the terms oscillate):
+        # 42 terms at n_max 1, 263 at 12 and 305 from 34 up
+        counts = {n_max: fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[0].size
+                  for n_max in range(1, 65)}
+        assert counts[1] == 42 and counts[12] == 263 and max(counts.values()) == 305
+        assert all(counts[n_max] == 305 for n_max in range(34, 65))
+
+    @pytest.mark.parametrize("n_max", [*range(1, 13), 16, 20, 28, 40])
+    def test_polynomial_matches_dense_eigh(self, n_max):
+        # theta_0 and theta_0' = <X1 X2> (Hellmann-Feynman) of the polynomial
+        # against scipy's eigh of the sector matrix: within 2e-14 relative up
+        # to the cut, both of them rounding at about epsilon ||H|| (measured
+        # 1.3e-14 and 1.4e-14)
+        oracle = FockOracle(make_model(), n_max)
+        for u in (1e-4, 0.3, 0.6, 0.8, STRONG_U[-1]):
+            h = sector_matrix(oracle, u)
+            vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
+            theta, slope = polynomial_values(n_max, u, fock._order_count(
+                fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[2], u))
+            assert abs(theta - vals[0]) <= 2e-14 * vals[0], u
+            x1x2 = oracle.correlation(vecs[:, 0])
+            assert abs(slope - x1x2) <= 2e-14 * abs(x1x2), u
+
+    def test_energy_coefficients_are_londons_series(self):
+        # the e_n equal the coefficients of (sqrt(1 + u) + sqrt(1 - u)) / 2,
+        # the ground energy of the two normal modes in units of hbar omega
+        # (Omega+- = omega sqrt(1 +- u)), through order 2 n_max + 1 (Wigner's
+        # 2n + 1 rule): e_2 = -1/8 is London's van der Waals term and e_4 =
+        # -5/128 its 5u^2/8 correction.  Measured within 29 epsilon relative
+        # (6.4e-15), e_2 and e_4 within 2 and 4.8 (X[0, 1]^2 = 0.5 rounds up an
+        # ulp); every odd order is exactly 0.
+        eps = np.finfo(float).eps
+        for n_max in (4, 12, 20):
+            energies = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[1][0]
+            for n in range(2 * n_max + 2):
+                if n % 2:
+                    assert energies[n] == 0.0, (n_max, n)
+                else:
+                    expected = float(binomial_half(n))
+                    assert abs(energies[n] - expected) <= 1e-14 * abs(expected), (n_max, n)
+            assert energies[2] == pytest.approx(-1 / 8, rel=8 * eps, abs=0)
+            assert energies[4] == pytest.approx(-5 / 128, rel=8 * eps, abs=0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 6, 12, 20, 40])
+    def test_limited_sums_match_the_full_sums(self, n_max):
+        # summing only the orders counted at u moves theta_0 and theta_0' by
+        # at most 4 epsilon from the sum of every order, and the series
+        # vector path's E0, <x1 x2> and <N1> likewise (measured at most 1
+        # epsilon); at g/k 1e-9 at most 4 orders are summed
+        eps = np.finfo(float).eps
+        counts = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[2]
+        assert fock._order_count(counts, 1e-9) <= 4
+        for u in STRONG_U:
+            limited = polynomial_values(n_max, u, fock._order_count(counts, u))
+            full = polynomial_values(n_max, u)
+            assert np.all(np.abs(limited - full) <= 4 * eps * np.abs(full)), u
+        orders, terms, energies, at = fock._series(n_max, fock.SERIES_MAX_U)
+        for u in STRONG_U[:8]:
+            oracle = FockOracle(make_model(family="constant", g0=u), n_max)
+            gs = ground_state(oracle, 0.0)
+            powers = u**orders
+            v = np.zeros(oracle.weight.size)
+            v[at] = powers @ terms
+            v /= np.linalg.norm(v)
+            c = oracle.table(v)
+            full = (float(powers @ energies), oracle.correlation(v),
+                    float(np.arange(n_max + 1) @ (c * c).sum(axis=1)))
+            obs = oracle_observables(gs)
+            for got, expected in zip((gs.E0, obs.x1x2, obs.N1), full):
+                assert abs(got - expected) <= 4 * eps * abs(expected), u
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_force_and_energy_below_the_cut_match_the_contraction(self, family):
+        # below g/k 0.9 the force and E_vac come from theta_0' and theta_0,
+        # with no state vector; against -g' times the stencil contraction of
+        # ground_state's vector (the series below g/k 0.5, Lanczos above) and
+        # its E0, within 32 and 4 epsilon relative (measured 14 and 2.9, at
+        # n_max 40, g/k 0.89), on an oracle that solves nothing
+        eps = np.finfo(float).eps
+        for n_max in (1, 4, 12, 20, 40):
+            for u in STRONG_U[2:]:
+                if family == "constant":
+                    model, y = make_model(g0=u, family=family), 1.0
+                elif family == "exponential":
+                    model, y = make_model(g0=0.95, family=family, y_max=50.0), math.log(0.95 / u)
+                else:
+                    model = make_model(g0=0.95, family=family, y_max=1e5)
+                    y = math.sqrt(0.95 / u - 1.0)
+                oracle = FockOracle(model, n_max)
+                force, energy = fock._force_and_energy(oracle, y)
+                assert oracle.recent == () and math.isnan(oracle.e0)
+                gs = ground_state(oracle, y)
+                contraction = -model.g_prime(y) * oracle.correlation(gs.vector)
+                assert abs(force - contraction) <= 32 * eps * abs(contraction), (n_max, u)
+                assert abs(energy - gs.E0) <= 4 * eps * gs.E0, (n_max, u)
+
+    def test_polynomial_trajectory_solves_nothing(self, monkeypatch):
+        # 100 oracle-route steps at g/k near 0.7 and 0.85, n_max 12 and 20:
+        # no step calls ground_state, and F and E_vac follow the route with
+        # every force from ground_state (the polynomial cut at 0, so Lanczos)
+        # within 32 and 8 epsilon relative (measured 9.0 and 4.6: a Lanczos E0
+        # rounds at about epsilon ||H||)
+        eps = np.finfo(float).eps
+        model = make_model(g0=0.95)
+        for u, n_max in ((0.7, 12), (0.85, 20)):
+            config = DynamicsConfig(y0=math.log(0.95 / u), v0=0.003, dt=0.05, t_max=5.0,
+                                    force_route="oracle", oracle_n_max=n_max)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(fock, "ground_state", lambda *args: calls.append(args))
+                polynomial = evolve(model, config)
+            assert calls == [] and len(polynomial.t) == 101
+            with monkeypatch.context() as patch:
+                patch.setattr(fock, "POLYNOMIAL_MAX_U", 0.0)
+                solved = evolve(model, config)
+            assert np.all(np.abs(polynomial.F - solved.F) <= 32 * eps * np.abs(solved.F))
+            assert np.all(np.abs(polynomial.E_vac - solved.E_vac) <= 8 * eps * solved.E_vac)
+
+    def test_sweep_across_the_cut_keeps_the_solves_of_ground_state(self):
+        # a force sweep from g/k 0.8 up to 0.99 and back down, at n_max 16:
+        # E_vac matches dense eigh of the sector on every point (Lanczos above
+        # the cut, the polynomial below), and a point below the cut leaves the
+        # oracle as it is, so GroundStateResult.E0 is never a polynomial value:
+        # a ground_state at the last solve's g/k reuses that solve's E0
+        model = make_model(g0=0.99)
+        oracle = FockOracle(model, 16)
+        ys = np.linspace(math.log(0.99 / 0.8), 0.0, 21).tolist()
+        for y in ys + ys[-2::-1]:
+            u = model.g(y) / model.k
+            recent, e0 = oracle.recent, oracle.e0
+            _, energy = fock._force_and_energy(oracle, y)
+            e_dense = scipy.linalg.eigh(sector_matrix(oracle, u), eigvals_only=True,
+                                        subset_by_index=[0, 0])[0]
+            assert energy == pytest.approx(e_dense, rel=1e-13, abs=0), u
+            if u < fock.POLYNOMIAL_MAX_U:
+                assert oracle.recent is recent and oracle.e0 is e0
+            else:
+                assert oracle.recent[-1][0] == u and oracle.e0 == energy
+                last_y = y
+        assert model.g(ys[0]) / model.k < fock.POLYNOMIAL_MAX_U
+        last = oracle.recent[-1]
+        gs = ground_state(oracle, last_y)
+        assert gs.steps == 0 and gs.vector is last[1] and gs.E0 == oracle.e0
+
+    def test_lanczos_after_a_polynomial_sweep_starts_cold(self):
+        # a force sweep from g/k 0.3 up to 0.89 solves nothing, so the first
+        # point above the cut is solved from |0,0>, as on a fresh oracle:
+        # the same steps and bits, and E0 within 1e-13 of dense eigh
+        model = make_model(g0=0.99)
+        oracle = FockOracle(model, 20)
+        for y in np.linspace(math.log(0.99 / 0.3), math.log(0.99 / 0.89), 30).tolist():
+            oracle_force(oracle, y)
+        assert oracle.recent == ()
+        y = math.log(0.99 / 0.95)
+        warm, cold = ground_state(oracle, y), ground_state(FockOracle(model, 20), y)
+        assert warm.steps == cold.steps > 0
+        assert warm.E0 == cold.E0 and np.array_equal(warm.vector, cold.vector)
+        e_dense = scipy.linalg.eigh(sector_matrix(oracle, warm.u), eigvals_only=True,
+                                    subset_by_index=[0, 0])[0]
+        assert warm.E0 == pytest.approx(e_dense, rel=1e-13, abs=0)
+
+
 class TestReuse:
     def test_constant_coupling_trajectory_solves_once(self, monkeypatch):
-        # every step of an oracle-route run at constant g (g/k 0.7, above the
-        # series) reuses the first, cold solve, so E_vac is that solve's E0 on
-        # every row
-        constant_model = make_model(family="constant", g0=0.7)
+        # every step of an oracle-route run at constant g (g/k 0.95, above
+        # both cuts) reuses the first, cold solve, so E_vac is that solve's E0
+        # on every row
+        constant_model = make_model(family="constant", g0=0.95)
         calls = 0
         lanczos = fock._lanczos
 
