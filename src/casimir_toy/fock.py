@@ -22,19 +22,18 @@ of 50 at most.  Such a solve takes no start vector and no matvec.  A force
 or an E_vac (oracle_force, and the oracle route of dynamics.evolve) needs no
 state below |u| = POLYNOMIAL_MAX_U = 0.9: E0/(hbar omega) = theta_0(u) =
 sum e_n u^n and, by Hellmann-Feynman, <X1 X2> = theta_0'(u), two
-polynomials whose coefficients the same build gives to 0.9 (_polynomial,
-which keeps no vector term).  At the strong-coupling end, |u| >= 0.5 for a
-state and |u| >= 0.9 for a force, ground_state finds the lowest eigenpair by
-thick-restart Lanczos with full reorthogonalization (numpy only) on v, in a
-basis of at most 24 vectors that restarts from its 8 lowest Ritz vectors.
-The first solve of an oracle starts from |0,0>, each later one from the
-previous ground state, or from the quadratic extrapolation of the last three
-to the new u where that is safe, plus the cubic term from a fourth where that
-term is above the stored states' rounding noise, 4 RITZ_TOL (together
-0.34-0.82 of the plain start's steps on slow trajectories at g/k 0.6-0.9;
-see EXTRAPOLATE_BEND), so a grid sweep or a trajectory is warm-started and
-reruns stay deterministic.  A solve at the last solve's u reuses it, so a
-constant-g trajectory solves once.
+polynomials whose coefficients the same builder gives to 0.9 (_series at that
+cut).  At the strong-coupling end, |u| >= 0.5 for a state and |u| >= 0.9 for
+a force, ground_state finds the lowest eigenpair by thick-restart Lanczos
+with full reorthogonalization (numpy only) on v, in a basis of at most 24
+vectors that restarts from its 8 lowest Ritz vectors.  The first solve of an
+oracle starts from |0,0>, each later one from the previous ground state, or
+from the quadratic extrapolation of the last three to the new u where that is
+safe, plus the cubic term from a fourth where that term is above the stored
+states' rounding noise, 4 RITZ_TOL (together 0.34-0.82 of the plain start's
+steps on slow trajectories at g/k 0.6-0.9; see EXTRAPOLATE_BEND), so a grid
+sweep or a trajectory is warm-started and reruns stay deterministic.  A solve
+at the last solve's u reuses it, so a constant-g trajectory solves once.
 A GroundStateResult holds v; its amplitude table, and the residual measured
 with the full-table (N1 + N2 + 1) o c + u X c X (FockOracle.apply), are
 computed on first read.  <x1 x2> comes from the stencil
@@ -104,20 +103,25 @@ class StructureReport:
 
 
 @functools.cache
-def _sector(n_max: int):
-    """The parts of every FockOracle at n_max, built once and read-only.
+def _dense(n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """X = (a + a')/sqrt 2 and n + n' + 1 at n_max, read-only, built on the
+    first FockOracle.apply: a process that computes only forces builds neither."""
+    lower, levels = _lowering(n_max), np.arange(n_max + 1.0)
+    x, quanta = math.sqrt(0.5) * (lower + lower.T), levels[:, None] + levels[None, :] + 1.0
+    x.flags.writeable = quanta.flags.writeable = False
+    return x, quanta
 
-    Returns the table n + n' + 1; the single-mode X = (a + a')/sqrt 2; the
-    sector pairs (n, m), n <= m, n + m even, (0, 0) first; their weights w;
-    the stencil columns (row 0 the pair itself, rows 1-4 the coordinate of
-    (n + a, m + b) for (a, b) = (1, 1), (1, -1), (-1, 1), (-1, -1), mapped
-    back to n <= m); the stencil (row 0 n + m + 1, rows 1-4 X[n, n + a]
-    X[m, m + b] w_i / w_j); and the cold start |0,0>.
+
+@functools.cache
+def _sector(n_max: int):
+    """The sector of every FockOracle at n_max, built once and read-only.
+
+    Returns the sector pairs (n, m), n <= m, n + m even, (0, 0) first; their
+    weights w; the stencil columns (row 0 the pair itself, rows 1-4 the
+    coordinate of (n + a, m + b) for (a, b) = (1, 1), (1, -1), (-1, 1),
+    (-1, -1), mapped back to n <= m); the stencil (row 0 n + m + 1, rows 1-4
+    X[n, n + a] X[m, m + b] w_i / w_j); and the cold start |0,0>.
     """
-    levels = np.arange(n_max + 1, dtype=float)
-    quanta = levels[:, None] + levels[None, :] + 1.0
-    lower = _lowering(n_max)
-    x = math.sqrt(0.5) * (lower + lower.T)
     n, m = np.triu_indices(n_max + 1)
     even = (n + m) % 2 == 0
     n, m = n[even], m[even]
@@ -129,14 +133,14 @@ def _sector(n_max: int):
     a = np.array([[1], [1], [-1], [-1]])
     b = np.array([[1], [-1], [1], [-1]])
     cols = index[n + 1 + a, m + 1 + b]
-    hop = np.pad(np.diag(x, 1), 1)  # hop[k] = X[k - 1, k], 0 outside the basis
+    hop = np.pad(math.sqrt(0.5) * np.sqrt(np.arange(1, n_max + 1)), 1)  # hop[k] = X[k - 1, k]
     hops = hop[n + (a + 1) // 2] * hop[m + (b + 1) // 2] * (weight / weight[cols])
-    stencil = np.vstack([quanta[n, m], hops])
+    stencil = np.vstack([n + m + 1.0, hops])
     cols = np.vstack([np.arange(n.size), cols])
     start = np.eye(1, n.size)[0]
-    for array in (quanta, x, n, m, weight, cols, stencil, start):
+    for array in (n, m, weight, cols, stencil, start):
         array.flags.writeable = False
-    return quanta, x, (n, m), weight, cols, stencil, start
+    return (n, m), weight, cols, stencil, start
 
 
 class FockOracle:
@@ -151,8 +155,8 @@ class FockOracle:
         if n_max < 1:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
-        (self.quanta, self.x, self.pairs, self.weight, self.cols, self.stencil,
-         self.cold_start) = _sector(n_max)
+        self.n_max = n_max
+        self.pairs, self.weight, self.cols, self.stencil, self.cold_start = _sector(n_max)
         self.hbar_omega = model.hbar * model.omega
         self.length_sq = model.hbar / (model.m * model.omega)  # x = sqrt(length_sq) X
         # recent: (u, v) of the last four ground states at most, oldest
@@ -167,8 +171,9 @@ class FockOracle:
 
     def apply(self, u: float, c: np.ndarray) -> np.ndarray:
         """H/(hbar omega) at g/k = u applied to amplitude tables c[..., n, n']:
-        X1 X2 acts as X c X, X1 on the rows and X2 on the columns."""
-        return self.quanta * c + u * (self.x @ c @ self.x)
+        (n + n' + 1) c + u X c X, X1 on the rows and X2 on the columns."""
+        x, quanta = _dense(self.n_max)
+        return quanta * c + u * (x @ c @ x)
 
     def sector_operator(self, u: float):
         """H/(hbar omega) at u on sector coordinates v, as a function of v."""
@@ -183,7 +188,7 @@ class FockOracle:
 
     def table(self, v: np.ndarray) -> np.ndarray:
         """The amplitude table c[n, n'] of sector coordinates v."""
-        c = np.zeros_like(self.quanta)
+        c = np.zeros((self.n_max + 1, self.n_max + 1))
         n, m = self.pairs
         c[n, m] = c[m, n] = v / self.weight
         return c
@@ -365,31 +370,32 @@ def _start(oracle: FockOracle, u: float) -> np.ndarray:
 # at g/k 0.3 takes 24-34 us against 190-640 us by warm Lanczos (n_max 12-40).
 # At the cut the build takes 51 terms from n_max 9 up (26 at n_max 1, where
 # every even order is 0).  The series itself converges further (to dense eigh
-# at g/k 0.98 at every n_max tried, 1-40), but its vector terms are kept: to
-# 0.9 they would be 305 of them, 57 MB from n_max 304 up, so the cut of the
-# vector path stays at 0.5.  Every solve at g/k 0.5 or above on an oracle that
-# has solved nothing below it is the Lanczos solve it was; the reference
-# oracle-check sits at g/k 0.5 exactly.
+# at g/k 0.98 at every n_max tried, 1-40), but its state terms to 0.9 would
+# still reach cutoff 304 (57 MB from n_max 304 up; the 2n + 1 rule spares only
+# the energies), so the state path's cut stays at 0.5.  Every solve at g/k 0.5
+# or above on an oracle that has solved nothing below it is the Lanczos solve
+# it was; the reference oracle-check sits at g/k 0.5 exactly.
 SERIES_MAX_U = 0.5
 
 # Below |g/k| = POLYNOMIAL_MAX_U = 0.9 a force or an E_vac reads no state: by
 # Hellmann-Feynman (exact for an eigenpair of the truncated H) <X1 X2> =
 # theta_0'(u), so _force_and_energy evaluates theta_0 = sum e_n u^n and its
-# derivative from the energy coefficients of a build to 0.9 (_polynomial),
-# which keeps no vector term.  The build converges at every n_max from 1 to 64
-# and at 999: 42 terms at n_max 1, 263 at 12, 305 from 34 up.  Against dense
-# eigh of the sector, theta_0 and theta_0' agree within 2e-14 relative at
-# n_max 1-40 up to the cut.  An oracle-route evolve step takes 4.9-7.4 us at
-# n_max 12 and 20, g/k 1e-4 to 0.85, against 14-18 us by the vector series
-# and 200-330 us by warm Lanczos at g/k 0.7-0.85 (one BLAS thread, 2-vCPU
-# Xeon).  No state is kept below the cut, so the first Lanczos solve above it
-# starts from |0,0>, as on a fresh oracle.  Past the cut the series needs
-# 1437 terms at g/k 0.98 (n_max 40), and Lanczos serves.
+# derivative from the energy coefficients of _series to 0.9, whose build holds
+# its terms on cutoff 152 at most (14 MB while it is built) and keeps none.
+# The build converges at every n_max from 1 to 64 and at 999: 42 terms at
+# n_max 1, 263 at 12, 305 from 34 up.  Against dense eigh of the sector,
+# theta_0 and theta_0' agree within 2e-14 relative at n_max 1-40 up to the
+# cut.  An oracle-route evolve step takes 4.9-7.4 us at n_max 12 and 20, g/k
+# 1e-4 to 0.85, against 14-18 us by the vector series and 200-330 us by warm
+# Lanczos at g/k 0.7-0.85 (one BLAS thread, 2-vCPU Xeon).  No state is kept
+# below the cut, so the first Lanczos solve above it starts from |0,0>, as
+# on a fresh oracle.  Past the cut the series needs 1437 terms at g/k 0.98
+# (n_max 40), and Lanczos serves.
 POLYNOMIAL_MAX_U = 0.9
 
 
 @functools.cache
-def _series(n_max: int, u_max: float):
+def _series(n_max: int, u_max: float, states: bool):
     """The Rayleigh-Schroedinger series of H/(hbar omega) = D + u W about
     |0,0> (London's picture of the van der Waals energy, Z. Phys. 63, 245
     (1930)) in intermediate normalization: the ground state is
@@ -401,21 +407,33 @@ def _series(n_max: int, u_max: float):
     n_max = 1 every even order is exactly 0).
 
     W moves each mode by one quantum, so b_n is zero outside the pairs with
-    max(n, n') <= n, and the terms up to order c are the same at every cutoff
-    of c or more.  So they are built at cutoff 1 first, and again at the
-    cutoff of the last order that build reached (n_max at most) until a build
-    stops within its cutoff: the series at every n_max of 50 or more at
-    SERIES_MAX_U is that of cutoff 50 (51 terms on 676 coordinates), and at
-    POLYNOMIAL_MAX_U that of cutoff 304 (305 terms, 57 MB while it is built).
-    Returns (orders, b, e, at), read-only, with b on the last cutoff's sector
-    and at its coordinates in n_max's; raises NoConvergenceError when a term
-    at u_max is above the first-order one, u_max being past the series'
-    radius (at small cutoffs the terms oscillate, so a test against the term
-    two orders before fires on series that converge).
+    max(n, n') <= n, and on a cutoff c it is that of every larger cutoff, bit
+    for bit, on the pairs up to c - j while n <= c + j + 1 (a neighbour past
+    c adds an exact 0): the state terms through order c and, e_n reading
+    b_{n-1} at (1, 1) alone, the energies through 2c + 1 (Wigner's 2n + 1
+    rule).  So the build runs on cutoff min(n_max, 64), then on min(n_max,
+    max(kept - 1, k // 2)) until its last order k is at most 2c + 1 and the
+    kept state orders at most c: with states, the orders ground_state sums
+    below u_max; without, none (a force reads the energies alone, and the
+    build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).
+
+    Returns (orders, coefficients, counts, terms, at), arrays read-only:
+    coefficients[0] = e_n and coefficients[1] = (n + 1) e_{n+1}, so both rows
+    times u^orders give theta_0 and theta_0' = <X1 X2>; counts[j] is how many
+    orders to sum at 2^-(j+1) <= |u| < 2^-j (j = 0 at |u| >= 0.5), the last
+    also below (see _order_count); terms the kept b_n, C-contiguous, on the
+    pairs they reach, at coordinates at of n_max's sector.  A count is the
+    least one, at least 3, whose left-out terms |n e_n| u^(n-1) add up to at
+    most RITZ_TOL |theta_0'| at the top of its range (u_max at j = 0), where
+    they are largest: so g/k 1e-9 sums 3 orders, and no power underflows.
+    Raises NoConvergenceError when a term at u_max is above the first-order
+    one, u_max being past the series' radius (at small cutoffs the terms
+    oscillate, so a test against the term two orders before fires on series
+    that converge).
     """
-    cutoff, rows = 1, 64
+    cutoff, rows = min(n_max, 64), 64
     while True:
-        _, _, (n, m), _, cols, stencil, start = _sector(cutoff)
+        (n, m), _, cols, stencil, start = _sector(cutoff)
         gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
         inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
         terms = np.zeros((rows, start.size))
@@ -431,61 +449,42 @@ def _series(n_max: int, u_max: float):
             k = len(energies)
             if k == rows:
                 rows *= 2
-                grown = np.zeros((rows, start.size))
-                grown[:k] = terms
-                terms = grown
+                terms = np.pad(terms, ((0, k), (0, 0)))
             w = (stencil[1:] * terms[k - 1][cols[1:]]).sum(0)  # W b_{n-1}
             energies.append(float(w[0]))
             terms[k] = (np.array(energies[k - 1:0:-1]) @ terms[1:k] - w) * inverse
             sizes.append(u_max**k * math.sqrt(terms[k] @ terms[k]))
-        if k <= cutoff or cutoff == n_max:
+        orders = np.arange(k + 1)
+        coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
+        counts = []
+        while not counts or counts[-1] > 3:
+            slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
+            left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
+            fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
+            counts.append(max(3, int(fits[0]) + 1 if fits.size else k + 1))
+        kept = _order_count(counts, math.nextafter(u_max, 0.0)) if states else 0
+        if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
             break
-        cutoff, rows = min(n_max, k), k + 1
-    big_n, big_m = _sector(n_max)[2]
-    at = np.searchsorted(big_n * (n_max + 1) + big_m, n * (n_max + 1) + m)
-    series = np.arange(k + 1), terms[:k + 1], np.array(energies), at
-    for array in series:
+        cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
+        del terms  # the next build's table is not allocated beside this one
+    reached = m < kept
+    big_n, big_m = _sector(n_max)[0]
+    at = np.searchsorted(big_n * (n_max + 1) + big_m, n[reached] * (n_max + 1) + m[reached])
+    series = orders, coefficients, tuple(counts), np.ascontiguousarray(terms[:kept, reached]), at
+    for array in (orders, coefficients, series[3], at):
         array.flags.writeable = False
     return series
 
 
-@functools.cache
-def _polynomial(n_max: int, u_max: float):
-    """theta_0 of the series to u_max (_series, whose vector terms are built
-    and dropped) as (orders, coefficients, counts): coefficients[0] = e_n and
-    coefficients[1] = (n + 1) e_{n+1}, so that both rows times u^orders give
-    theta_0 and theta_0' = <X1 X2>; counts[j] is how many orders to sum at
-    2^-(j+1) <= |u| < 2^-j (j = 0 at |u| >= 0.5 and at u = 0), the last one
-    also below its range.
-
-    A count is the least one, at least 3, whose left-out terms |n e_n|
-    u^(n-1) add up to at most RITZ_TOL |theta_0'| at the top of its range
-    (u_max at j = 0), where they are largest: so g/k 1e-9 sums 3 orders, and
-    a small u sums no power that underflows.
-    """
-    energies = _series.__wrapped__(n_max, u_max)[2]
-    orders = np.arange(energies.size)
-    coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
-    for array in (orders, coefficients):
-        array.flags.writeable = False
-    counts = []
-    while not counts or counts[-1] > 3:
-        slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
-        left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
-        fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
-        counts.append(max(3, int(fits[0]) + 1 if fits.size else energies.size))
-    return orders, coefficients, tuple(counts)
-
-
 def _order_count(counts: tuple, u: float) -> int:
-    """The orders of a _polynomial to sum at u, |u| < 1."""
-    return counts[min(-math.frexp(u)[1], len(counts) - 1)]
+    """The orders of a _series to sum at u, |u| < 1 (the fewest at u = 0)."""
+    return counts[min(-math.frexp(u)[1], len(counts) - 1)] if u else counts[-1]
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     """Lowest eigenpair of H(y) on the oracle's sector coordinates: below
     |u| = SERIES_MAX_U by the weak-coupling series (_series, summed over the
-    orders _polynomial counts at u), which takes no start and no matvec
+    orders it counts at u), which takes no start and no matvec
     (steps = 0), else by Lanczos, started from the last ground state or their
     extrapolation (|0,0> on the first solve; see _start).  At the u = g/k of
     its last solve, bit for bit, it returns that solve's E0 and vector with
@@ -504,11 +503,10 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
         v = oracle.recent[-1][1]
         return GroundStateResult(E0=oracle.e0, vector=v, steps=0, oracle=oracle, u=u)
     if abs(u) < SERIES_MAX_U:
-        n_max = len(oracle.quanta) - 1
-        orders, terms, energies, at = _series(n_max, SERIES_MAX_U)
-        count = _order_count(_polynomial(n_max, SERIES_MAX_U)[2], u)
+        orders, coefficients, counts, terms, at = _series(oracle.n_max, SERIES_MAX_U, True)
+        count = _order_count(counts, u)
         powers = u ** orders[:count]
-        theta, v, steps = float(powers @ energies[:count]), np.zeros(oracle.weight.size), 0
+        theta, v, steps = float(powers @ coefficients[0, :count]), np.zeros(oracle.weight.size), 0
         v[at] = powers @ terms[:count]
     else:
         theta, v, steps = _lanczos(oracle.sector_operator(u), _start(oracle, u), oracle.warm_steps)
@@ -536,13 +534,13 @@ def oracle_observables(gs: GroundStateResult) -> VacuumObservables:
 
 def _force_and_energy(oracle: FockOracle, y: float) -> tuple[float, float]:
     """(F, E_vac) = (-g'(y) <x1 x2>, E0) in the oracle's ground state at y:
-    below |u| = POLYNOMIAL_MAX_U from theta_0 and theta_0' of _polynomial,
-    with no state vector, and leaving the oracle as it is; else from
-    ground_state and the stencil contraction of its vector."""
+    below |u| = POLYNOMIAL_MAX_U from theta_0 and theta_0' of _series to
+    that cut, with no state vector, and leaving the oracle as it is; else
+    from ground_state and the stencil contraction of its vector."""
     model = oracle.model
     u = model.g(y) / model.k
     if abs(u) < POLYNOMIAL_MAX_U:
-        orders, coefficients, counts = _polynomial(len(oracle.quanta) - 1, POLYNOMIAL_MAX_U)
+        orders, coefficients, counts, _, _ = _series(oracle.n_max, POLYNOMIAL_MAX_U, False)
         count = _order_count(counts, u)
         theta, slope = (coefficients[:, :count] @ u ** orders[:count]).tolist()
         return -model.g_prime(y) * (oracle.length_sq * slope), oracle.hbar_omega * theta

@@ -1,6 +1,7 @@
 import copy
 import math
 import statistics
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -77,10 +78,11 @@ class TestBuildHamiltonian:
         # scale makes it x = sqrt(hbar/(2 m omega)) (a + a')
         model = make_model(m=2.0, k=3.0, hbar=0.7)
         oracle = FockOracle(model, 4)
-        assert oracle.x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert oracle.x[1, 2] == pytest.approx(1.0, rel=1e-15)
+        x = fock._dense(oracle.n_max)[0]  # the X of oracle.apply
+        assert x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert x[1, 2] == pytest.approx(1.0, rel=1e-15)
         np.testing.assert_allclose(
-            math.sqrt(oracle.length_sq) * oracle.x, position_matrix(model, 4), rtol=1e-15
+            math.sqrt(oracle.length_sq) * x, position_matrix(model, 4), rtol=1e-15
         )
 
 
@@ -355,8 +357,9 @@ class TestSparseOracle:
         oracle = FockOracle(model, n_max)
         u = model.g(y) / model.k
         c = np.random.default_rng(seed).normal(size=(n_max + 1, n_max + 1))
-        x = np.abs(oracle.x)
-        bound = 8 * np.finfo(float).eps * (oracle.quanta * np.abs(c) + u * (x @ np.abs(c) @ x))
+        x, quanta = fock._dense(n_max)
+        x = np.abs(x)
+        bound = 8 * np.finfo(float).eps * (quanta * np.abs(c) + u * (x @ np.abs(c) @ x))
         assert np.all(np.abs(oracle.apply(u, c.T) - oracle.apply(u, c).T) <= bound.T)
         n = np.arange(n_max + 1)
         odd = (n[:, None] + n[None, :]) % 2 == 1
@@ -872,7 +875,7 @@ class TestSeries:
     def test_series_builds_at_every_cutoff(self):
         # at the cut the build converges at every cutoff: 26 terms at n_max
         # 1 (every even order 0), 51 from n_max 9 up, the largest at 999
-        counts = {n_max: fock._series(n_max, fock.SERIES_MAX_U)[0].size
+        counts = {n_max: fock._series(n_max, fock.SERIES_MAX_U, True)[0].size
                   for n_max in [*range(1, 61), 999]}
         assert counts[1] == 26 and max(counts.values()) == 51
         assert all(counts[n_max] == 51 for n_max in [*range(9, 61), 999])
@@ -882,7 +885,7 @@ class TestSeries:
         # W moves each mode by one quantum, so the term of order n is zero
         # outside the pairs (n', n'') with max(n', n'') <= n, and nonzero at
         # (n, n) inside the basis
-        orders, terms, _, at = fock._series(n_max, fock.SERIES_MAX_U)
+        orders, _, _, terms, at = fock._series(n_max, fock.SERIES_MAX_U, True)
         n, m = FockOracle(make_model(), n_max).pairs
         top = m[at]  # max(n, n') of each coordinate, n <= n' in the sector
         for order, term in zip(orders, terms):
@@ -894,12 +897,14 @@ class TestSeries:
         # at u_max = SERIES_MAX_U the last order is 50, so the basis edge of
         # any n_max >= 50 is never reached and the series is that of cutoff
         # 50 with its pairs' coordinates in the n_max sector, bit for bit
-        orders, terms, energies, at = fock._series(50, fock.SERIES_MAX_U)
+        orders, coefficients, counts, terms, at = fock._series(50, fock.SERIES_MAX_U, True)
         assert orders[-1] == 50
         n, m = FockOracle(make_model(), 50).pairs
         for n_max in (51, 63, 64, 80, 200, 999):
-            big_orders, big_terms, big_energies, big_at = fock._series(n_max, fock.SERIES_MAX_U)
-            assert np.array_equal(big_orders, orders) and np.array_equal(big_energies, energies)
+            big_orders, big_coefficients, big_counts, big_terms, big_at = fock._series(
+                n_max, fock.SERIES_MAX_U, True)
+            assert np.array_equal(big_orders, orders) and big_counts == counts
+            assert np.array_equal(big_coefficients, coefficients)
             big_n, big_m = FockOracle(make_model(), n_max).pairs
             coordinate = {pair: i for i, pair in enumerate(zip(big_n.tolist(), big_m.tolist()))}
             expected = np.zeros((orders.size, big_n.size))
@@ -910,10 +915,25 @@ class TestSeries:
 
     def test_largest_cutoff_holds_a_small_table(self):
         # 51 terms on 676 of the 250,500 coordinates at n_max 999 (cutoff
-        # 50, the last order), not 51 of full length (102 MB)
-        series = fock._series(999, fock.SERIES_MAX_U)
-        assert series[1].shape == (51, 676)
-        assert sum(array.nbytes for array in series) < 1e6
+        # 50, the last order), not 51 of full length (102 MB); the build to
+        # g/k 0.9, which a force reads, keeps its 305 coefficients and no
+        # state term
+        for u_max, states, shape in ((fock.SERIES_MAX_U, True, (51, 676)),
+                                     (fock.POLYNOMIAL_MAX_U, False, (0, 0))):
+            series = fock._series(999, u_max, states)
+            assert series[3].shape == shape and series[3].flags.c_contiguous
+            assert sum(np.asarray(part).nbytes for part in series) < 1e6, u_max
+
+    def test_each_cut_is_built_once_per_cutoff(self):
+        # a weak-coupling state and a force below g/k 0.9 at one cutoff build
+        # the series once at each cut, and repeating both builds nothing
+        fock._series.cache_clear()
+        model = make_model(g0=0.95)
+        for repeat in range(2):
+            oracle = FockOracle(model, 24)
+            assert ground_state(oracle, math.log(0.95 / 0.3)).steps == 0
+            oracle_force(oracle, math.log(0.95 / 0.7))
+            assert fock._series.cache_info().misses == 2, repeat
 
     def test_series_past_its_radius_raises(self, monkeypatch):
         # with the cut raised to g/k 1.5, past the radius of the series at
@@ -941,9 +961,37 @@ def binomial_half(n):
 def polynomial_values(n_max, u, count=None):
     """(theta_0, theta_0') at u from the polynomial of n_max, summed over count
     orders (all of them by default)."""
-    orders, coefficients, _ = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)
+    orders, coefficients = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[:2]
     count = orders.size if count is None else count
     return coefficients[:, :count] @ u ** orders[:count]
+
+
+def whole_sector_series(n_max, count):
+    """(e_0 ... e_{count-1}, b_0 ... b_{count-1}) by the recursion of _series
+    on the whole sector of n_max, with no smaller cutoff and no stop test."""
+    oracle = FockOracle(make_model(), n_max)
+    stencil, cols = oracle.stencil, oracle.cols
+    gap = stencil[0] - 1.0
+    inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
+    terms = np.zeros((count, gap.size))
+    terms[0] = oracle.cold_start
+    energies = [1.0]
+    for n in range(1, count):
+        w = (stencil[1:] * terms[n - 1][cols[1:]]).sum(0)
+        energies.append(float(w[0]))
+        terms[n] = (np.array(energies[n - 1:0:-1]) @ terms[1:n] - w) * inverse
+    return np.array(energies), terms
+
+
+def traced(run):
+    """(result, bytes held after, peak bytes) of run() under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held, peak
 
 
 class TestPolynomial:
@@ -952,7 +1000,7 @@ class TestPolynomial:
         # guard against the term two orders before would fire at n_max 2, 3
         # and 4, where the terms oscillate):
         # 42 terms at n_max 1, 263 at 12 and 305 from 34 up
-        counts = {n_max: fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[0].size
+        counts = {n_max: fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[0].size
                   for n_max in range(1, 65)}
         assert counts[1] == 42 and counts[12] == 263 and max(counts.values()) == 305
         assert all(counts[n_max] == 305 for n_max in range(34, 65))
@@ -968,7 +1016,7 @@ class TestPolynomial:
             h = sector_matrix(oracle, u)
             vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
             theta, slope = polynomial_values(n_max, u, fock._order_count(
-                fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[2], u))
+                fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2], u))
             assert abs(theta - vals[0]) <= 2e-14 * vals[0], u
             x1x2 = oracle.correlation(vecs[:, 0])
             assert abs(slope - x1x2) <= 2e-14 * abs(x1x2), u
@@ -983,7 +1031,7 @@ class TestPolynomial:
         # ulp); every odd order is exactly 0.
         eps = np.finfo(float).eps
         for n_max in (4, 12, 20):
-            energies = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[1][0]
+            energies = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[1][0]
             for n in range(2 * n_max + 2):
                 if n % 2:
                     assert energies[n] == 0.0, (n_max, n)
@@ -998,28 +1046,89 @@ class TestPolynomial:
         # summing only the orders counted at u moves theta_0 and theta_0' by
         # at most 4 epsilon from the sum of every order, and the series
         # vector path's E0, <x1 x2> and <N1> likewise (measured at most 1
-        # epsilon); at g/k 1e-9 at most 4 orders are summed
+        # epsilon); at g/k 1e-9 at most 4 orders are summed.  The build keeps
+        # only the state terms it sums, so the vector's every order comes
+        # from the recursion on the whole sector
         eps = np.finfo(float).eps
-        counts = fock._polynomial(n_max, fock.POLYNOMIAL_MAX_U)[2]
+        counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
         assert fock._order_count(counts, 1e-9) <= 4
         for u in STRONG_U:
             limited = polynomial_values(n_max, u, fock._order_count(counts, u))
             full = polynomial_values(n_max, u)
             assert np.all(np.abs(limited - full) <= 4 * eps * np.abs(full)), u
-        orders, terms, energies, at = fock._series(n_max, fock.SERIES_MAX_U)
+        orders, coefficients = fock._series(n_max, fock.SERIES_MAX_U, True)[:2]
+        terms = whole_sector_series(n_max, orders.size)[1]
         for u in STRONG_U[:8]:
             oracle = FockOracle(make_model(family="constant", g0=u), n_max)
             gs = ground_state(oracle, 0.0)
             powers = u**orders
-            v = np.zeros(oracle.weight.size)
-            v[at] = powers @ terms
+            v = powers @ terms
             v /= np.linalg.norm(v)
             c = oracle.table(v)
-            full = (float(powers @ energies), oracle.correlation(v),
+            full = (float(powers @ coefficients[0]), oracle.correlation(v),
                     float(np.arange(n_max + 1) @ (c * c).sum(axis=1)))
             obs = oracle_observables(gs)
             for got, expected in zip((gs.E0, obs.x1x2, obs.N1), full):
                 assert abs(got - expected) <= 4 * eps * abs(expected), u
+
+    def test_build_on_a_smaller_cutoff_keeps_the_whole_sectors_energies(self, monkeypatch):
+        # e_n reads b_{n-1} at (1, 1) alone, so on a cutoff c it is that of
+        # any larger cutoff through order 2c + 1 (Wigner's 2n + 1 rule), and
+        # the 305 orders to g/k 0.9 are built on cutoff 64 and then on 152,
+        # the least cutoff whose 2c + 1 reaches order 304, from n_max 152 up.
+        # At n_max 160 they are those of the recursion on the whole sector
+        # within 4 epsilon (measured: equal, bit for bit), and at n_max 999
+        # the build's traced peak is below 18 MB, its 14.5 MB table of 305
+        # orders on 5,929 coordinates and little else (measured 16.7-17.4 MB;
+        # 61.3 MB on cutoff 304's sector)
+        eps = np.finfo(float).eps
+        energies = fock._series(160, fock.POLYNOMIAL_MAX_U, False)[1][0]
+        reference = whole_sector_series(160, energies.size)[0]
+        assert np.all(np.abs(energies - reference) <= 4 * eps * np.abs(reference))
+        fock._series.cache_clear()
+        fock._sector(999)
+        built, sector = [], fock._sector
+
+        def recording(n_max):
+            built.append(n_max)
+            return sector(n_max)
+
+        monkeypatch.setattr(fock, "_sector", recording)
+        series, _, peak = traced(lambda: fock._series(999, fock.POLYNOMIAL_MAX_U, False))
+        assert built == [64, 152, 999] and 2 * 151 + 1 < series[0][-1] <= 2 * 152 + 1
+        assert peak < 18e6
+
+    def test_force_curve_at_the_largest_cutoff_holds_little(self):
+        # 11 forces below g/k 0.9 at n_max 999 from cold caches build the
+        # sector (its stencil on 250,500 coordinates, no table of side 1000)
+        # and the series to 0.9 on cutoff 152: measured 28.9 MB held and a
+        # traced peak of 52.6 MB (48.3 and 109.6 MB with the dense tables
+        # and the build on cutoff 304)
+        fock._sector.cache_clear()
+        fock._series.cache_clear()
+        model = make_model(g0=0.85)
+
+        def curve():
+            oracle = FockOracle(model, 999)
+            return oracle, [oracle_force(oracle, y) for y in np.linspace(0.0, 1.0, 11)]
+
+        (oracle, forces), held, peak = traced(curve)
+        assert len(forces) == 11 and oracle.recent == ()
+        assert held < 32e6 and peak < 60e6
+
+    @pytest.mark.parametrize("n_max", [1, 12, 40])
+    def test_zero_coupling_sums_three_orders(self, n_max):
+        # at g = 0 every power past u^0 is 0: both cuts sum the fewest orders
+        # counted, 3 (not those of g/k 0.5 and up, 51 and 305 at n_max 40),
+        # and give F = 0, E_vac = hbar omega and the state |0,0>, bit for bit
+        model = make_model(g0=0.0, m=2.0, k=3.0, hbar=0.7)
+        oracle = FockOracle(model, n_max)
+        for u_max, states in ((fock.SERIES_MAX_U, True), (fock.POLYNOMIAL_MAX_U, False)):
+            assert fock._order_count(fock._series(n_max, u_max, states)[2], 0.0) == 3
+        force, energy = fock._force_and_energy(oracle, 1.0)
+        assert force == 0.0 and energy == oracle.hbar_omega
+        gs = ground_state(oracle, 1.0)
+        assert gs.E0 == oracle.hbar_omega and np.array_equal(gs.vector, oracle.cold_start)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_force_and_energy_below_the_cut_match_the_contraction(self, family):
