@@ -9,7 +9,6 @@ Python floats through quantum's kernels: one g and one g' per step.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 import warnings
@@ -93,13 +92,13 @@ class OracleTooSlowWarning(UserWarning):
 
 def _route(model: ValidatedModel, config: DynamicsConfig):
     """The selected route as one function y -> (force, E_vac)."""
-    if config.force_route == "oracle":
-        # One FockOracle for the run: below g/k 0.9 a step evaluates its
-        # cached polynomials, above it each step's Lanczos solve starts from
-        # the previous step's ground state (the first from |0,0>).
-        oracle = fock.FockOracle(model, config.oracle_n_max)
-        return functools.partial(fock._force_and_energy, oracle)
     # evolve has checked y, so g and g' are evaluated once each, unchecked.
+    if config.force_route == "oracle":
+        # One FockOracle for the run: below g/k 0.9 a step sums its cached
+        # polynomials (once while g is unchanged), above it each step's
+        # Lanczos solve starts from the previous step's ground state (the
+        # first from the Ritz vector of the series' state terms).
+        return fock.FockOracle(model, config.oracle_n_max).force_route
     c = model.coupling
     casimir = config.force_route == "casimir"
     force = quantum._casimir_force if casimir else quantum._lifshitz_force

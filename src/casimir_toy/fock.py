@@ -19,21 +19,26 @@ series of D + u W about |0,0>, whose coefficients of u^n are built once per
 n_max (_series): 51 of them from n_max 9 up, the one of order n zero outside
 the pairs with max(n, n') <= n, so they are held on the pairs up to a cutoff
 of 50 at most.  Such a solve takes no start vector and no matvec.  A force
-or an E_vac (oracle_force, and the oracle route of dynamics.evolve) needs no
-state below |u| = POLYNOMIAL_MAX_U = 0.9: E0/(hbar omega) = theta_0(u) =
-sum e_n u^n and, by Hellmann-Feynman, <X1 X2> = theta_0'(u), two
-polynomials whose coefficients the same builder gives to 0.9 (_series at that
-cut).  At the strong-coupling end, |u| >= 0.5 for a state and |u| >= 0.9 for
-a force, ground_state finds the lowest eigenpair by thick-restart Lanczos
-with full reorthogonalization (numpy only) on v, in a basis of at most 24
-vectors that restarts from its 8 lowest Ritz vectors.  The first solve of an
-oracle starts from |0,0>, each later one from the previous ground state, or
-from the quadratic extrapolation of the last three to the new u where that is
-safe, plus the cubic term from a fourth where that term is above the stored
-states' rounding noise, 4 RITZ_TOL (together 0.34-0.82 of the plain start's
-steps on slow trajectories at g/k 0.6-0.9; see EXTRAPOLATE_BEND), so a grid
-sweep or a trajectory is warm-started and reruns stay deterministic.  A solve
-at the last solve's u reuses it, so a constant-g trajectory solves once.
+and an E_vac come from one function per oracle, FockOracle.force_route,
+which the oracle route of dynamics.evolve steps with and oracle_force reads;
+it needs no state below |u| = POLYNOMIAL_MAX_U = 0.9: E0/(hbar omega) =
+theta_0(u) = sum e_n u^n and, by Hellmann-Feynman, <X1 X2> = theta_0'(u),
+two polynomials whose coefficients the same builder gives to 0.9 (_series at
+that cut), summed once per u, so a constant-g trajectory sums them once.  At
+the strong-coupling end, |u| >= 0.5 for a state and |u| >= 0.9 for a force,
+ground_state finds the lowest eigenpair by thick-restart Lanczos with full
+reorthogonalization (numpy only) on v, in a basis of at most 24 vectors that
+restarts from its 8 lowest Ritz vectors.  The first solve of an oracle starts
+from the Rayleigh-Ritz vector of the span of the 0.5 series' state terms at u
+(_subspace: one eigh of at most 51 x 51; at n_max 40 it took 2-18 steps
+where |0,0> took 40-78 at g/k 0.5-0.8, and 72 against 120 at 0.9), each later
+one from the previous ground state, or from the quadratic extrapolation of
+the last three to the new u where that is safe, plus the cubic term from a
+fourth where that term is above the stored states' rounding noise, 4
+RITZ_TOL (together 0.34-0.82 of the plain start's steps on slow trajectories
+at g/k 0.6-0.9; see EXTRAPOLATE_BEND), so a grid sweep or a trajectory is
+warm-started and reruns stay deterministic.  A solve at the last solve's u
+reuses it, so a constant-g trajectory solves once.
 A GroundStateResult holds v; its amplitude table, and the residual measured
 with the full-table (N1 + N2 + 1) o c + u X c X (FockOracle.apply), are
 computed on first read.  <x1 x2> comes from the stencil
@@ -103,24 +108,14 @@ class StructureReport:
 
 
 @functools.cache
-def _dense(n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """X = (a + a')/sqrt 2 and n + n' + 1 at n_max, read-only, built on the
-    first FockOracle.apply: a process that computes only forces builds neither."""
-    lower, levels = _lowering(n_max), np.arange(n_max + 1.0)
-    x, quanta = math.sqrt(0.5) * (lower + lower.T), levels[:, None] + levels[None, :] + 1.0
-    x.flags.writeable = quanta.flags.writeable = False
-    return x, quanta
-
-
-@functools.cache
 def _sector(n_max: int):
     """The sector of every FockOracle at n_max, built once and read-only.
 
     Returns the sector pairs (n, m), n <= m, n + m even, (0, 0) first; their
     weights w; the stencil columns (row 0 the pair itself, rows 1-4 the
     coordinate of (n + a, m + b) for (a, b) = (1, 1), (1, -1), (-1, 1),
-    (-1, -1), mapped back to n <= m); the stencil (row 0 n + m + 1, rows 1-4
-    X[n, n + a] X[m, m + b] w_i / w_j); and the cold start |0,0>.
+    (-1, -1), mapped back to n <= m); and the stencil (row 0 n + m + 1, rows
+    1-4 X[n, n + a] X[m, m + b] w_i / w_j).
     """
     n, m = np.triu_indices(n_max + 1)
     even = (n + m) % 2 == 0
@@ -137,18 +132,18 @@ def _sector(n_max: int):
     hops = hop[n + (a + 1) // 2] * hop[m + (b + 1) // 2] * (weight / weight[cols])
     stencil = np.vstack([n + m + 1.0, hops])
     cols = np.vstack([np.arange(n.size), cols])
-    start = np.eye(1, n.size)[0]
-    for array in (n, m, weight, cols, stencil, start):
+    for array in (n, m, weight, cols, stencil):
         array.flags.writeable = False
-    return (n, m), weight, cols, stencil, start
+    return (n, m), weight, cols, stencil
 
 
 class FockOracle:
     """H(y)/(hbar omega) = N1 + N2 + 1 + u(y) X1 X2 for n, n' <= n_max, the
-    model's two scales, and where its next solve starts.
+    model's two scales, where its next solve starts, and its force route.
 
     Build one per (model, n_max) and pass it to ground_state for every y of a
-    sweep: each solve starts from the ground state of the one before.
+    sweep: each solve starts from the ground state of the one before.  Its
+    force_route gives (F, E_vac) for every y of a run.
     """
 
     def __init__(self, model: ValidatedModel, n_max: int):
@@ -156,7 +151,7 @@ class FockOracle:
             raise ValueError(f"n_max must be >= 1, got {n_max}")
         self.model = model
         self.n_max = n_max
-        self.pairs, self.weight, self.cols, self.stencil, self.cold_start = _sector(n_max)
+        self.pairs, self.weight, self.cols, self.stencil = _sector(n_max)
         self.hbar_omega = model.hbar * model.omega
         self.length_sq = model.hbar / (model.m * model.omega)  # x = sqrt(length_sq) X
         # recent: (u, v) of the last four ground states at most, oldest
@@ -168,12 +163,27 @@ class FockOracle:
         self.recent = ()
         self.e0 = math.nan
         self.warm_steps = 0
+        # octaves: the (orders, coefficients) views of the series to
+        # POLYNOMIAL_MAX_U per octave of u (see _order_count), taken on the
+        # first sum of force_route; sums: the u, theta_0 and theta_0' of its
+        # last sum.
+        self.octaves = ()
+        self.sums = (math.nan, 0.0, 0.0)
 
     def apply(self, u: float, c: np.ndarray) -> np.ndarray:
         """H/(hbar omega) at g/k = u applied to amplitude tables c[..., n, n']:
-        (n + n' + 1) c + u X c X, X1 on the rows and X2 on the columns."""
-        x, quanta = _dense(self.n_max)
-        return quanta * c + u * (x @ c @ x)
+        (n + n' + 1) c + u X c X, X1 on the rows and X2 on the columns.  X is
+        tridiagonal, X[k - 1, k] = X[k, k - 1] = sqrt(k/2), so each product is
+        two shifted slices of the last two axes and no table of X is built."""
+        hop = math.sqrt(0.5) * np.sqrt(np.arange(1.0, self.n_max + 1))
+        levels = np.arange(self.n_max + 1.0)
+        xc = np.zeros_like(c)
+        xc[..., 1:, :] = hop[:, None] * c[..., :-1, :]
+        xc[..., :-1, :] += hop[:, None] * c[..., 1:, :]
+        xcx = np.zeros_like(c)
+        xcx[..., 1:] = xc[..., :-1] * hop
+        xcx[..., :-1] += xc[..., 1:] * hop
+        return (levels[:, None] + levels + 1.0) * c + u * xcx
 
     def sector_operator(self, u: float):
         """H/(hbar omega) at u on sector coordinates v, as a function of v."""
@@ -192,6 +202,31 @@ class FockOracle:
         n, m = self.pairs
         c[n, m] = c[m, n] = v / self.weight
         return c
+
+    def force_route(self, y: float) -> tuple[float, float]:
+        """(F, E_vac) = (-g'(y) <x1 x2>, E0) in the ground state at a y that
+        the caller has checked against the coupling domain: the oracle's
+        one force route, which dynamics.evolve steps with and oracle_force
+        reads.  Below |u| = POLYNOMIAL_MAX_U it reads no state: theta_0 and
+        theta_0' = <X1 X2> are sums of _series to that cut over the orders
+        counted at u, on views of its coefficients per octave taken on the
+        first such y (octaves), and the last u's sums (sums) are reused while
+        u is unchanged bit for bit, so a constant coupling sums them once;
+        the oracle's solves are left as they are.  Else F and E_vac come from
+        ground_state and the stencil contraction of its vector."""
+        coupling = self.model.coupling
+        u = coupling.value_raw(y) / self.model.k
+        if abs(u) < POLYNOMIAL_MAX_U:
+            if u != self.sums[0]:
+                if not self.octaves:
+                    orders, coefficients, counts = _series(self.n_max, POLYNOMIAL_MAX_U, False)[:3]
+                    self.octaves = [(orders[:n], coefficients[:, :n]) for n in counts]
+                orders, coefficients = _order_count(self.octaves, u)
+                self.sums = (u, *(coefficients @ u**orders).tolist())
+            _, theta, slope = self.sums
+            return -coupling.derivative_raw(y) * (self.length_sq * slope), self.hbar_omega * theta
+        gs = ground_state(self, y)
+        return -coupling.derivative_raw(y) * self.correlation(gs.vector), gs.E0
 
 
 def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMatrix:
@@ -219,10 +254,11 @@ RITZ_TOL = float(np.finfo(float).eps)
 
 # The Krylov basis holds at most BASIS_MAX vectors; when it is full and the
 # stop test fails it restarts from its RESTART_KEEP lowest Ritz vectors
-# (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  Cold n_max = 40
-# solves at g/k = 0.5, 0.9 and 0.99 took 63, 120 and 184 steps against 63,
-# 121 and 151 unrestarted, in 1.8, 3.2 and 4.7 ms against 3.7, 7.7 and 11.2
-# (one BLAS thread, 2-vCPU Xeon); 16/6, 32/10 and 40/12 were no faster.
+# (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 602 (2000)).  n_max = 40
+# solves from |0,0> at g/k = 0.5, 0.9 and 0.99 took 63, 120 and 184 steps
+# against 63, 121 and 151 unrestarted, in 1.8, 3.2 and 4.7 ms against 3.7,
+# 7.7 and 11.2 (one BLAS thread, 2-vCPU Xeon); 16/6, 32/10 and 40/12 were no
+# faster.
 # Where the space is larger than the basis, a solve gives up after
 # STEP_LIMIT times its dimension in steps: the longest solve measured took
 # 200 steps at dimension 441 (g/k = 0.999).
@@ -332,12 +368,19 @@ EXTRAPOLATE_CUBIC_MIN = 4 * RITZ_TOL
 
 
 def _start(oracle: FockOracle, u: float) -> np.ndarray:
-    """Where the Lanczos solve at u = g/k starts: |0,0> on the oracle's first
-    solve; after it the quadratic extrapolation (Newton form) of the last
-    three of oracle.recent to u, plus the cubic term from a fourth, where the
-    rules above allow them, else the last ground state."""
+    """Where the Lanczos solve at u = g/k starts: on the oracle's first
+    solve, the Ritz vector Q c of the state terms' span (_subspace), c the
+    lowest eigenvector of Q^T D Q + u Q^T W Q; after it the quadratic
+    extrapolation (Newton form) of the last three of oracle.recent to u, plus
+    the cubic term from a fourth, where the rules above allow them, else the
+    last ground state."""
+    if not oracle.recent:
+        q, (d, w), at = _subspace(oracle.n_max, SERIES_MAX_U)
+        start = np.zeros(oracle.weight.size)
+        start[at] = q @ np.linalg.eigh(d + u * w)[1][:, 0]
+        return start
     if len(oracle.recent) < 3:
-        return oracle.recent[-1][1] if oracle.recent else oracle.cold_start
+        return oracle.recent[-1][1]
     *older, (ua, va), (ub, vb), (uc, vc) = oracle.recent
     if ua == ub or ub == uc or ua == uc:
         return vc
@@ -372,25 +415,30 @@ def _start(oracle: FockOracle, u: float) -> np.ndarray:
 # every even order is 0).  The series itself converges further (to dense eigh
 # at g/k 0.98 at every n_max tried, 1-40), but its state terms to 0.9 would
 # still reach cutoff 304 (57 MB from n_max 304 up; the 2n + 1 rule spares only
-# the energies), so the state path's cut stays at 0.5.  Every solve at g/k 0.5
-# or above on an oracle that has solved nothing below it is the Lanczos solve
-# it was; the reference oracle-check sits at g/k 0.5 exactly.
+# the energies), so the state path's cut stays at 0.5.  Above it the kept
+# terms still serve: the first Lanczos solve of an oracle starts from their
+# Ritz vector (_start), whose relative residual at n_max 40 is at most 1.2e-14
+# up to g/k 0.8 and 5e-10 at 0.9; the reference oracle-check sits at g/k 0.5
+# exactly and takes 2 steps, where it took 63 from |0,0>.
 SERIES_MAX_U = 0.5
 
 # Below |g/k| = POLYNOMIAL_MAX_U = 0.9 a force or an E_vac reads no state: by
 # Hellmann-Feynman (exact for an eigenpair of the truncated H) <X1 X2> =
-# theta_0'(u), so _force_and_energy evaluates theta_0 = sum e_n u^n and its
+# theta_0'(u), so FockOracle.force_route sums theta_0 = sum e_n u^n and its
 # derivative from the energy coefficients of _series to 0.9, whose build holds
 # its terms on cutoff 152 at most (14 MB while it is built) and keeps none.
 # The build converges at every n_max from 1 to 64 and at 999: 42 terms at
 # n_max 1, 263 at 12, 305 from 34 up.  Against dense eigh of the sector,
 # theta_0 and theta_0' agree within 2e-14 relative at n_max 1-40 up to the
-# cut.  An oracle-route evolve step takes 4.9-7.4 us at n_max 12 and 20, g/k
-# 1e-4 to 0.85, against 14-18 us by the vector series and 200-330 us by warm
-# Lanczos at g/k 0.7-0.85 (one BLAS thread, 2-vCPU Xeon).  No state is kept
-# below the cut, so the first Lanczos solve above it starts from |0,0>, as
-# on a fresh oracle.  Past the cut the series needs 1437 terms at g/k 0.98
-# (n_max 40), and Lanczos serves.
+# cut.  An oracle-route evolve step takes 3.5-4.1 us where g changes and
+# 0.6-1.0 us at constant g, whose sums it reuses (n_max 12 and 20, g/k 0.7
+# and 0.8), against 4.1-5.6 us when each step looked the series up and
+# checked y, 1.2-2.0 us by a closed-form route, 14-18 us by the vector
+# series and 200-330 us by warm Lanczos at g/k 0.7-0.85 (one BLAS thread,
+# 2-vCPU Xeon).  No state is kept below the cut, so the first Lanczos solve
+# above it starts as on a fresh oracle, from the Ritz vector of the 0.5
+# series' state terms (_start).  Past the cut the series needs 1437 terms at
+# g/k 0.98 (n_max 40), and Lanczos serves.
 POLYNOMIAL_MAX_U = 0.9
 
 
@@ -415,7 +463,12 @@ def _series(n_max: int, u_max: float, states: bool):
     max(kept - 1, k // 2)) until its last order k is at most 2c + 1 and the
     kept state orders at most c: with states, the orders ground_state sums
     below u_max; without, none (a force reads the energies alone, and the
-    build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).
+    build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).  A pass stops
+    once k // 2 reaches n_max, as its restart then runs on n_max whatever
+    order it would end at (at 0.9 and n_max 65-151, order 2 n_max on cutoff
+    64 in place of all 305).  The table of terms doubles its rows in place,
+    so the build's peak is its last table (at 0.9 and n_max 40, 512 rows of
+    441 coordinates, 1.8 MB; 2.7 MB with a copy beside it).
 
     Returns (orders, coefficients, counts, terms, at), arrays read-only:
     coefficients[0] = e_n and coefficients[1] = (n + 1) e_{n+1}, so both rows
@@ -433,11 +486,11 @@ def _series(n_max: int, u_max: float, states: bool):
     """
     cutoff, rows = min(n_max, 64), 64
     while True:
-        (n, m), _, cols, stencil, start = _sector(cutoff)
+        (n, m), _, cols, stencil = _sector(cutoff)
         gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
         inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
-        terms = np.zeros((rows, start.size))
-        terms[0] = start
+        terms = np.zeros((rows, n.size))
+        terms[0, 0] = 1.0  # b_0 = |0,0>
         energies, sizes = [1.0], [1.0]
         while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
             if len(sizes) > 2 and not sizes[-1] <= sizes[1]:
@@ -447,25 +500,32 @@ def _series(n_max: int, u_max: float, states: bool):
                     f"against {sizes[1]:.3e} at first order"
                 )
             k = len(energies)
+            if k // 2 >= n_max > cutoff:
+                # the restart runs on n_max, whatever order this pass would end at
+                cutoff, rows = n_max, 2 * k
+                break
             if k == rows:
+                # in place: no view of the table is alive here, and a copy
+                # beside the old table would double the build's peak
                 rows *= 2
-                terms = np.pad(terms, ((0, k), (0, 0)))
+                terms.resize((rows, n.size), refcheck=False)
             w = (stencil[1:] * terms[k - 1][cols[1:]]).sum(0)  # W b_{n-1}
             energies.append(float(w[0]))
             terms[k] = (np.array(energies[k - 1:0:-1]) @ terms[1:k] - w) * inverse
             sizes.append(u_max**k * math.sqrt(terms[k] @ terms[k]))
-        orders = np.arange(k + 1)
-        coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
-        counts = []
-        while not counts or counts[-1] > 3:
-            slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
-            left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
-            fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
-            counts.append(max(3, int(fits[0]) + 1 if fits.size else k + 1))
-        kept = _order_count(counts, math.nextafter(u_max, 0.0)) if states else 0
-        if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
-            break
-        cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
+        else:
+            orders = np.arange(k + 1)
+            coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
+            counts = []
+            while not counts or counts[-1] > 3:
+                slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
+                left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
+                fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
+                counts.append(max(3, int(fits[0]) + 1 if fits.size else k + 1))
+            kept = _order_count(counts, math.nextafter(u_max, 0.0)) if states else 0
+            if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
+                break
+            cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
         del terms  # the next build's table is not allocated beside this one
     reached = m < kept
     big_n, big_m = _sector(n_max)[0]
@@ -476,9 +536,37 @@ def _series(n_max: int, u_max: float, states: bool):
     return series
 
 
-def _order_count(counts: tuple, u: float) -> int:
-    """The orders of a _series to sum at u, |u| < 1 (the fewest at u = 0)."""
+def _order_count(counts, u: float):
+    """The orders of a _series to sum at u, |u| < 1 (the fewest at u = 0):
+    the entry of counts, or of any sequence held per octave as counts is,
+    that serves u."""
     return counts[min(-math.frexp(u)[1], len(counts) - 1)] if u else counts[-1]
+
+
+@functools.cache
+def _subspace(n_max: int, u_max: float):
+    """The Rayleigh-Ritz pencil of the state terms that ground_state sums
+    below u_max (Parlett, The Symmetric Eigenvalue Problem, 1980): an
+    orthonormal basis Q of their span, by Householder QR (orthonormal to
+    rounding however the terms are graded, zero terms included), on the pairs
+    they reach, which are the sector of cutoff min(n_max, len(terms) - 1);
+    the projections Q^T D Q and Q^T W Q of H/(hbar omega) = D + u W; and
+    those pairs' coordinates in n_max's sector (_series' at).  Read-only.  Q
+    is at most 676 x 51 doubles (276 kB), and W Q is summed one stencil row
+    at a time: the build's traced peak is 4.3 times Q (1.2 MB at n_max 999).
+    """
+    terms, at = _series(n_max, u_max, True)[3:]
+    _, _, cols, stencil = _sector(min(n_max, len(terms) - 1))
+    q = np.linalg.qr(terms.T)[0]
+    wq = stencil[1, :, None] * q[cols[1]]
+    for row in range(2, 5):
+        wq += stencil[row, :, None] * q[cols[row]]
+    # einsum, not a BLAS product, whose rounding moves with the thread count:
+    # the start, and so each Lanczos result, keeps its bits on any count
+    pencil = np.einsum("ia,ib->ab", q, stencil[0, :, None] * q), np.einsum("ia,ib->ab", q, wq)
+    for array in (q, *pencil):
+        array.flags.writeable = False
+    return q, pencil, at
 
 
 def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
@@ -486,10 +574,10 @@ def ground_state(oracle: FockOracle, y: float) -> GroundStateResult:
     |u| = SERIES_MAX_U by the weak-coupling series (_series, summed over the
     orders it counts at u), which takes no start and no matvec
     (steps = 0), else by Lanczos, started from the last ground state or their
-    extrapolation (|0,0> on the first solve; see _start).  At the u = g/k of
-    its last solve, bit for bit, it returns that solve's E0 and vector with
-    steps = 0 and leaves the oracle as it is: that H already met the stop
-    rule.
+    extrapolation (on the first solve from the Ritz vector of the series'
+    state terms; see _start).  At the u = g/k of its last solve, bit for bit,
+    it returns that solve's E0 and vector with steps = 0 and leaves the oracle
+    as it is: that H already met the stop rule.
 
     The eigenvector is normalized with its |0,0> amplitude positive; steps
     counts the matvecs across restarts.  A warm Lanczos solve spends most of
@@ -532,25 +620,11 @@ def oracle_observables(gs: GroundStateResult) -> VacuumObservables:
     )
 
 
-def _force_and_energy(oracle: FockOracle, y: float) -> tuple[float, float]:
-    """(F, E_vac) = (-g'(y) <x1 x2>, E0) in the oracle's ground state at y:
-    below |u| = POLYNOMIAL_MAX_U from theta_0 and theta_0' of _series to
-    that cut, with no state vector, and leaving the oracle as it is; else
-    from ground_state and the stencil contraction of its vector."""
-    model = oracle.model
-    u = model.g(y) / model.k
-    if abs(u) < POLYNOMIAL_MAX_U:
-        orders, coefficients, counts, _, _ = _series(oracle.n_max, POLYNOMIAL_MAX_U, False)
-        count = _order_count(counts, u)
-        theta, slope = (coefficients[:, :count] @ u ** orders[:count]).tolist()
-        return -model.g_prime(y) * (oracle.length_sq * slope), oracle.hbar_omega * theta
-    gs = ground_state(oracle, y)
-    return -model.g_prime(y) * oracle.correlation(gs.vector), gs.E0
-
-
 def oracle_force(oracle: FockOracle, y: float) -> float:
-    """F = -g'(y) <x1 x2> in the numerical ground state (_force_and_energy)."""
-    return _force_and_energy(oracle, y)[0]
+    """F = -g'(y) <x1 x2> in the numerical ground state at y, checked
+    against the coupling domain (FockOracle.force_route)."""
+    oracle.model.coupling.check_domain(y)
+    return oracle.force_route(y)[0]
 
 
 def verify_annihilation(expansion: VacuumExpansion, n_max: int) -> float:

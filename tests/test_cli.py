@@ -601,8 +601,8 @@ class TestForceCurveCommand:
     @pytest.mark.parametrize("case", ["reference", "exponential-to-1e-7", "constant"])
     def test_oracle_column_is_solved_from_the_weak_coupling_end(self, tmp_path, monkeypatch, case):
         # Where ground_state serves the force, the oracle column is solved in
-        # order of increasing g, from the cold |0,0> start at the weakest
-        # coupling, and written in grid order.  It matches a cold solve at each
+        # order of increasing g, from the cold start at the weakest coupling
+        # (the series terms' Ritz vector), and written in grid order.  It matches a cold solve at each
         # point within 1e-12 relative, the bound a warm sweep down to g/k =
         # 1e-9 keeps against the closed form (test_fock).  The reference case
         # is the reference grid with g0 0.99, so g/k runs from 0.99 down to
@@ -775,17 +775,37 @@ class TestOracleCheckCommand:
         assert report["pass"] is True
         assert isinstance(report["solver_steps"], int) and 1 <= report["solver_steps"] <= 100
 
+    def test_reference_report_is_the_ritz_started_solve(self, tmp_path):
+        # the reference point sits at g/k 0.5, above the series, so its solve
+        # is the first of its oracle and starts from the Ritz vector of the
+        # series terms: 2 steps where the start |0,0> took 63.  Measured:
+        # E0_oracle 0.965925826289068 (3 ulp below the closed form's, which
+        # the |0,0> solve met bit for bit), rel_err_energy 3.4e-16,
+        # rel_err_x1x2 3.7e-16, rel_err_N 1.2e-15, residual_norm 5.8e-16 and
+        # edge_mass 3.1e-37 (2.2e-16 and 1.4e-38 from |0,0>)
+        config = ROOT / "configs" / "reference.json"
+        assert cli.main(["oracle-check", "--config", str(config), "--output-dir", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "oracle_check.json").read_text())
+        assert report["solver_steps"] == 2
+        assert abs(report["E0_oracle"] - 0.965925826289068) <= 4 * 2.0**-53
+        bounds = {"rel_err_energy": 1e-15, "rel_err_x1x2": 1e-15, "rel_err_N": 2e-15,
+                  "residual_norm": 1e-15, "edge_mass": 1e-36}
+        for name, bound in bounds.items():
+            assert report[name] < bound, name
+
     def test_relative_errors_do_not_depend_on_the_scale_of_k(self, tmp_path):
         # at m = hbar = 1, k = 2^-1000 every energy is 2^-500 times, and every
         # <x1 x2> 2^500 times, that at k = 1, exactly, so the relative errors
         # are the same numbers.  A floor of 1e-30 under the divisor made
         # rel_err_energy read about 1e-136 there, and pass held for any E0.
+        # At g/k 0.95 the n_max 40 truncation keeps every error above 0 (at
+        # 0.9 the Ritz-started solve's E0 is the closed form's, bit for bit).
         keys = ("rel_err_energy", "rel_err_x1x2", "rel_err_N")
         reports = []
         for scale in (1.0, 2.0**-1000):
             path, doc = reference_config(tmp_path)
             doc["model"]["k"] = scale
-            doc["model"]["coupling"]["g0"] = 0.9 * scale  # no error is exactly 0
+            doc["model"]["coupling"]["g0"] = 0.95 * scale  # no error is exactly 0
             path.write_text(json.dumps(doc))
             outdir = tmp_path / repr(scale)
             assert cli.main(["oracle-check", "--config", str(path), "--output-dir", str(outdir)]) == 0

@@ -75,15 +75,16 @@ class TestBuildHamiltonian:
 
     def test_position_matrix_scale(self):
         # the oracle's X = (a + a')/sqrt 2 is dimensionless; its length^2
-        # scale makes it x = sqrt(hbar/(2 m omega)) (a + a')
+        # scale makes X c X into x c x, x = sqrt(hbar/(2 m omega)) (a + a'):
+        # on the unit table at (i, i), X c X = X[:, i] X[i, :]
         model = make_model(m=2.0, k=3.0, hbar=0.7)
         oracle = FockOracle(model, 4)
-        x = fock._dense(oracle.n_max)[0]  # the X of oracle.apply
-        assert x[0, 1] == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert x[1, 2] == pytest.approx(1.0, rel=1e-15)
-        np.testing.assert_allclose(
-            math.sqrt(oracle.length_sq) * x, position_matrix(model, 4), rtol=1e-15
-        )
+        units = np.eye(25).reshape(25, 5, 5)
+        xcx = oracle.apply(1.0, units) - oracle.apply(0.0, units)  # the X c X of oracle.apply
+        assert xcx[0, 1, 1] == pytest.approx(0.5, rel=1e-15)  # X[1, 0] X[0, 1] = sqrt(0.5)^2
+        assert xcx[6, 2, 2] == pytest.approx(1.0, rel=1e-15)  # X[2, 1] X[1, 2] = 1
+        x = position_matrix(model, 4)
+        np.testing.assert_allclose(oracle.length_sq * xcx, x @ units @ x, rtol=1e-15)
 
 
 class TestGroundState:
@@ -357,14 +358,31 @@ class TestSparseOracle:
         oracle = FockOracle(model, n_max)
         u = model.g(y) / model.k
         c = np.random.default_rng(seed).normal(size=(n_max + 1, n_max + 1))
-        x, quanta = fock._dense(n_max)
-        x = np.abs(x)
+        x = np.abs(position_matrix(model, n_max)) / math.sqrt(oracle.length_sq)
+        levels = np.arange(n_max + 1.0)
+        quanta = levels[:, None] + levels + 1.0
         bound = 8 * np.finfo(float).eps * (quanta * np.abs(c) + u * (x @ np.abs(c) @ x))
         assert np.all(np.abs(oracle.apply(u, c.T) - oracle.apply(u, c).T) <= bound.T)
         n = np.arange(n_max + 1)
         odd = (n[:, None] + n[None, :]) % 2 == 1
         c[odd] = 0.0
         assert np.all(oracle.apply(u, c)[odd] == 0.0)
+
+    @pytest.mark.parametrize("n_max", [1, 2, 5, 12, 40, 200])
+    def test_apply_is_the_dense_product(self, n_max):
+        # the shifted-slice X c X against the dense matrix products, for a
+        # batch of random tables: each entry sums at most four products,
+        # so the two agree within a few epsilon of the sum of their sizes
+        model = make_model(m=2.0, k=3.0, hbar=0.7)
+        oracle = FockOracle(model, n_max)
+        x = position_matrix(model, n_max) / math.sqrt(oracle.length_sq)
+        levels = np.arange(n_max + 1.0)
+        quanta = levels[:, None] + levels + 1.0
+        c = np.random.default_rng(n_max).normal(size=(3, n_max + 1, n_max + 1))
+        for u in (0.0, 0.3, -0.9):
+            dense = quanta * c + u * (x @ c @ x)
+            size = quanta * np.abs(c) + abs(u) * (np.abs(x) @ np.abs(c) @ np.abs(x))
+            assert np.all(np.abs(oracle.apply(u, c) - dense) <= 4 * np.finfo(float).eps * size)
 
     def test_residual_is_the_full_table_residual(self):
         model = make_model(m=2.0, k=3.0, hbar=0.7, g0=1.5)
@@ -502,8 +520,12 @@ class TestLanczos:
             assert fock._start(oracle, g) is oracle.recent[-1][1], (gs, g)
         oracle.recent = recent(0.300, 0.301)
         assert fock._start(oracle, 0.302) is oracle.recent[-1][1]
+        # the first solve starts from the Ritz vector of the series terms'
+        # span, which at n_max 6 is the whole sector: the ground state itself
         oracle.recent = ()
-        assert np.array_equal(fock._start(oracle, 0.3), np.eye(1, a.size)[0])
+        start = fock._start(oracle, 0.7)
+        ground = scipy.linalg.eigh(sector_matrix(oracle, 0.7), subset_by_index=[0, 0])[1][:, 0]
+        assert abs(start @ ground) == pytest.approx(np.linalg.norm(start), rel=1e-14, abs=0)
 
     def test_extrapolated_start_adds_the_cubic_term_between_its_cuts(self, reference_model):
         # four states on u(g) = a + b g + d (g - ga)(g - gb)(g - gc): the last
@@ -673,14 +695,17 @@ class TestLanczos:
 
     def test_converged_start_stops_after_one_step(self):
         # a fresh oracle started from a converged ground state meets the stop
-        # test at k = 1, on T_1 = alpha_1 itself (g/k 0.55, above the series)
+        # test at k = 1, on T_1 = alpha_1 itself (g/k 0.55, above the series);
+        # the converged state is that of a Lanczos solve from |0,0> (40 steps)
         model = make_model(family="constant", g0=0.55)
-        converged = ground_state(FockOracle(model, 20), 0.0)
         oracle = FockOracle(model, 20)
-        oracle.recent = ((0.0, converged.vector),)
+        start = np.eye(1, oracle.weight.size)[0]
+        theta, converged, steps = fock._lanczos(oracle.sector_operator(0.55), start, 0)
+        assert steps > fock.BASIS_MAX
+        oracle.recent = ((0.0, converged),)
         gs = ground_state(oracle, 1.0)
         assert gs.steps == 1
-        assert gs.E0 == pytest.approx(converged.E0, rel=1e-15)
+        assert gs.E0 == pytest.approx(oracle.hbar_omega * theta, rel=1e-15)
 
     def test_no_convergence_when_the_basis_fills_the_space(self, reference_model, monkeypatch):
         # with a zero tolerance only an exact breakdown stops a Lanczos solve
@@ -719,8 +744,8 @@ class TestLanczos:
     @pytest.mark.parametrize("n_max", [24, 40])
     @pytest.mark.parametrize("u", [0.5, 0.9, 0.99, 0.999])
     def test_restarted_solve_matches_dense_eigh(self, n_max, u):
-        # cold solves of 40 to 200 steps, so the basis restarts, against a
-        # dense eigh of the sector matrix.  E0 is a Ritz value with a
+        # Lanczos solves from |0,0> of 40 to 200 steps, so the basis
+        # restarts, against a dense eigh of the sector matrix.  E0 is a Ritz value with a
         # residual estimate of at most epsilon |E0|, so its error is second
         # order and both solvers round at about epsilon ||H|| (4e-14 of E0 at
         # n_max = 40): 1e-13.  <x1 x2> is first order in the eigenvector,
@@ -729,13 +754,14 @@ class TestLanczos:
         # 8.8e-16 and 8.3e-14.
         model = make_model(family="constant", g0=u)
         oracle = FockOracle(model, n_max)
-        gs = ground_state(oracle, 0.0)
-        assert gs.steps > fock.BASIS_MAX
+        start = np.eye(1, oracle.weight.size)[0]
+        theta, v, steps = fock._lanczos(oracle.sector_operator(u), start, 0)
+        assert steps > fock.BASIS_MAX
         vals, vecs = scipy.linalg.eigh(sector_matrix(oracle, u), subset_by_index=[0, 0])
-        assert gs.E0 == pytest.approx(vals[0], rel=1e-13, abs=0)
+        assert theta == pytest.approx(vals[0], rel=1e-13, abs=0)
         x = position_matrix(model, n_max)
         x1x2 = cross_correlation(oracle.table(vecs[:, 0]), x)
-        assert cross_correlation(gs.amplitudes, x) == pytest.approx(
+        assert cross_correlation(oracle.table(v / np.linalg.norm(v)), x) == pytest.approx(
             x1x2, rel=1e-12, abs=0
         )
 
@@ -924,6 +950,17 @@ class TestSeries:
             assert series[3].shape == shape and series[3].flags.c_contiguous
             assert sum(np.asarray(part).nbytes for part in series) < 1e6, u_max
 
+    def test_build_grows_its_table_in_place(self):
+        # the build to g/k 0.9 at n_max 40 doubles its table of terms from
+        # 64 to 512 rows of 441 coordinates (1.8 MB) in place, so no copy of
+        # the 256-row table is alive beside it: the traced peak is the last
+        # table and little else (measured 1.87 MB; 2.74 MB with a copy)
+        fock._sector(40)
+        fock._series.cache_clear()
+        series, held, peak = traced(lambda: fock._series(40, fock.POLYNOMIAL_MAX_U, False))
+        assert series[0].size == 305 and held < 20e3
+        assert 512 * 441 * 8 <= peak < 2.0e6
+
     def test_each_cut_is_built_once_per_cutoff(self):
         # a weak-coupling state and a force below g/k 0.9 at one cutoff build
         # the series once at each cut, and repeating both builds nothing
@@ -974,7 +1011,7 @@ def whole_sector_series(n_max, count):
     gap = stencil[0] - 1.0
     inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
     terms = np.zeros((count, gap.size))
-    terms[0] = oracle.cold_start
+    terms[0, 0] = 1.0  # |0,0>
     energies = [1.0]
     for n in range(1, count):
         w = (stencil[1:] * terms[n - 1][cols[1:]]).sum(0)
@@ -1125,10 +1162,11 @@ class TestPolynomial:
         oracle = FockOracle(model, n_max)
         for u_max, states in ((fock.SERIES_MAX_U, True), (fock.POLYNOMIAL_MAX_U, False)):
             assert fock._order_count(fock._series(n_max, u_max, states)[2], 0.0) == 3
-        force, energy = fock._force_and_energy(oracle, 1.0)
+        force, energy = oracle.force_route(1.0)
         assert force == 0.0 and energy == oracle.hbar_omega
         gs = ground_state(oracle, 1.0)
-        assert gs.E0 == oracle.hbar_omega and np.array_equal(gs.vector, oracle.cold_start)
+        assert gs.E0 == oracle.hbar_omega
+        assert np.array_equal(gs.vector, np.eye(1, gs.vector.size)[0])
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_force_and_energy_below_the_cut_match_the_contraction(self, family):
@@ -1148,7 +1186,7 @@ class TestPolynomial:
                     model = make_model(g0=0.95, family=family, y_max=1e5)
                     y = math.sqrt(0.95 / u - 1.0)
                 oracle = FockOracle(model, n_max)
-                force, energy = fock._force_and_energy(oracle, y)
+                force, energy = oracle.force_route(y)
                 assert oracle.recent == () and math.isnan(oracle.e0)
                 gs = ground_state(oracle, y)
                 contraction = -model.g_prime(y) * oracle.correlation(gs.vector)
@@ -1189,7 +1227,7 @@ class TestPolynomial:
         for y in ys + ys[-2::-1]:
             u = model.g(y) / model.k
             recent, e0 = oracle.recent, oracle.e0
-            _, energy = fock._force_and_energy(oracle, y)
+            _, energy = oracle.force_route(y)
             e_dense = scipy.linalg.eigh(sector_matrix(oracle, u), eigvals_only=True,
                                         subset_by_index=[0, 0])[0]
             assert energy == pytest.approx(e_dense, rel=1e-13, abs=0), u
@@ -1205,8 +1243,9 @@ class TestPolynomial:
 
     def test_lanczos_after_a_polynomial_sweep_starts_cold(self):
         # a force sweep from g/k 0.3 up to 0.89 solves nothing, so the first
-        # point above the cut is solved from |0,0>, as on a fresh oracle:
-        # the same steps and bits, and E0 within 1e-13 of dense eigh
+        # point above the cut is solved from the cold start (the Ritz vector
+        # of the series terms), as on a fresh oracle: the same steps and
+        # bits, and E0 within 1e-13 of dense eigh
         model = make_model(g0=0.99)
         oracle = FockOracle(model, 20)
         for y in np.linspace(math.log(0.99 / 0.3), math.log(0.99 / 0.89), 30).tolist():
@@ -1219,6 +1258,188 @@ class TestPolynomial:
         e_dense = scipy.linalg.eigh(sector_matrix(oracle, warm.u), eigvals_only=True,
                                     subset_by_index=[0, 0])[0]
         assert warm.E0 == pytest.approx(e_dense, rel=1e-13, abs=0)
+
+
+def route_model(family, u):
+    """(model, y) with g(y)/k = u, for u < 0.95, in each coupling family."""
+    if family == "constant":
+        return make_model(g0=u, family=family), 1.0
+    if family == "exponential":
+        return make_model(g0=0.95, family=family, y_max=800.0), math.log(0.95 / u) if u else 800.0
+    return make_model(g0=0.95, family=family, y_max=1e300), math.sqrt(0.95 / u - 1.0) if u else 1e300
+
+
+class TestForceRoute:
+    # FockOracle.force_route, the one function y -> (F, E_vac) of an oracle,
+    # which dynamics.evolve steps with and oracle_force reads after its
+    # domain check.
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_max", [1, 4, 12, 40])
+    def test_route_is_oracle_force_and_the_polynomial_sum(self, family, n_max):
+        # below g/k 0.9, on one oracle visited in a shuffled order with
+        # repeats, (F, E_vac) equal oracle_force on a fresh oracle and
+        # -g'(y) l^2 theta_0', hbar omega theta_0 summed over the orders
+        # counted at u, bit for bit
+        us = STRONG_U
+        cases = [route_model(family, u) for u in us]
+        order = np.random.default_rng(n_max).permutation(2 * len(cases)) % len(cases)
+        route = FockOracle(cases[0][0], n_max).force_route if family != "constant" else None
+        counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
+        for i in order.tolist():
+            model, y = cases[i]
+            oracle = FockOracle(model, n_max)
+            force, energy = (route or oracle.force_route)(y)
+            u = model.g(y) / model.k
+            assert u == pytest.approx(us[i], rel=1e-9), u
+            theta, slope = polynomial_values(n_max, u, fock._order_count(counts, u)).tolist()
+            assert force == -model.g_prime(y) * (oracle.length_sq * slope), u
+            assert energy == oracle.hbar_omega * theta, u
+            assert force == oracle_force(FockOracle(model, n_max), y), u
+            assert oracle.recent == ()
+
+    @pytest.mark.parametrize("n_max", [12, 40])
+    def test_constant_coupling_trajectory_sums_the_polynomial_once(self, monkeypatch, n_max):
+        # at constant g/k 0.7 every step reuses the first step's sums: the
+        # polynomial is summed once and the run writes one E_vac, hbar omega
+        # theta_0(0.7), and F = 0; at varying g it is summed once per step
+        calls = []
+        order_count = fock._order_count
+
+        def counting(counts, u):
+            calls.append(u)
+            return order_count(counts, u)
+
+        monkeypatch.setattr(fock, "_order_count", counting)
+        config = DynamicsConfig(y0=0.1, v0=0.1, dt=0.05, t_max=10.0,
+                                force_route="oracle", oracle_n_max=n_max)
+        varying = evolve(make_model(family="exponential", g0=0.7), config)
+        assert len(calls) == 201 and np.unique(varying.E_vac).size == 201
+        calls.clear()
+        model = make_model(family="constant", g0=0.7)
+        traj = evolve(model, config)
+        assert len(traj.t) == 201 and calls == [0.7]
+        counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
+        theta = polynomial_values(n_max, 0.7, order_count(counts, 0.7))[0]
+        assert np.all(traj.E_vac == FockOracle(model, n_max).hbar_omega * theta)
+        assert np.all(traj.F == 0.0)
+
+    def test_route_reads_the_series_on_its_first_sum(self, monkeypatch):
+        # the route takes its views of the series to 0.9 on its first sum:
+        # a run above g/k 0.9 never builds that series, and reading the
+        # route builds nothing
+        built = []
+        series = fock._series
+
+        def recording(*args):
+            built.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(fock, "_series", recording)
+        route = FockOracle(make_model(family="constant", g0=0.95), 12).force_route
+        route(1.0)
+        route(2.0)
+        assert (12, fock.POLYNOMIAL_MAX_U, False) not in built
+        before = len(built)
+        route = FockOracle(make_model(family="constant", g0=0.7), 12).force_route
+        assert len(built) == before
+        route(1.0)
+        route(2.0)
+        assert built[before:] == [(12, fock.POLYNOMIAL_MAX_U, False)]
+
+
+class TestRitzStart:
+    # The first Lanczos solve of an oracle starts from the Ritz vector of the
+    # span of the state terms that ground_state sums below SERIES_MAX_U.
+
+    @pytest.mark.parametrize("n_max", [1, 2, 4, 12, 13, 40, 100, 999])
+    def test_subspace_is_an_orthonormal_basis_of_the_terms_and_its_pencil(self, n_max):
+        # Q is orthonormal, spans the kept terms (their part outside Q is at
+        # rounding), lies on the sector of cutoff min(n_max, kept - 1), whose
+        # pairs are those at `at`, and its pencil is Q^T H Q of the sector
+        # operator; up to n_max 12 (dimension 49 or less, 51 terms at most)
+        # it spans the whole sector
+        q, (d, w), at = fock._subspace(n_max, fock.SERIES_MAX_U)
+        terms = fock._series(n_max, fock.SERIES_MAX_U, True)[3]
+        eps = np.finfo(float).eps
+        assert np.abs(q.T @ q - np.eye(q.shape[1])).max() <= 8 * q.shape[0] * eps
+        outside = terms.T - q @ (q.T @ terms.T)
+        assert np.all(np.linalg.norm(outside, axis=0)
+                      <= 8 * q.shape[0] * eps * np.linalg.norm(terms, axis=1))
+        oracle = FockOracle(make_model(), n_max)
+        n, m = fock._sector(min(n_max, len(terms) - 1))[0]
+        assert np.array_equal(oracle.pairs[0][at], n) and np.array_equal(oracle.pairs[1][at], m)
+        if n_max <= 12:
+            assert q.shape == (oracle.weight.size,) * 2
+        for u in (0.5, 0.9):
+            h = np.zeros((oracle.weight.size, q.shape[1]))
+            operator = oracle.sector_operator(u)
+            for j in range(q.shape[1]):
+                v = np.zeros(oracle.weight.size)
+                v[at] = q[:, j]
+                h[:, j] = operator(v)
+            np.testing.assert_allclose(d + u * w, q.T @ h[at], rtol=0, atol=64 * n_max * eps)
+
+    def test_subspace_holds_a_small_table(self):
+        # at the largest cutoff Q is 676 x 51 doubles and the pencil two
+        # 51 x 51 ones; the build, with the 0.5 series and the sector of its
+        # terms cached, holds a few times Q while it runs (no gather of all
+        # four stencil rows at once)
+        fock._series(999, fock.SERIES_MAX_U, True)
+        fock._sector(50)
+        fock._subspace.cache_clear()
+        (q, pencil, at), held, peak = traced(lambda: fock._subspace(999, fock.SERIES_MAX_U))
+        assert q.shape == (676, 51) and all(p.shape == (51, 51) for p in pencil)
+        assert q.nbytes + sum(p.nbytes for p in pencil) < 330_000
+        assert peak < 5 * q.nbytes  # measured 4.3
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 6, 12, 13, 20, 40])
+    def test_ritz_started_solve_matches_dense_eigh(self, family, n_max):
+        # the first solve of fresh oracles at g/k 0.5 to 0.99 against a dense
+        # eigh of the sector matrix, with the bounds of the solves from |0,0>
+        # (test_restarted_solve_matches_dense_eigh): E0 within 1e-13 and
+        # <x1 x2> within 1e-12 relative
+        model = make_model(family=family, g0=2.97, m=2.0, k=3.0, hbar=0.7)
+        for y in np.linspace(0.0, 0.6, 7):
+            oracle = FockOracle(model, n_max)
+            gs = ground_state(oracle, y)
+            assert 0.5 <= gs.u < 0.991 and gs.steps > 0
+            vals, vecs = scipy.linalg.eigh(sector_matrix(oracle, gs.u), subset_by_index=[0, 0])
+            assert gs.E0 / oracle.hbar_omega == pytest.approx(vals[0], rel=1e-13, abs=0)
+            x1x2 = oracle.length_sq * cross_correlation(oracle.table(vecs[:, 0]),
+                                                        position_matrix(make_model(), n_max))
+            assert oracle_observables(gs).x1x2 == pytest.approx(x1x2, rel=1e-12, abs=0)
+
+    def test_ritz_start_takes_few_steps(self):
+        # at n_max 40 and constant g the first solve took 63, 40, 78, 72 and
+        # 120 steps from |0,0> at g/k 0.5, 0.6, 0.7, 0.8 and 0.9; from the
+        # Ritz vector it takes 2, 2, 12, 18 and 72
+        for u, bound in ((0.5, 2), (0.6, 2), (0.7, 12), (0.8, 18), (0.9, 72)):
+            oracle = FockOracle(make_model(family="constant", g0=u), 40)
+            start = np.eye(1, oracle.weight.size)[0]
+            cold = fock._lanczos(oracle.sector_operator(u), start, 0)[2]
+            assert ground_state(oracle, 0.0).steps <= bound < cold, u
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_occupation_is_the_hellmann_feynman_identity(self, family):
+        # Hellmann-Feynman on lambda (N1 + N2), exact for an eigenpair of the
+        # truncated H: <N1> = (theta_0 - u theta_0' - 1)/2, that is N1 =
+        # (E0/(hbar omega) - u <x1 x2>/l^2 - 1)/2, on the series (g/k < 0.5)
+        # and on Ritz-started Lanczos solves (0.5 to 0.95), fresh oracles at
+        # every n_max from 1 to 40.  Absolute, within 3 epsilon; measured at
+        # most 0.6 epsilon on the series and 1.7 on Lanczos (2.5 with g/k up
+        # to 0.97, where <N1> is 0.5).
+        eps = np.finfo(float).eps
+        model = make_model(family=family, g0=2.85, m=2.0, k=3.0, hbar=0.7)
+        for n_max in range(1, 41):
+            for y in np.linspace(0.0, 6.0, 13):
+                oracle = FockOracle(model, n_max)
+                gs = ground_state(oracle, y)
+                obs = oracle_observables(gs)
+                identity = (obs.E_vac / oracle.hbar_omega - gs.u * obs.x1x2 / oracle.length_sq
+                            - 1.0) / 2.0
+                assert abs(obs.N1 - identity) <= 3 * eps, (n_max, gs.u)
 
 
 class TestReuse:
