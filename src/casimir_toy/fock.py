@@ -463,10 +463,8 @@ def _series(n_max: int, u_max: float, states: bool):
     max(kept - 1, k // 2)) until its last order k is at most 2c + 1 and the
     kept state orders at most c: with states, the orders ground_state sums
     below u_max; without, none (a force reads the energies alone, and the
-    build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).  A pass stops
-    once k // 2 reaches n_max, as its restart then runs on n_max whatever
-    order it would end at (at 0.9 and n_max 65-151, order 2 n_max on cutoff
-    64 in place of all 305).  The table of terms doubles its rows in place,
+    build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).  The table of
+    terms doubles its rows in place,
     so the build's peak is its last table (at 0.9 and n_max 40, 512 rows of
     441 coordinates, 1.8 MB; 2.7 MB with a copy beside it).
 
@@ -500,32 +498,27 @@ def _series(n_max: int, u_max: float, states: bool):
                     f"against {sizes[1]:.3e} at first order"
                 )
             k = len(energies)
-            if k // 2 >= n_max > cutoff:
-                # the restart runs on n_max, whatever order this pass would end at
-                cutoff, rows = n_max, 2 * k
-                break
             if k == rows:
-                # in place: no view of the table is alive here, and a copy
-                # beside the old table would double the build's peak
+                # in place (numpy refuses if anything else refers to the
+                # table): a copy beside the old table would double the peak
                 rows *= 2
-                terms.resize((rows, n.size), refcheck=False)
+                terms.resize((rows, n.size))
             w = (stencil[1:] * terms[k - 1][cols[1:]]).sum(0)  # W b_{n-1}
             energies.append(float(w[0]))
             terms[k] = (np.array(energies[k - 1:0:-1]) @ terms[1:k] - w) * inverse
             sizes.append(u_max**k * math.sqrt(terms[k] @ terms[k]))
-        else:
-            orders = np.arange(k + 1)
-            coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
-            counts = []
-            while not counts or counts[-1] > 3:
-                slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
-                left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
-                fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
-                counts.append(max(3, int(fits[0]) + 1 if fits.size else k + 1))
-            kept = _order_count(counts, math.nextafter(u_max, 0.0)) if states else 0
-            if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
-                break
-            cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
+        orders = np.arange(k + 1)
+        coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
+        counts = []
+        while not counts or counts[-1] > 3:
+            slope = min(0.5 ** len(counts), u_max) ** orders[:-1] * coefficients[1, :-1]
+            left_out = np.cumsum(np.abs(slope[::-1]))[::-1]  # over n >= 1 + index
+            fits = np.flatnonzero(left_out <= RITZ_TOL * abs(slope.sum()))
+            counts.append(max(3, int(fits[0]) + 1 if fits.size else k + 1))
+        kept = _order_count(counts, math.nextafter(u_max, 0.0)) if states else 0
+        if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
+            break
+        cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
         del terms  # the next build's table is not allocated beside this one
     reached = m < kept
     big_n, big_m = _sector(n_max)[0]
@@ -561,8 +554,11 @@ def _subspace(n_max: int, u_max: float):
     wq = stencil[1, :, None] * q[cols[1]]
     for row in range(2, 5):
         wq += stencil[row, :, None] * q[cols[row]]
-    # einsum, not a BLAS product, whose rounding moves with the thread count:
-    # the start, and so each Lanczos result, keeps its bits on any count
+    # einsum, not a BLAS product: q.T @ (D q) rounds differently under two
+    # OpenBLAS threads than under one, and moved oracle-check's bits at
+    # n_max 40 (g/k 0.5, 0.7 and 0.95).  The QR, the 51 x 51 eigh and Q c in
+    # _start read the same bits under both at n_max 13-999; the Lanczos
+    # steps after the start do not above about n_max 100 (README).
     pencil = np.einsum("ia,ib->ab", q, stencil[0, :, None] * q), np.einsum("ia,ib->ab", q, wq)
     for array in (q, *pencil):
         array.flags.writeable = False

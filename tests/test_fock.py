@@ -744,26 +744,35 @@ class TestLanczos:
     @pytest.mark.parametrize("n_max", [24, 40])
     @pytest.mark.parametrize("u", [0.5, 0.9, 0.99, 0.999])
     def test_restarted_solve_matches_dense_eigh(self, n_max, u):
-        # Lanczos solves from |0,0> of 40 to 200 steps, so the basis
-        # restarts, against a dense eigh of the sector matrix.  E0 is a Ritz value with a
-        # residual estimate of at most epsilon |E0|, so its error is second
-        # order and both solvers round at about epsilon ||H|| (4e-14 of E0 at
-        # n_max = 40): 1e-13.  <x1 x2> is first order in the eigenvector,
+        # the first solve of a fresh oracle (ground_state: its start, stop
+        # rule, normalization and amplitudes) against a dense eigh of the
+        # sector matrix.  From g/k 0.9 up it takes 40 to 216 steps from the
+        # Ritz start, so the basis restarts; at 0.5 it takes 1 or 2, so the
+        # solve from |0,0> (56 or 63 steps) is checked beside it.  E0 is a
+        # Ritz value with a residual estimate of at most epsilon |E0|, so its
+        # error is second order and both solvers round at about epsilon ||H||
+        # (4e-14 of E0 at n_max = 40): 1e-13.  <x1 x2> is first order in the eigenvector,
         # off by about the residual over the gap to E1 (1.1e-14 / 0.082 =
         # 1.3e-13 at n_max = 40, g/k = 0.999): 1e-12.  Measured at most
         # 8.8e-16 and 8.3e-14.
         model = make_model(family="constant", g0=u)
         oracle = FockOracle(model, n_max)
-        start = np.eye(1, oracle.weight.size)[0]
-        theta, v, steps = fock._lanczos(oracle.sector_operator(u), start, 0)
-        assert steps > fock.BASIS_MAX
+        gs = ground_state(oracle, 0.0)
+        solves = [(gs.E0, gs.amplitudes)]
+        if u == 0.5:
+            assert gs.steps <= 2
+            start = np.eye(1, oracle.weight.size)[0]
+            theta, v, steps = fock._lanczos(oracle.sector_operator(u), start, 0)
+            assert steps > fock.BASIS_MAX
+            solves.append((theta, oracle.table(v / np.linalg.norm(v))))
+        else:
+            assert gs.steps > fock.BASIS_MAX
         vals, vecs = scipy.linalg.eigh(sector_matrix(oracle, u), subset_by_index=[0, 0])
-        assert theta == pytest.approx(vals[0], rel=1e-13, abs=0)
         x = position_matrix(model, n_max)
         x1x2 = cross_correlation(oracle.table(vecs[:, 0]), x)
-        assert cross_correlation(oracle.table(v / np.linalg.norm(v)), x) == pytest.approx(
-            x1x2, rel=1e-12, abs=0
-        )
+        for e0, amplitudes in solves:
+            assert e0 == pytest.approx(vals[0], rel=1e-13, abs=0)
+            assert cross_correlation(amplitudes, x) == pytest.approx(x1x2, rel=1e-12, abs=0)
 
     def test_short_warm_solves_are_those_of_an_unrestarted_basis(self, reference_model, monkeypatch):
         # the 300-point Lanczos sweep above after its cold solve: every warm
@@ -1397,7 +1406,7 @@ class TestRitzStart:
     @pytest.mark.parametrize("n_max", [1, 2, 3, 4, 6, 12, 13, 20, 40])
     def test_ritz_started_solve_matches_dense_eigh(self, family, n_max):
         # the first solve of fresh oracles at g/k 0.5 to 0.99 against a dense
-        # eigh of the sector matrix, with the bounds of the solves from |0,0>
+        # eigh of the sector matrix, with the bounds of the restarted solves
         # (test_restarted_solve_matches_dense_eigh): E0 within 1e-13 and
         # <x1 x2> within 1e-12 relative
         model = make_model(family=family, g0=2.97, m=2.0, k=3.0, hbar=0.7)
