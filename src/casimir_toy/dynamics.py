@@ -10,8 +10,6 @@ Python floats through quantum's kernels: one g and one g' per step.
 from __future__ import annotations
 
 import math
-import time
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -22,8 +20,6 @@ from .model import ValidatedModel
 
 FORCE_ROUTES = ("casimir", "lifshitz", "oracle")
 
-# Projected oracle-route runtime (s) above which evolve warns.
-ORACLE_BUDGET_S = 300.0
 # Most rows a CSV artifact gets (about 80 MB of spectrum.csv): the bound on
 # grid.points, on t_max / dt and on the entries of an oracle's (n_max + 1)^2 table.
 MAX_ROWS = 1_000_000
@@ -83,19 +79,14 @@ class Trajectory:
     E_vac: np.ndarray
     E_total: np.ndarray
     domain_exited: bool = False
-    oracle_advisory: bool = False
-
-
-class OracleTooSlowWarning(UserWarning):
-    """Projected oracle-route runtime exceeds ORACLE_BUDGET_S."""
 
 
 def _route(model: ValidatedModel, config: DynamicsConfig):
     """The selected route as one function y -> (force, E_vac)."""
     # evolve has checked y, so g and g' are evaluated once each, unchecked.
     if config.force_route == "oracle":
-        # One FockOracle for the run: below g/k 0.9 a step sums its cached
-        # polynomials (once while g is unchanged), above it each step's
+        # One FockOracle for the run: below g/k 0.9 a step sums a cell of its
+        # cached force table (once while g is unchanged), above it each step's
         # Lanczos solve starts from the previous step's ground state (the
         # first from the Ritz vector of the series' state terms).
         return fock.FockOracle(model, config.oracle_n_max).force_route
@@ -113,11 +104,7 @@ def _route(model: ValidatedModel, config: DynamicsConfig):
 def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
     """Leapfrog (kick-drift-kick) integration of the heavy coordinate.
 
-    Emits a row per step; stops at t_max or on domain exit (flagged).  When
-    force_route='oracle' and the runtime projected after the first step (the
-    cold first solve plus the first warm one times the step count) exceeds
-    ORACLE_BUDGET_S, an OracleTooSlowWarning is issued once and the
-    trajectory is flagged, but the run proceeds.
+    Emits a row per step; stops at t_max or on domain exit (flagged).
     """
     c = model.coupling
     c.check_domain(config.y0)
@@ -126,12 +113,7 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
     dt = config.dt
     big_m = model.M
 
-    oracle = config.force_route == "oracle"
-    advisory = False
-    tic = time.perf_counter()
     f, evac = route(config.y0)
-    cold = time.perf_counter() - tic
-
     y = config.y0
     p = big_m * config.v0
     t = 0.0
@@ -139,33 +121,17 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
     # of a list of row tuples.
     rows = array("d", (t, y, p, f, evac, p * p / (2 * big_m) + evac))
     exited = False
-    # The oracle route takes its first step alone, to time one warm solve:
-    # the projected runtime is the cold solve plus that one per step.  The
-    # closed-form routes take every step in one loop.
-    tic = time.perf_counter()
-    for first, last in ((0, 1), (1, n_steps)) if oracle else ((0, n_steps),):
-        for _ in range(first, last):
-            p_half = p + 0.5 * dt * f
-            y_new = y + dt * p_half / big_m
-            if not (c.y_min <= y_new <= c.y_max):
-                exited = True
-                break
-            f, evac = route(y_new)
-            p = p_half + 0.5 * dt * f
-            y = y_new
-            t += dt
-            rows.extend((t, y, p, f, evac, p * p / (2 * big_m) + evac))
-        if exited:
+    for _ in range(n_steps):
+        p_half = p + 0.5 * dt * f
+        y_new = y + dt * p_half / big_m
+        if not (c.y_min <= y_new <= c.y_max):
+            exited = True
             break
-        if oracle and first == 0:
-            projected = cold + (time.perf_counter() - tic) * n_steps
-            if projected > ORACLE_BUDGET_S:
-                advisory = True
-                warnings.warn(
-                    f"projected oracle-route runtime {projected:.1f}s exceeds "
-                    f"budget {ORACLE_BUDGET_S:.1f}s",
-                    OracleTooSlowWarning,
-                )
+        f, evac = route(y_new)
+        p = p_half + 0.5 * dt * f
+        y = y_new
+        t += dt
+        rows.extend((t, y, p, f, evac, p * p / (2 * big_m) + evac))
 
     arr = np.frombuffer(rows).reshape(-1, 6)
     return Trajectory(
@@ -176,7 +142,6 @@ def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
         E_vac=arr[:, 4],
         E_total=arr[:, 5],
         domain_exited=exited,
-        oracle_advisory=advisory,
     )
 
 

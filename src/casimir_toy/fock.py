@@ -23,8 +23,10 @@ and an E_vac come from one function per oracle, FockOracle.force_route,
 which the oracle route of dynamics.evolve steps with and oracle_force reads;
 it needs no state below |u| = POLYNOMIAL_MAX_U = 0.9: E0/(hbar omega) =
 theta_0(u) = sum e_n u^n and, by Hellmann-Feynman, <X1 X2> = theta_0'(u),
-two polynomials whose coefficients the same builder gives to 0.9 (_series at
-that cut), summed once per u, so a constant-g trajectory sums them once.  At
+from the coefficients the same builder gives to 0.9 (_series at that cut),
+held per cutoff as short polynomials in w = u^2 over cells of w
+(_force_table) and summed by Horner in Python floats once per u, so a
+constant-g trajectory sums them once.  At
 the strong-coupling end, |u| >= 0.5 for a state and |u| >= 0.9 for a force,
 ground_state finds the lowest eigenpair by thick-restart Lanczos with full
 reorthogonalization (numpy only) on v, in a basis of at most 24 vectors that
@@ -49,6 +51,7 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -163,11 +166,11 @@ class FockOracle:
         self.recent = ()
         self.e0 = math.nan
         self.warm_steps = 0
-        # octaves: the (orders, coefficients) views of the series to
-        # POLYNOMIAL_MAX_U per octave of u (see _order_count), taken on the
-        # first sum of force_route; sums: the u, theta_0 and theta_0' of its
-        # last sum.
-        self.octaves = ()
+        # formulas: the coupling family's (g, g'), bound once; cells: the
+        # (edges, cells) of _force_table, read on force_route's first sum;
+        # sums: the u, theta_0 and theta_0' of its last sum.
+        self.formulas = model.coupling._formulas()
+        self.cells = None
         self.sums = (math.nan, 0.0, 0.0)
 
     def apply(self, u: float, c: np.ndarray) -> np.ndarray:
@@ -208,23 +211,30 @@ class FockOracle:
         the caller has checked against the coupling domain: the oracle's
         one force route, which dynamics.evolve steps with and oracle_force
         reads.  Below |u| = POLYNOMIAL_MAX_U it reads no state: theta_0 and
-        theta_0' = <X1 X2> are sums of _series to that cut over the orders
-        counted at u, on views of its coefficients per octave taken on the
-        first such y (octaves), and the last u's sums (sums) are reused while
-        u is unchanged bit for bit, so a constant coupling sums them once;
-        the oracle's solves are left as they are.  Else F and E_vac come from
+        theta_0' = <X1 X2> = u s come from one Horner pass over the pairs of
+        the _force_table cell of w = u^2, in d = w - c, read on the first
+        such y (cells), and the last u's sums (sums) are reused while u is
+        unchanged bit for bit, so a constant coupling sums them once; the
+        oracle's solves are left as they are.  Else F and E_vac come from
         ground_state and the stencil contraction of its vector."""
         coupling = self.model.coupling
-        u = coupling.value_raw(y) / self.model.k
+        g, g_prime = self.formulas
+        u = g(coupling, y, math) / self.model.k
         if abs(u) < POLYNOMIAL_MAX_U:
             if u != self.sums[0]:
-                if not self.octaves:
-                    orders, coefficients, counts = _series(self.n_max, POLYNOMIAL_MAX_U, False)[:3]
-                    self.octaves = [(orders[:n], coefficients[:, :n]) for n in counts]
-                orders, coefficients = _order_count(self.octaves, u)
-                self.sums = (u, *(coefficients @ u**orders).tolist())
+                if self.cells is None:
+                    self.cells = _force_table(self.n_max, POLYNOMIAL_MAX_U)
+                edges, cells = self.cells
+                w = u * u
+                c, pairs = cells[bisect_right(edges, w) - 1]
+                d = w - c
+                theta = s = 0.0
+                for a, b in pairs:
+                    theta = theta * d + a
+                    s = s * d + b
+                self.sums = (u, theta, u * s)
             _, theta, slope = self.sums
-            return -coupling.derivative_raw(y) * (self.length_sq * slope), self.hbar_omega * theta
+            return -g_prime(coupling, y, math) * (self.length_sq * slope), self.hbar_omega * theta
         gs = ground_state(self, y)
         return -coupling.derivative_raw(y) * self.correlation(gs.vector), gs.E0
 
@@ -430,16 +440,24 @@ SERIES_MAX_U = 0.5
 # The build converges at every n_max from 1 to 64 and at 999: 42 terms at
 # n_max 1, 263 at 12, 305 from 34 up.  Against dense eigh of the sector,
 # theta_0 and theta_0' agree within 2e-14 relative at n_max 1-40 up to the
-# cut.  An oracle-route evolve step takes 3.5-4.1 us where g changes and
-# 0.6-1.0 us at constant g, whose sums it reuses (n_max 12 and 20, g/k 0.7
-# and 0.8), against 4.1-5.6 us when each step looked the series up and
-# checked y, 1.2-2.0 us by a closed-form route, 14-18 us by the vector
-# series and 200-330 us by warm Lanczos at g/k 0.7-0.85 (one BLAS thread,
+# cut.  Summed from _force_table's cells in Python floats they take 0.8-2.0
+# us a call (n_max 12-40; 3.3-5.4 us as one numpy sum in u), so an
+# oracle-route evolve step takes 2.1-2.3 us where g changes and 0.8-1.0 us at
+# constant g, whose sums it reuses, against 2.1 us by the casimir route and
+# 200-330 us by warm Lanczos (g/k 0.7-0.8, n_max 12 and 20, one BLAS thread,
 # 2-vCPU Xeon).  No state is kept below the cut, so the first Lanczos solve
-# above it starts as on a fresh oracle, from the Ritz vector of the 0.5
-# series' state terms (_start).  Past the cut the series needs 1437 terms at
-# g/k 0.98 (n_max 40), and Lanczos serves.
+# above it starts as on a fresh oracle (_start).  Past the cut the series
+# needs 1437 terms at g/k 0.98 (n_max 40), and Lanczos serves.
 POLYNOMIAL_MAX_U = 0.9
+
+# From w = u^2 = 1/4 up, _force_table's cells have edges at 1 - w <-
+# CELL_SHRINK (1 - w), each half-width 1/9 of its center's distance to the
+# branch point at w = 1 or less, so the series re-expanded about the center
+# falls about 10-fold per order: a cell keeps at most 16 orders (n_max 1-40)
+# of the CELL_ORDERS computed, the last below 2e-22 of the first.  (Summed
+# about w = 0 alone they took 6.8-7.8 us a call at g/k 0.55-0.85.)
+CELL_SHRINK = 0.8
+CELL_ORDERS = 24
 
 
 @functools.cache
@@ -464,9 +482,11 @@ def _series(n_max: int, u_max: float, states: bool):
     kept state orders at most c: with states, the orders ground_state sums
     below u_max; without, none (a force reads the energies alone, and the
     build to 0.9 runs on cutoff 152 from n_max 152 up, 14 MB).  The table of
-    terms doubles its rows in place,
-    so the build's peak is its last table (at 0.9 and n_max 40, 512 rows of
-    441 coordinates, 1.8 MB; 2.7 MB with a copy beside it).
+    terms doubles by adding a block as long as itself, never copied or
+    resized, so its peak is its last table (at 0.9 and n_max 40, 512 rows of
+    441 coordinates, 1.8 MB) under a profiler or a tracer too; summing the
+    product with the earlier terms block by block moved energies of order
+    65 and up by rounding (n_max 3-64) against one product on one table.
 
     Returns (orders, coefficients, counts, terms, at), arrays read-only:
     coefficients[0] = e_n and coefficients[1] = (n + 1) e_{n+1}, so both rows
@@ -487,8 +507,9 @@ def _series(n_max: int, u_max: float, states: bool):
         (n, m), _, cols, stencil = _sector(cutoff)
         gap = stencil[0] - 1.0  # n + n': 0 at |0,0> alone, else at least 2
         inverse = np.divide(1.0, gap, out=np.zeros_like(gap), where=gap > 0)
-        terms = np.zeros((rows, n.size))
-        terms[0, 0] = 1.0  # b_0 = |0,0>
+        blocks, starts = [np.zeros((rows, n.size))], [0]  # b_n: row n - start of its block
+        term = blocks[0][0]
+        term[0] = 1.0  # b_0 = |0,0>
         energies, sizes = [1.0], [1.0]
         while len(sizes) < 3 or not sizes[-2] + sizes[-1] <= RITZ_TOL * sizes[1]:
             if len(sizes) > 2 and not sizes[-1] <= sizes[1]:
@@ -499,14 +520,24 @@ def _series(n_max: int, u_max: float, states: bool):
                 )
             k = len(energies)
             if k == rows:
-                # in place (numpy refuses if anything else refers to the
-                # table): a copy beside the old table would double the peak
+                # a new block as long as the table doubles it: no block is
+                # copied (a copy beside the old table would raise the peak)
+                # or resized (numpy refuses while a profiler or a tracer
+                # holds a reference to the array)
+                blocks.append(np.zeros((rows, n.size)))
+                starts.append(rows)
                 rows *= 2
-                terms.resize((rows, n.size))
-            w = (stencil[1:] * terms[k - 1][cols[1:]]).sum(0)  # W b_{n-1}
+            w = (stencil[1:] * term[cols[1:]]).sum(0)  # W b_{n-1}
             energies.append(float(w[0]))
-            terms[k] = (np.array(energies[k - 1:0:-1]) @ terms[1:k] - w) * inverse
-            sizes.append(u_max**k * math.sqrt(terms[k] @ terms[k]))
+            mixed = np.array(energies[k - 1:0:-1])  # e_{k-1} ... e_1 against b_1 ... b_{k-1}
+            total = 0.0
+            for start, block in zip(starts, blocks):
+                if start < k:
+                    first, last = max(start, 1), min(start + len(block), k)
+                    total = total + mixed[first - 1:last - 1] @ block[first - start:last - start]
+            term = blocks[-1][k - starts[-1]]
+            term[:] = (total - w) * inverse
+            sizes.append(u_max**k * math.sqrt(term @ term))
         orders = np.arange(k + 1)
         coefficients = np.vstack([energies, np.append(orders[1:] * energies[1:], 0.0)])
         counts = []
@@ -519,20 +550,70 @@ def _series(n_max: int, u_max: float, states: bool):
         if cutoff == n_max or (kept <= cutoff + 1 and k <= 2 * cutoff + 1):
             break
         cutoff, rows = min(n_max, max(kept - 1, k // 2)), k + 1
-        del terms  # the next build's table is not allocated beside this one
+        del blocks, term  # the next build's table is not allocated beside this one
     reached = m < kept
     big_n, big_m = _sector(n_max)[0]
     at = np.searchsorted(big_n * (n_max + 1) + big_m, n[reached] * (n_max + 1) + m[reached])
-    series = orders, coefficients, tuple(counts), np.ascontiguousarray(terms[:kept, reached]), at
+    terms = np.concatenate([block[:max(kept - start, 0)] for start, block in zip(starts, blocks)])
+    series = orders, coefficients, tuple(counts), np.ascontiguousarray(terms[:, reached]), at
     for array in (orders, coefficients, series[3], at):
         array.flags.writeable = False
     return series
 
 
+@functools.cache
+def _force_table(n_max: int, u_max: float):
+    """theta_0 and theta_0'/u as short polynomials in w = u^2 over cells of
+    0 <= w < u_max^2, from the energies of _series to u_max (every odd one
+    is exactly 0): theta_0 = sum_k A_k w^k, A_k = e_2k, and theta_0'/u =
+    2 dtheta_0/dw.  Below w = 1/4 a cell per octave of u (counts' entries
+    j >= 1) is centered at 0 with its count's even orders: a_k = A_k and
+    b_k = 2(k + 1) A_{k+1}.  From 1/4 up (see CELL_SHRINK) the series is
+    re-expanded about each cell's center c, all cells at once per order:
+    a_j = sum_k C(k, j) A_k c^(k-j), b_j = 2(j + 1) a_{j+1}; through order
+    2 n_max + 1 every A_k with k >= 1 is negative, so the sums do not
+    cancel.  Such a cell keeps the fewest orders whose left-out terms at its
+    far edge add up to at most RITZ_TOL times the first, in both rows.
+
+    Returns (edges, cells): the cell of w is cells[bisect_right(edges, w) -
+    1], (c, ((a_j, b_j), ...)) in Python floats, highest order first, so
+    theta_0 = sum_j a_j (w - c)^j and theta_0'/u = sum_j b_j (w - c)^j by
+    Horner.  Built in 0.4-0.5 ms, once the series is.
+    """
+    def cell(c, size, a, b):
+        return c, tuple(zip(a[size - 1::-1].tolist(), b[size - 1::-1].tolist()))
+
+    coefficients, counts = _series(n_max, u_max, False)[1:3]
+    even = np.append(coefficients[0, ::2], 0.0)  # e_0, e_2, ...; 0 past the last order
+    a, b = even[:-1], 2.0 * np.arange(1, even.size) * even[1:]
+    octaves = range(len(counts) - 1, 0, -1)  # lowest first
+    cells = [cell(0.0, (counts[j] + 1) // 2, a, b) for j in octaves]
+    edges = [0.25 ** (j + 1) if j < len(counts) - 1 else 0.0 for j in octaves]
+    bounds = [0.25]
+    while bounds[-1] < u_max * u_max:
+        bounds.append(min(1.0 - CELL_SHRINK * (1.0 - bounds[-1]), u_max * u_max))
+    low, high = np.array(bounds[:-1]), np.array(bounds[1:])
+    center, half = (low + high) / 2, (high - low) / 2
+    orders = min(CELL_ORDERS, even.size - 1)
+    powers = center[:, None] ** np.arange(even.size - 1)
+    weights = even[:-1].copy()  # C(k, j) A_k at order j
+    shifted = np.empty((center.size, orders))
+    for j in range(orders):
+        shifted[:, j] = (powers[:, :weights.size - j] * weights[j:]).sum(1)
+        weights[j:] *= np.arange(weights.size - j) / (j + 1)
+    a, b = shifted[:, :-1], 2.0 * np.arange(1, orders) * shifted[:, 1:]
+    reach = half[:, None] ** np.arange(orders - 1)
+    fits = True
+    for row in (a, b):
+        left_out = np.cumsum(np.abs(row * reach)[:, ::-1], axis=1)[:, ::-1]
+        fits = fits & (left_out <= RITZ_TOL * np.abs(row[:, :1]))
+    cells += map(cell, center.tolist(), (~fits).sum(1), a, b)
+    return tuple(edges + bounds[:-1]), tuple(cells)
+
+
 def _order_count(counts, u: float):
     """The orders of a _series to sum at u, |u| < 1 (the fewest at u = 0):
-    the entry of counts, or of any sequence held per octave as counts is,
-    that serves u."""
+    the entry of counts that serves u."""
     return counts[min(-math.frexp(u)[1], len(counts) - 1)] if u else counts[-1]
 
 

@@ -1,13 +1,11 @@
 import dataclasses
 import math
-import types
-import warnings
 
 import numpy as np
 import pytest
 
 from casimir_toy import DynamicsConfig, dynamics, evolve, quantum
-from casimir_toy.dynamics import OracleTooSlowWarning, Trajectory, energy_audit
+from casimir_toy.dynamics import Trajectory, energy_audit
 from conftest import make_model
 
 
@@ -85,36 +83,6 @@ class TestEvolve:
         traj = evolve(reference_model, config)
         assert traj.domain_exited
         assert traj.t[-1] < 100.0
-
-    def test_oracle_too_slow_advisory(self, reference_model, monkeypatch):
-        monkeypatch.setattr(dynamics, "ORACLE_BUDGET_S", 1e-9)
-        config = DynamicsConfig(
-            y0=0.5, v0=0.0, dt=0.1, t_max=2.0, force_route="oracle", oracle_n_max=30,
-        )
-        with pytest.warns(OracleTooSlowWarning):
-            traj = evolve(reference_model, config)
-        assert traj.oracle_advisory
-
-    @pytest.mark.parametrize("cold, warm, warns", [(1.0, 1e-3, False), (0.1, 1.0, True)])
-    def test_oracle_budget_is_projected_from_the_first_warm_solve(
-        self, reference_model, monkeypatch, cold, warm, warns
-    ):
-        # a scripted clock: the cold first solve reads `cold` seconds and the
-        # first step `warm`.  400 steps against the 300 s budget: 1 s + 400 ms
-        # stays silent where cold x steps (400 s) would warn, and 0.1 s +
-        # 400 s warns once where cold x steps (40 s) would not
-        readings = iter([0.0, cold, 10.0, 10.0 + warm])
-        monkeypatch.setattr(dynamics, "time", types.SimpleNamespace(perf_counter=lambda: next(readings)))
-        config = DynamicsConfig(
-            y0=1.0, v0=0.0, dt=0.01, t_max=4.0, force_route="oracle", oracle_n_max=4,
-        )
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            traj = evolve(reference_model, config)
-        assert next(readings, None) is None
-        assert len(traj.t) == 401
-        assert traj.oracle_advisory == warns
-        assert [w.category for w in caught] == [OracleTooSlowWarning] * warns
 
     def test_rejects_initial_y_outside_domain(self, reference_model):
         from casimir_toy.errors import DomainError

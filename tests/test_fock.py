@@ -1,6 +1,8 @@
+import bisect
 import copy
 import math
 import statistics
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -961,25 +963,48 @@ class TestSeries:
 
     def test_build_grows_its_table_in_place(self):
         # the build to g/k 0.9 at n_max 40 doubles its table of terms from
-        # 64 to 512 rows of 441 coordinates (1.8 MB) in place, so no copy of
-        # the 256-row table is alive beside it: the traced peak is the last
-        # table and little else (measured 1.87 MB; 2.74 MB with a copy)
+        # 64 to 512 rows of 441 coordinates (1.8 MB) by adding blocks, so no
+        # copy of the 256-row table is alive beside it: the traced peak is
+        # the last table and little else (measured 1.87 MB; 2.74 MB with a
+        # copy)
         fock._sector(40)
         fock._series.cache_clear()
         series, held, peak = traced(lambda: fock._series(40, fock.POLYNOMIAL_MAX_U, False))
         assert series[0].size == 305 and held < 20e3
         assert 512 * 441 * 8 <= peak < 2.0e6
 
+    @pytest.mark.parametrize("hook", ["settrace", "setprofile"])
+    def test_build_runs_under_a_tracer_and_a_profiler(self, hook):
+        # with a no-op trace or profile hook set, as a debugger, a coverage
+        # tool or cProfile sets one, the build to g/k 0.9 grows its table and
+        # gives the coefficients of the build without one, bit for bit (a
+        # resized table failed: numpy refuses to resize an array that a
+        # profiler's bound method also refers to)
+        plain = fock._series(12, fock.POLYNOMIAL_MAX_U, False)
+        fock._series.cache_clear()
+        set_hook = getattr(sys, hook)
+        previous = (sys.gettrace if hook == "settrace" else sys.getprofile)()
+        set_hook(lambda *args: None)
+        try:
+            hooked = fock._series(12, fock.POLYNOMIAL_MAX_U, False)
+        finally:
+            set_hook(previous)
+        assert hooked[0].size == plain[0].size == 263
+        assert np.array_equal(hooked[1], plain[1]) and hooked[2] == plain[2]
+
     def test_each_cut_is_built_once_per_cutoff(self):
         # a weak-coupling state and a force below g/k 0.9 at one cutoff build
-        # the series once at each cut, and repeating both builds nothing
+        # the series once at each cut and the force table once, and repeating
+        # both builds nothing
         fock._series.cache_clear()
+        fock._force_table.cache_clear()
         model = make_model(g0=0.95)
         for repeat in range(2):
             oracle = FockOracle(model, 24)
             assert ground_state(oracle, math.log(0.95 / 0.3)).steps == 0
             oracle_force(oracle, math.log(0.95 / 0.7))
             assert fock._series.cache_info().misses == 2, repeat
+            assert fock._force_table.cache_info().misses == 1, repeat
 
     def test_series_past_its_radius_raises(self, monkeypatch):
         # with the cut raised to g/k 1.5, past the radius of the series at
@@ -1004,12 +1029,51 @@ def binomial_half(n):
     return c
 
 
-def polynomial_values(n_max, u, count=None):
-    """(theta_0, theta_0') at u from the polynomial of n_max, summed over count
-    orders (all of them by default)."""
+def polynomial_values(n_max, u):
+    """(theta_0, theta_0') at u from the force table of n_max: the pairs of
+    the cell of w = u^2 summed by Horner in w - c, the route's arithmetic."""
+    edges, cells = fock._force_table(n_max, fock.POLYNOMIAL_MAX_U)
+    center, pairs = cells[bisect.bisect_right(edges, u * u) - 1]
+    theta = s = 0.0
+    for a, b in pairs:
+        theta = theta * (u * u - center) + a
+        s = s * (u * u - center) + b
+    return theta, u * s
+
+
+def series_sums(n_max, u, count=None):
+    """(theta_0, theta_0') at u from the series of n_max to the force cut,
+    summed in u over count orders (all of them by default)."""
     orders, coefficients = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[:2]
     count = orders.size if count is None else count
     return coefficients[:, :count] @ u ** orders[:count]
+
+
+def exact_errors(energies, u, theta, slope):
+    """Relative errors of theta and slope against the exact theta_0 = sum e_n
+    u^n and theta_0' of the float energies (every odd one 0) at the float u,
+    in rational arithmetic on Python integers (fractions.Fraction gives the
+    same values, several times slower): with w = u^2 = p/q and e_2k =
+    m_k/den, den q^K theta_0 = sum_k m_k p^k q^(K-k) by Horner."""
+    top_u, bottom_u = u.as_integer_ratio()
+    p, q = top_u * top_u, bottom_u * bottom_u
+    ratios = [e.as_integer_ratio() for e in energies[::2]]
+    den = max(d for _, d in ratios)
+    m = [n * (den // d) for n, d in ratios]
+    top = len(m) - 1
+    big_theta, big_s, scale = m[top], top * m[top], 1
+    for k in range(top - 1, -1, -1):
+        scale *= q
+        big_theta = big_theta * p + m[k] * scale
+        if k:
+            big_s = big_s * p + k * m[k] * scale
+    # theta_0 = big_theta / (den scale) and theta_0' = 2 u q big_s / (den scale)
+    exact = ((big_theta, den * scale), (2 * top_u * q * big_s, bottom_u * den * scale))
+    errors = []
+    for value, (num, denom) in zip((theta, slope), exact):
+        top_v, bottom_v = value.as_integer_ratio()
+        errors.append(abs(top_v * denom - num * bottom_v) / abs(num * bottom_v))
+    return errors
 
 
 def whole_sector_series(n_max, count):
@@ -1061,8 +1125,7 @@ class TestPolynomial:
         for u in (1e-4, 0.3, 0.6, 0.8, STRONG_U[-1]):
             h = sector_matrix(oracle, u)
             vals, vecs = scipy.linalg.eigh(h, subset_by_index=[0, 0])
-            theta, slope = polynomial_values(n_max, u, fock._order_count(
-                fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2], u))
+            theta, slope = polynomial_values(n_max, u)
             assert abs(theta - vals[0]) <= 2e-14 * vals[0], u
             x1x2 = oracle.correlation(vecs[:, 0])
             assert abs(slope - x1x2) <= 2e-14 * abs(x1x2), u
@@ -1099,8 +1162,8 @@ class TestPolynomial:
         counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
         assert fock._order_count(counts, 1e-9) <= 4
         for u in STRONG_U:
-            limited = polynomial_values(n_max, u, fock._order_count(counts, u))
-            full = polynomial_values(n_max, u)
+            limited = series_sums(n_max, u, fock._order_count(counts, u))
+            full = series_sums(n_max, u)
             assert np.all(np.abs(limited - full) <= 4 * eps * np.abs(full)), u
         orders, coefficients = fock._series(n_max, fock.SERIES_MAX_U, True)[:2]
         terms = whole_sector_series(n_max, orders.size)[1]
@@ -1152,6 +1215,7 @@ class TestPolynomial:
         # and the build on cutoff 304)
         fock._sector.cache_clear()
         fock._series.cache_clear()
+        fock._force_table.cache_clear()
         model = make_model(g0=0.85)
 
         def curve():
@@ -1164,18 +1228,44 @@ class TestPolynomial:
 
     @pytest.mark.parametrize("n_max", [1, 12, 40])
     def test_zero_coupling_sums_three_orders(self, n_max):
-        # at g = 0 every power past u^0 is 0: both cuts sum the fewest orders
-        # counted, 3 (not those of g/k 0.5 and up, 51 and 305 at n_max 40),
-        # and give F = 0, E_vac = hbar omega and the state |0,0>, bit for bit
+        # at g = 0 every power past u^0 is 0: both cuts count the fewest
+        # orders, 3 (not those of g/k 0.5 and up, 51 and 305 at n_max 40),
+        # the force table's cell at w = 0 holds their 2 even ones, and they
+        # give F = 0, E_vac = hbar omega and the state |0,0>, bit for bit
         model = make_model(g0=0.0, m=2.0, k=3.0, hbar=0.7)
         oracle = FockOracle(model, n_max)
         for u_max, states in ((fock.SERIES_MAX_U, True), (fock.POLYNOMIAL_MAX_U, False)):
             assert fock._order_count(fock._series(n_max, u_max, states)[2], 0.0) == 3
+        edges, cells = fock._force_table(n_max, fock.POLYNOMIAL_MAX_U)
+        assert edges[0] == 0.0 and cells[0][0] == 0.0 and len(cells[0][1]) == 2
         force, energy = oracle.force_route(1.0)
         assert force == 0.0 and energy == oracle.hbar_omega
         gs = ground_state(oracle, 1.0)
         assert gs.E0 == oracle.hbar_omega
         assert np.array_equal(gs.vector, np.eye(1, gs.vector.size)[0])
+
+    @pytest.mark.parametrize("n_max", range(1, 41))
+    def test_table_matches_the_exact_sums_of_its_coefficients(self, n_max):
+        # theta_0 and theta_0' from the force table against the exact sums of
+        # the same float coefficients over every order, at u = 0, on both
+        # sides of every cell edge (where a cell's left-out terms are
+        # largest) and just under the cut: within 4 epsilon relative
+        # (measured at most 2.3 and 2.6 over n_max 1-40, 501 points each;
+        # the sums over every order in u read 5.5 and 7.7)
+        eps = np.finfo(float).eps
+        energies = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[1][0].tolist()
+        edges, cells = fock._force_table(n_max, fock.POLYNOMIAL_MAX_U)
+        assert edges[0] == 0.0 and list(edges) == sorted(edges)
+        assert edges[-1] < fock.POLYNOMIAL_MAX_U**2 and len(cells) == len(edges)
+        assert max(len(pairs) for c, pairs in cells if c > 0.0) <= 17
+        assert polynomial_values(n_max, 0.0) == (1.0, 0.0)
+        us = [math.nextafter(fock.POLYNOMIAL_MAX_U, 0.0)]
+        for edge in edges[1:]:
+            us += [math.sqrt(edge), math.nextafter(math.sqrt(edge), 0.0)]
+        for u in us:
+            theta, slope = polynomial_values(n_max, u)
+            errors = exact_errors(energies, u, theta, slope)
+            assert max(errors) <= 4 * eps, (u, errors)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_force_and_energy_below_the_cut_match_the_contraction(self, family):
@@ -1288,20 +1378,19 @@ class TestForceRoute:
     def test_route_is_oracle_force_and_the_polynomial_sum(self, family, n_max):
         # below g/k 0.9, on one oracle visited in a shuffled order with
         # repeats, (F, E_vac) equal oracle_force on a fresh oracle and
-        # -g'(y) l^2 theta_0', hbar omega theta_0 summed over the orders
-        # counted at u, bit for bit
+        # -g'(y) l^2 theta_0', hbar omega theta_0 summed over the pairs of
+        # the force table's cell of u^2, bit for bit
         us = STRONG_U
         cases = [route_model(family, u) for u in us]
         order = np.random.default_rng(n_max).permutation(2 * len(cases)) % len(cases)
         route = FockOracle(cases[0][0], n_max).force_route if family != "constant" else None
-        counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
         for i in order.tolist():
             model, y = cases[i]
             oracle = FockOracle(model, n_max)
             force, energy = (route or oracle.force_route)(y)
             u = model.g(y) / model.k
             assert u == pytest.approx(us[i], rel=1e-9), u
-            theta, slope = polynomial_values(n_max, u, fock._order_count(counts, u)).tolist()
+            theta, slope = polynomial_values(n_max, u)
             assert force == -model.g_prime(y) * (oracle.length_sq * slope), u
             assert energy == oracle.hbar_omega * theta, u
             assert force == oracle_force(FockOracle(model, n_max), y), u
@@ -1310,16 +1399,17 @@ class TestForceRoute:
     @pytest.mark.parametrize("n_max", [12, 40])
     def test_constant_coupling_trajectory_sums_the_polynomial_once(self, monkeypatch, n_max):
         # at constant g/k 0.7 every step reuses the first step's sums: the
-        # polynomial is summed once and the run writes one E_vac, hbar omega
-        # theta_0(0.7), and F = 0; at varying g it is summed once per step
+        # table is evaluated once (one cell lookup) and the run writes one
+        # E_vac, hbar omega theta_0(0.7), and F = 0; at varying g it is
+        # evaluated once per step
         calls = []
-        order_count = fock._order_count
+        lookup = fock.bisect_right
 
-        def counting(counts, u):
-            calls.append(u)
-            return order_count(counts, u)
+        def counting(edges, w):
+            calls.append(w)
+            return lookup(edges, w)
 
-        monkeypatch.setattr(fock, "_order_count", counting)
+        monkeypatch.setattr(fock, "bisect_right", counting)
         config = DynamicsConfig(y0=0.1, v0=0.1, dt=0.05, t_max=10.0,
                                 force_route="oracle", oracle_n_max=n_max)
         varying = evolve(make_model(family="exponential", g0=0.7), config)
@@ -1327,34 +1417,33 @@ class TestForceRoute:
         calls.clear()
         model = make_model(family="constant", g0=0.7)
         traj = evolve(model, config)
-        assert len(traj.t) == 201 and calls == [0.7]
-        counts = fock._series(n_max, fock.POLYNOMIAL_MAX_U, False)[2]
-        theta = polynomial_values(n_max, 0.7, order_count(counts, 0.7))[0]
+        assert len(traj.t) == 201 and calls == [0.7 * 0.7]
+        theta = polynomial_values(n_max, 0.7)[0]
         assert np.all(traj.E_vac == FockOracle(model, n_max).hbar_omega * theta)
         assert np.all(traj.F == 0.0)
 
     def test_route_reads_the_series_on_its_first_sum(self, monkeypatch):
-        # the route takes its views of the series to 0.9 on its first sum:
-        # a run above g/k 0.9 never builds that series, and reading the
-        # route builds nothing
+        # the route reads the force table of the series to 0.9 on its first
+        # sum: a run above g/k 0.9 never builds either, reading the route
+        # builds nothing, and the table, cold, reads the series once
+        fock._force_table.cache_clear()
         built = []
-        series = fock._series
 
-        def recording(*args):
-            built.append(args)
-            return series(*args)
+        def recording(function):
+            return lambda *args: built.append(args) or function(*args)
 
-        monkeypatch.setattr(fock, "_series", recording)
+        for name in ("_series", "_force_table"):
+            monkeypatch.setattr(fock, name, recording(getattr(fock, name)))
         route = FockOracle(make_model(family="constant", g0=0.95), 12).force_route
         route(1.0)
         route(2.0)
-        assert (12, fock.POLYNOMIAL_MAX_U, False) not in built
+        assert not {(12, fock.POLYNOMIAL_MAX_U), (12, fock.POLYNOMIAL_MAX_U, False)} & set(built)
         before = len(built)
         route = FockOracle(make_model(family="constant", g0=0.7), 12).force_route
         assert len(built) == before
         route(1.0)
         route(2.0)
-        assert built[before:] == [(12, fock.POLYNOMIAL_MAX_U, False)]
+        assert built[before:] == [(12, fock.POLYNOMIAL_MAX_U), (12, fock.POLYNOMIAL_MAX_U, False)]
 
 
 class TestRitzStart:

@@ -15,8 +15,6 @@ PACKAGE = ROOT / "src" / "casimir_toy"
 EXEMPT = {"build_hamiltonian", "ground_state_structure_checks"}
 # Fields no program path reads yet, each kept for a change still to come.
 EXEMPT_FIELDS = {
-    # to be reported in a run manifest (ROADMAP item 5)
-    "Trajectory.oracle_advisory",
     # fields of ground_state_structure_checks' report, which goes with the
     # tracer's metric on it (ROADMAP items 6 and 7)
     "StructureReport.symmetry_violation",
