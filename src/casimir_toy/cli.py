@@ -235,40 +235,64 @@ def _artifact(path: Path):
     print(f"wrote {path}")
 
 
-def write_csv(path: Path, header: list[str], rows, precision: int) -> None:
+# Grid points evaluated per chunk, and rows of write_csv formatted per
+# block.  Each numpy temporary, list and string stays below glibc's 128 KiB
+# mmap threshold: a chunk's column is 32 KiB, and a block of at most six
+# columns is a 12 KiB table, a list and a tuple of at most 1,536 values
+# (12 KiB of pointers each) and a line template and its text of at most
+# 38 KiB (150 bytes a row at precision 17).  Freeing whole-grid temporaries
+# raised that threshold, and the heap then held more memory (peak RSS of a
+# closed-form benchmark run +0.7 MB).  Blocks of 64, 256, 512 and 1024 rows
+# ran 396 closed-form benchmark ops in one process in 12.3, 10.8, 10.8 and
+# 11.4 s, at ru_maxrss 34.6, 36.1, 36.7 and 37.7 MB (means of two runs);
+# writing row by row took 14.1 and 15.6 s at 35.2 and 35.4 MB (2-vCPU Xeon).
+ROW_CHUNK = 4096
+CSV_BLOCK = 256
+
+
+def _block_text(columns, spec: str) -> str:
+    """The CSV lines of one block of equal-length float64 columns.
+
+    A column with the same bits on every row of the block is formatted once,
+    into the line template; the rest fill the template repeated once per
+    row, in one % call.  Equal bits give equal text, so each field reads
+    spec % v however the rows are split into blocks (0.0 and -0.0, or two
+    NaN payloads, are different bits and are formatted apart).
+    """
+    table = np.stack(columns, axis=1)
+    bits = table.view(np.uint64)
+    same = (bits == bits[0]).all(axis=0)
+    fields = [spec % v if s else spec for v, s in zip(table[0].tolist(), same.tolist())]
+    line = ",".join(fields) + "\n"
+    return (line * len(table)) % tuple(table[:, ~same].ravel().tolist())
+
+
+def write_csv(path: Path, header: list[str], blocks, precision: int) -> None:
     """RFC-4180-style CSV: '.' decimal separator, LF endings, fixed header.
 
-    rows yields one tuple of floats per line, each written as
-    %.{precision}g (the same text as format(v, f".{precision}g")).
+    blocks yields one sequence of columns per block of rows, one column per
+    header field: a float64 array of the block's rows, or one value for
+    every row (omega, or the constant family's g).  Each value is written as
+    %.{precision}g, the text of format(v, f".{precision}g"), CSV_BLOCK rows
+    at a time.
     """
-    template = ",".join([f"%.{precision}g"] * len(header)) + "\n"
+    spec = f"%.{precision}g"
     with _artifact(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(template % row for row in rows)
+        for columns in blocks:
+            columns = np.broadcast_arrays(*columns)
+            rows = len(columns[0])
+            for start in range(0, rows, CSV_BLOCK):
+                fh.write(_block_text([c[start : start + CSV_BLOCK] for c in columns], spec))
 
 
-# Grid points evaluated, and rows converted to Python floats, per chunk.  A
-# numpy temporary then stays at 32 KiB, below glibc's 128 KiB mmap threshold:
-# freeing whole-grid temporaries raised that threshold, and the heap then
-# held more memory (peak RSS of a closed-form benchmark run +0.7 MB).
-ROW_CHUNK = 4096
-
-
-def _rows(*columns):
-    """Row tuples of Python floats from columns of equal length; a column
-    may be one value for every row (omega, or the constant family's g)."""
-    columns = np.broadcast_arrays(*columns)
-    for start in range(0, len(columns[0]), ROW_CHUNK):
-        yield from zip(*(c[start : start + ROW_CHUNK].tolist() for c in columns))
-
-
-def _grid_rows(grid: GridConfig, columns):
-    """Rows (y, *columns(y)) over the grid, columns(y) evaluated on
+def _grid_blocks(grid: GridConfig, columns):
+    """Blocks (y, *columns(y)) over the grid, columns(y) evaluated on
     ROW_CHUNK points y at a time, in order."""
     y = np.linspace(grid.y_min, grid.y_max, grid.points)
     for start in range(0, grid.points, ROW_CHUNK):
         z = y[start : start + ROW_CHUNK]
-        yield from _rows(z, *columns(z))
+        yield (z, *columns(z))
 
 
 def write_json(path: Path, payload: dict) -> None:
@@ -294,7 +318,7 @@ def cmd_spectrum(config: RunConfig, outdir: Path, args) -> int:
     write_csv(
         outdir / "spectrum.csv",
         ["y", "g", "omega", "omega_plus", "omega_minus"],
-        _grid_rows(_need(config, "grid"), columns),
+        _grid_blocks(_need(config, "grid"), columns),
         config.output.precision,
     )
     return EXIT_OK
@@ -375,7 +399,7 @@ def cmd_force_curve(config: RunConfig, outdir: Path, args) -> int:
         return out
 
     write_csv(
-        outdir / "force_curve.csv", header, _grid_rows(grid, columns), config.output.precision
+        outdir / "force_curve.csv", header, _grid_blocks(grid, columns), config.output.precision
     )
     return EXIT_OK
 
@@ -392,19 +416,17 @@ def cmd_vacuum_content(config: RunConfig, outdir: Path, args) -> int:
     write_csv(
         outdir / "vacuum_content.csv",
         ["y", "beta_1p", "beta_1m", "N_mean", "c0"],
-        _grid_rows(grid, columns),
+        _grid_blocks(grid, columns),
         config.output.precision,
     )
 
     y_flag = grid.y_min if args.pair_y is None else args.pair_y
     coeffs = quantum.bogoliubov_coefficients(model, y_flag)
     exp = quantum.squeezed_vacuum_expansion(coeffs, N_max=args.pair_n_max)
-    pair_rows = [
-        (float(n), c, c * c) for n, c in enumerate(exp.coefficients)
-    ]
+    c = exp.coefficients
     write_csv(
-        outdir / "pair_distribution.csv", ["n", "c_n", "c_n_squared"], pair_rows,
-        config.output.precision,
+        outdir / "pair_distribution.csv", ["n", "c_n", "c_n_squared"],
+        [(np.arange(len(c), dtype=np.float64), c, c * c)], config.output.precision,
     )
     return EXIT_OK
 
@@ -456,9 +478,9 @@ def cmd_oracle_check(config: RunConfig, outdir: Path, args) -> int:
 
 def cmd_evolve(config: RunConfig, outdir: Path, args) -> int:
     traj = dynamics.evolve(config.model, _need(config, "dynamics"))
-    rows = _rows(traj.t, traj.y, traj.p_y, traj.F, traj.E_vac, traj.E_total)
+    columns = (traj.t, traj.y, traj.p_y, traj.F, traj.E_vac, traj.E_total)
     write_csv(
-        outdir / "trajectory.csv", ["t", "y", "p_y", "F", "E_vac", "E_total"], rows,
+        outdir / "trajectory.csv", ["t", "y", "p_y", "F", "E_vac", "E_total"], [columns],
         config.output.precision,
     )
     drift = dynamics.energy_audit(traj)

@@ -34,3 +34,18 @@ def bogoliubov_normalization(coeffs) -> tuple[float, float]:
     plus = 2.0 * (coeffs.alpha_1p**2 - coeffs.beta_1p**2)
     minus = 2.0 * (coeffs.alpha_1m**2 - coeffs.beta_1m**2)
     return plus, minus
+
+
+def csv_rows(blocks):
+    """Row tuples of Python floats from write_csv's blocks of columns, a
+    column an array or one value for every row."""
+    for columns in blocks:
+        columns = np.broadcast_arrays(*columns)
+        yield from zip(*(c.tolist() for c in columns))
+
+
+def per_row_csv(header, rows, precision: int) -> str:
+    """CSV text written one row at a time, by one %.{precision}g template
+    applied to each row's tuple."""
+    template = ",".join([f"%.{precision}g"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + "".join(template % row for row in rows)

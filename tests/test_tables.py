@@ -1,8 +1,12 @@
-"""The table commands evaluate each column on the whole grid at once.
+"""The table commands evaluate each column on the whole grid at once, and
+write_csv formats it a block of rows at a time.
 
 numpy's exp and pow may differ from libm's in the last bit, so the array
-columns are held to stated bounds of the point-by-point (float) evaluation,
-and write_csv's row template to the text of the per-value format it replaced.
+columns are held to stated bounds of the point-by-point (float) evaluation.
+write_csv's text is held to format(v, f".{p}g") of each value, however the
+rows fall into blocks and whichever columns hold one value over a block,
+and every CSV artifact to the per-row writer of references.py run on the
+same columns.
 """
 
 import json
@@ -11,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import references
 from casimir_toy import cli, quantum
 from casimir_toy.errors import DomainError
 from casimir_toy.model import spectrum
@@ -93,6 +98,23 @@ def test_array_outside_domain_names_the_point(reference_model):
         reference_model.g_prime(np.array([-1.0, 2.0]))
 
 
+def per_value_text(header, rows, precision):
+    spec = f".{precision}g"
+    return ",".join(header) + "\n" + "".join(
+        ",".join(format(v, spec) for v in row) + "\n" for row in rows
+    )
+
+
+def written(tmp_path, header, blocks, precision=12):
+    path = tmp_path / "table.csv"
+    cli.write_csv(path, header, blocks, precision)
+    return path.read_text(encoding="utf-8")
+
+
+def floats(*patterns):
+    return np.array(patterns, dtype=np.uint64).view(np.float64)
+
+
 def test_write_csv_text_is_per_value_format(tmp_path):
     rng = np.random.default_rng(20)
     edge = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
@@ -103,15 +125,112 @@ def test_write_csv_text_is_per_value_format(tmp_path):
     spread = rng.standard_normal(50_000) * 10.0 ** rng.uniform(-310, 300, 50_000)
     values = np.concatenate([edge, bits, spread, [0.0, 0.0, 0.0, 0.0]])
     n = len(values) // 5 * 5
-    floats = values[:n].reshape(-1, 5)
-    rows = [tuple(r) for r in floats.tolist()]
-    # numpy scalars too, as zip over arrays yields them
-    rows += list(zip(*floats[:1000].T))
+    table = values[:n].reshape(-1, 5)
+    # blocks of uneven sizes, the last of one row
+    cuts = [0, 1, 7, 3 * cli.CSV_BLOCK + 5, len(table) - 1, len(table)]
+    blocks = [tuple(table[a:b].T) for a, b in zip(cuts, cuts[1:])]
     for precision in (6, 12, 17):
-        path = tmp_path / f"p{precision}.csv"
-        cli.write_csv(path, ["a", "b", "c", "d", "e"], rows, precision)
-        spec = f".{precision}g"
-        expected = "a,b,c,d,e\n" + "".join(
-            ",".join(format(v, spec) for v in row) + "\n" for row in rows
-        )
+        text = written(tmp_path, ["a", "b", "c", "d", "e"], blocks, precision)
+        assert text == per_value_text("abcde", table.tolist(), precision)
+
+
+def test_column_constant_over_some_blocks_only(tmp_path):
+    b = cli.CSV_BLOCK
+    rng = np.random.default_rng(21)
+    # one value over the first block, then varying, then another value
+    # that starts inside the second block and fills the third
+    x = np.concatenate([np.full(b, 0.1), rng.standard_normal(b // 2),
+                        np.full(b + b // 2, 2.0 / 3.0)])
+    y = np.full(len(x), 7.5)
+    y[-1] = 7.25
+    text = written(tmp_path, ["x", "y"], [(x, y)], 17)
+    assert text == per_value_text("xy", zip(x.tolist(), y.tolist()), 17)
+
+
+@pytest.mark.parametrize("column", [
+    pytest.param(np.array([0.0] * 5 + [-0.0] + [0.0] * 3), id="signed-zeros"),
+    pytest.param(floats(0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                        0x7FF8000000000123, 0x7FF8000000000000), id="nans"),
+    pytest.param(floats(*[0xFFF8000000000000] * 4), id="one-nan"),
+])
+def test_values_of_different_bits_are_formatted_apart(tmp_path, column):
+    rows = [(float(i), v) for i, v in enumerate(column.tolist())]
+    text = written(tmp_path, ["i", "v"], [(np.arange(len(column), dtype=float), column)])
+    assert text == per_value_text("iv", rows, 12)
+
+
+def test_scalar_column_is_every_row(tmp_path):
+    x = np.linspace(0.0, 1.0, 2 * cli.CSV_BLOCK + 3)
+    text = written(tmp_path, ["x", "w", "z"], [(x, 1.0 / 3.0, -x)])
+    assert text == per_value_text("xwz", [(v, 1.0 / 3.0, -v) for v in x.tolist()], 12)
+
+
+def test_one_row_and_zero_rows(tmp_path):
+    one = [(np.array([0.1]), np.array([-2.5e-300]), math.pi)]
+    assert written(tmp_path, ["a", "b", "c"], one) == "a,b,c\n0.1,-2.5e-300,3.14159265359\n"
+    assert written(tmp_path, ["a", "b"], []) == "a,b\n"
+    assert written(tmp_path, ["a", "b"], [(np.empty(0), 1.0)]) == "a,b\n"
+
+
+def test_row_count_not_a_multiple_of_the_block(tmp_path):
+    rng = np.random.default_rng(22)
+    n = 3 * cli.CSV_BLOCK + 11
+    x, y = rng.standard_normal(n), np.full(n, 0.25)
+    text = written(tmp_path, ["x", "y"], [(x, y)])
+    assert text.count("\n") == n + 1
+    assert text == per_value_text("xy", zip(x.tolist(), y.tolist()), 12)
+
+
+def family_config(tmp_path, family, points):
+    return {
+        "model": {"m": 1.0, "M": 1000.0, "k": 1.0, "hbar": 1.0,
+                  "coupling": {"family": family, "g0": 0.3 if family == "constant" else 0.5,
+                               "lambda": 1.0, "exponent": 2, "y_min": 0.0, "y_max": 10.0}},
+        "grid": {"y_min": 0.0, "y_max": 5.0, "points": points},
+        "oracle": {"n_max": 12, "convergence_tol": 1e-6},
+        "output": {"directory": str(tmp_path / "out"), "precision": 12},
+    }
+
+
+# command argv, grid points (None: two blocks and a part), dynamics fields, artifacts
+COMMANDS = {
+    "spectrum": (["spectrum"], None, None, ["spectrum.csv"]),
+    "force-curve": (["force-curve"], None, None, ["force_curve.csv"]),
+    "force-curve-oracle": (["force-curve", "--with-oracle"], 23, None, ["force_curve.csv"]),
+    "vacuum-content": (["vacuum-content"], None, None,
+                       ["vacuum_content.csv", "pair_distribution.csv"]),
+    "evolve-casimir": (["evolve"], None, {"force_route": "casimir", "t_max": 60.0},
+                       ["trajectory.csv"]),
+    "evolve-lifshitz": (["evolve"], None, {"force_route": "lifshitz", "t_max": 60.0},
+                        ["trajectory.csv"]),
+    "evolve-oracle": (["evolve"], None,
+                      {"force_route": "oracle", "oracle_n_max": 12, "t_max": 10.0},
+                      ["trajectory.csv"]),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_artifacts_are_the_per_row_writer_text(tmp_path, monkeypatch, family, command):
+    argv, points, dynamics, artifacts = COMMANDS[command]
+    doc = family_config(tmp_path, family, points or 2 * cli.CSV_BLOCK + 37)
+    if dynamics:
+        doc["dynamics"] = {"y0": 2.0, "v0": 0.001, "dt": 0.1, **dynamics}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    calls = []
+    write = cli.write_csv
+
+    def capturing(path, header, blocks, precision):
+        blocks = [tuple(np.array(c) for c in columns) for columns in blocks]
+        calls.append((path, header, blocks, precision))
+        write(path, header, blocks, precision)
+
+    monkeypatch.setattr(cli, "write_csv", capturing)
+    assert cli.main([*argv, "--config", str(config)]) == 0
+    assert [path.name for path, *_ in calls] == artifacts
+    for path, header, blocks, precision in calls:
+        rows = list(references.csv_rows(blocks))
+        assert len(rows) > 1
+        expected = references.per_row_csv(header, rows, precision)
         assert path.read_bytes() == expected.encode("utf-8")
