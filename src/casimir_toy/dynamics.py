@@ -4,7 +4,8 @@ Integrates M y'' = F(y) with velocity-Verlet (leapfrog), where F comes from
 one of three routes: the closed-form energy route, the closed-form
 fluctuation route, or the truncated-Fock oracle.  The conserved audit
 quantity is E_total = p_y^2 / 2M + E_vac(y).  The closed-form routes step on
-Python floats through quantum's kernels: one g and one g' per step.
+Python floats through quantum's kernels, one (g, g') call per step; E_vac
+and E_total are taken from the g column after the loop.
 """
 
 from __future__ import annotations
@@ -82,65 +83,65 @@ class Trajectory:
 
 
 def _route(model: ValidatedModel, config: DynamicsConfig):
-    """The selected route as one function y -> (force, E_vac)."""
-    # evolve has checked y, so g and g' are evaluated once each, unchecked.
+    """The selected route as (step, energy): step maps a checked y to (F, s)
+    and energy the column of s to E_vac.  A closed-form step makes one
+    unchecked (g, g') call and returns s = g, whose column energy maps with
+    +, -, *, / and sqrt alone: the bits of vacuum_energy at each y."""
     if config.force_route == "oracle":
         # One FockOracle for the run: below g/k 0.9 a step sums a cell of its
         # cached force table (once while g is unchanged), above it each step's
         # Lanczos solve starts from the previous step's ground state (the
-        # first from the Ritz vector of the series' state terms).
-        return fock.FockOracle(model, config.oracle_n_max).force_route
+        # first from the Ritz vector of the series' state terms).  s is E_vac.
+        return fock.FockOracle(model, config.oracle_n_max).force_route, lambda e_vac: e_vac
     c = model.coupling
-    casimir = config.force_route == "casimir"
-    force = quantum._casimir_force if casimir else quantum._lifshitz_force
+    pair = c._formulas()
+    force = quantum._casimir_force if config.force_route == "casimir" else quantum._lifshitz_force
 
-    def closed_form_route(y):
-        g = c.value_raw(y)
-        return force(model, g, c.derivative_raw(y)), quantum._vacuum_energy(model, g)
+    def closed_form_step(y):
+        g, gp = pair(c, y, math)
+        return force(model, g, gp), g
 
-    return closed_form_route
+    return closed_form_step, lambda g: quantum._vacuum_energy(model, g)
 
 
 def evolve(model: ValidatedModel, config: DynamicsConfig) -> Trajectory:
     """Leapfrog (kick-drift-kick) integration of the heavy coordinate.
 
-    Emits a row per step; stops at t_max or on domain exit (flagged).
+    Emits a row per step; stops at t_max or on domain exit (flagged).  The
+    loop computes only the force; E_vac and E_total come after it.
     """
     c = model.coupling
     c.check_domain(config.y0)
-    route = _route(model, config)
+    step, energy = _route(model, config)
     n_steps = step_count(config.t_max, config.dt)
     dt = config.dt
     big_m = model.M
+    y_min, y_max = c.y_min, c.y_max
 
-    f, evac = route(config.y0)
+    f, s = step(config.y0)
     y = config.y0
     p = big_m * config.v0
     t = 0.0
-    # Rows go into one flat buffer of doubles, about a fifth of the memory
-    # of a list of row tuples.
-    rows = array("d", (t, y, p, f, evac, p * p / (2 * big_m) + evac))
+    # Rows (t, y, p, F, s) go into one flat buffer of doubles, about a fifth
+    # of the memory of a list of row tuples.
+    rows = array("d", (t, y, p, f, s))
     exited = False
     for _ in range(n_steps):
         p_half = p + 0.5 * dt * f
         y_new = y + dt * p_half / big_m
-        if not (c.y_min <= y_new <= c.y_max):
+        if not (y_min <= y_new <= y_max):
             exited = True
             break
-        f, evac = route(y_new)
+        f, s = step(y_new)
         p = p_half + 0.5 * dt * f
         y = y_new
         t += dt
-        rows.extend((t, y, p, f, evac, p * p / (2 * big_m) + evac))
+        rows.extend((t, y, p, f, s))
 
-    arr = np.frombuffer(rows).reshape(-1, 6)
+    t, y, p_y, f, s = np.frombuffer(rows).reshape(-1, 5).T
+    e_vac = energy(s)
     return Trajectory(
-        t=arr[:, 0],
-        y=arr[:, 1],
-        p_y=arr[:, 2],
-        F=arr[:, 3],
-        E_vac=arr[:, 4],
-        E_total=arr[:, 5],
+        t=t, y=y, p_y=p_y, F=f, E_vac=e_vac, E_total=p_y * p_y / (2 * big_m) + e_vac,
         domain_exited=exited,
     )
 

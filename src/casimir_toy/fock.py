@@ -166,9 +166,10 @@ class FockOracle:
         self.recent = ()
         self.e0 = math.nan
         self.warm_steps = 0
-        # formulas: the coupling family's (g, g'), bound once; cells: the
-        # (edges, cells) of _force_table, read on force_route's first sum;
-        # sums: the u, theta_0 and theta_0' of its last sum.
+        # formulas: the coupling family's one (g, g') formula, bound once and
+        # called once per force_route step; cells: the (edges, cells) of
+        # _force_table, read on force_route's first sum; sums: the u,
+        # theta_0 and theta_0' of its last sum.
         self.formulas = model.coupling._formulas()
         self.cells = None
         self.sums = (math.nan, 0.0, 0.0)
@@ -217,9 +218,8 @@ class FockOracle:
         unchanged bit for bit, so a constant coupling sums them once; the
         oracle's solves are left as they are.  Else F and E_vac come from
         ground_state and the stencil contraction of its vector."""
-        coupling = self.model.coupling
-        g, g_prime = self.formulas
-        u = g(coupling, y, math) / self.model.k
+        g, g_prime = self.formulas(self.model.coupling, y, math)
+        u = g / self.model.k
         if abs(u) < POLYNOMIAL_MAX_U:
             if u != self.sums[0]:
                 if self.cells is None:
@@ -234,9 +234,9 @@ class FockOracle:
                     s = s * d + b
                 self.sums = (u, theta, u * s)
             _, theta, slope = self.sums
-            return -g_prime(coupling, y, math) * (self.length_sq * slope), self.hbar_omega * theta
+            return -g_prime * (self.length_sq * slope), self.hbar_omega * theta
         gs = ground_state(self, y)
-        return -coupling.derivative_raw(y) * self.correlation(gs.vector), gs.E0
+        return -g_prime * self.correlation(gs.vector), gs.E0
 
 
 def build_hamiltonian(model: ValidatedModel, y: float, n_max: int) -> OperatorMatrix:

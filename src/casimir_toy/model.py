@@ -37,8 +37,9 @@ class CouplingSpec:
     exponential     g(y) = g0 * exp(-y / lam)
     inverse-power   g(y) = g0 / (1 + (y / lam) ** exponent)
 
-    value, derivative and their _raw forms take y as a float or an array;
-    the constant family returns one float either way.
+    pair, value and derivative take y as a float or an array; the constant
+    family returns one float either way.  Steppers that have checked y bind
+    the family's one (g, g') formula (_formulas) and call it once per force.
     """
 
     family: str
@@ -64,53 +65,47 @@ class CouplingSpec:
             )
         return xp
 
-    def value(self, y):
-        return self._formulas()[0](self, y, self.check_domain(y))
+    def pair(self, y):
+        """(g(y), g'(y)), y checked against the domain once."""
+        return self._formulas()(self, y, self.check_domain(y))
 
-    def value_raw(self, y):
-        """Family formula without the domain check (integrator substeps only)."""
-        return self._formulas()[0](self, y, _array_module(y))
+    def value(self, y):
+        return self.pair(y)[0]
 
     def derivative(self, y):
-        return self._formulas()[1](self, y, self.check_domain(y))
-
-    def derivative_raw(self, y):
-        return self._formulas()[1](self, y, _array_module(y))
+        return self.pair(y)[1]
 
     def _formulas(self):
+        """The family's (g, g') formula, as a function of (spec, y, math or
+        numpy) that skips the domain check: steppers bind it once."""
         try:
             return _FAMILY_FORMULAS[self.family]
         except KeyError:
             raise ValueError(f"unknown coupling family {self.family!r}") from None
 
 
-def _inverse_power_terms(c: CouplingSpec, y, xp):
-    """(big, a, b) = (max(y, lam), (lam/big)^p, (y/big)^p), so that
-    g = g0 a / (a + b) and g' = -g0 p (y/big)^(p-1) a / (big (a + b)^2).
-    Neither can overflow; for y <= lam, a = 1 and they are the textbook
-    formulas in y/lam, bit for bit."""
+def _exponential(c: CouplingSpec, y, xp):
+    e = xp.exp(-y / c.lam)
+    return c.g0 * e, -c.g0 / c.lam * e
+
+
+def _inverse_power(c: CouplingSpec, y, xp):
+    """g = g0 a / (a + b) and g' = -g0 p (y/big)^(p-1) a / (big (a + b)^2),
+    with big = max(y, lam), a = (lam/big)^p and b = (y/big)^p.  Neither can
+    overflow; for y <= lam, a = 1 and they are the textbook formulas in
+    y/lam, bit for bit."""
     big = np.maximum(y, c.lam) if xp is np else max(y, c.lam)
-    return big, (c.lam / big) ** c.exponent, (y / big) ** c.exponent
+    r = y / big
+    a = (c.lam / big) ** c.exponent
+    total = a + r**c.exponent
+    return c.g0 * a / total, -c.g0 * c.exponent * r ** (c.exponent - 1) * a / (big * total**2)
 
 
-def _inverse_power_g(c: CouplingSpec, y, xp):
-    _, a, b = _inverse_power_terms(c, y, xp)
-    return c.g0 * a / (a + b)
-
-
-def _inverse_power_g_prime(c: CouplingSpec, y, xp):
-    big, a, b = _inverse_power_terms(c, y, xp)
-    return -c.g0 * c.exponent * (y / big) ** (c.exponent - 1) * a / (big * (a + b) ** 2)
-
-
-# (g, g') per family, as functions of (spec, y, math or numpy).
+# (g, g') per family, as one function of (spec, y, math or numpy).
 _FAMILY_FORMULAS = {
-    "constant": (lambda c, y, xp: c.g0, lambda c, y, xp: 0.0),
-    "exponential": (
-        lambda c, y, xp: c.g0 * xp.exp(-y / c.lam),
-        lambda c, y, xp: -c.g0 / c.lam * xp.exp(-y / c.lam),
-    ),
-    "inverse-power": (_inverse_power_g, _inverse_power_g_prime),
+    "constant": lambda c, y, xp: (c.g0, 0.0),
+    "exponential": _exponential,
+    "inverse-power": _inverse_power,
 }
 FAMILIES = tuple(_FAMILY_FORMULAS)
 
@@ -146,9 +141,6 @@ class ValidatedModel:
 
     def g(self, y):
         return self.coupling.value(y)
-
-    def g_prime(self, y):
-        return self.coupling.derivative(y)
 
 
 def validate(params: ModelParams) -> ValidatedModel:

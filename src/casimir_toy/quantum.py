@@ -9,7 +9,8 @@ and the Bogoliubov structure of the interacting vacuum: coefficients
 alpha/beta, mean free-quanta numbers, and the geometric pair expansion of the
 two-mode squeezed vacuum.  Like model, each function takes y as one float or
 as an array of points.  The force and energy formulas are private kernels of
-g (and g') already evaluated, which the trajectory routes call directly.
+g (and g') already evaluated: the public forces take both from one checked
+(g, g') call, the trajectory routes from one unchecked call per step.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def casimir_force(model: ValidatedModel, y: float) -> float:
     factor at a time: the product of the four scales as k omega and leaves
     float64 range for validated models (k = 1e300 or 1e-300 at m = 1).
     """
-    return _casimir_force(model, model.g(y), model.g_prime(y))
+    return _casimir_force(model, *model.coupling.pair(y))
 
 
 def _casimir_force(model: ValidatedModel, g, gp):
@@ -106,7 +107,7 @@ def vacuum_fluctuations(model: ValidatedModel, y: float) -> VacuumObservables:
 
 def lifshitz_force(model: ValidatedModel, y: float) -> float:
     """Fluctuation-route force -g'(y) <x1 x2>; no vacuum energy involved."""
-    return _lifshitz_force(model, model.g(y), model.g_prime(y))
+    return _lifshitz_force(model, *model.coupling.pair(y))
 
 
 def _lifshitz_force(model: ValidatedModel, g, gp):

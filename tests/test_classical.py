@@ -6,6 +6,7 @@ import pytest
 from casimir_toy.classical import _DRIFT, _KICK, PhaseState, evolve_classical, total_energy
 from casimir_toy.model import spectrum
 from conftest import make_model
+from references import coupling_g, coupling_g_prime
 
 
 def numpy_yoshida(model, initial, dt, t_max):
@@ -18,10 +19,8 @@ def numpy_yoshida(model, initial, dt, t_max):
 
     def forces(q):
         x1, x2, y = q.tolist()
-        g = c.value_raw(y)
-        return np.array(
-            [-model.k * x1 - g * x2, -model.k * x2 - g * x1, -c.derivative_raw(y) * x1 * x2]
-        )
+        g, gp = coupling_g(c, y, math), coupling_g_prime(c, y, math)
+        return np.array([-model.k * x1 - g * x2, -model.k * x2 - g * x1, -gp * x1 * x2])
 
     rows = [(initial.t, *q, *p)]
     exited = False
@@ -39,7 +38,7 @@ def numpy_yoshida(model, initial, dt, t_max):
         rows.append((t, *q, *p))
     t, x1, x2, y, p1, p2, p_y = np.array(rows).T
     kin = (p1 * p1 + p2 * p2) / (2.0 * model.m) + p_y * p_y / (2.0 * model.M)
-    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + c.value_raw(y) * x1 * x2
+    pot = model.k * (x1 * x1 + x2 * x2) / 2.0 + coupling_g(c, y, np) * x1 * x2
     return (t, x1, x2, y, p1, p2, p_y, kin + pot), exited
 
 

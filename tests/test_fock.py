@@ -15,7 +15,6 @@ from casimir_toy import (
     DynamicsConfig,
     bogoliubov_coefficients,
     casimir_force,
-    dynamics,
     evolve,
     fock,
     ground_state,
@@ -32,7 +31,7 @@ from casimir_toy.fock import (
     oracle_observables,
 )
 from conftest import make_model
-from references import cross_correlation, free_vacuum_correlation, position_matrix
+from references import cross_correlation, free_vacuum_correlation, leapfrog, position_matrix
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +426,7 @@ class TestSparseOracle:
                 gs = ground_state(oracle, y)
                 x1x2 = oracle_observables(gs).x1x2
                 assert x1x2 == oracle.correlation(gs.vector)
-                assert oracle_force(oracle, y) == -model.g_prime(y) * x1x2
+                assert oracle_force(oracle, y) == -model.coupling.derivative(y) * x1x2
 
     def test_table_and_residual_are_computed_when_first_read(self, reference_model):
         # a solve leaves both unbuilt, so a force evaluation never pays for them
@@ -657,7 +656,7 @@ class TestLanczos:
             run = []
             for y in np.linspace(0.1, 0.101, 10).tolist():
                 gs = ground_state(oracle, y)
-                force = oracle_force(oracle, y) / (model.g_prime(y) * length)
+                force = oracle_force(oracle, y) / (model.coupling.derivative(y) * length)
                 run.append((gs.steps, gs.E0 / energy, gs.residual_norm / energy, force))
             return run
 
@@ -795,7 +794,7 @@ class TestLanczos:
                 assert a.steps == b.steps and a.E0 == b.E0
                 assert np.array_equal(a.amplitudes, b.amplitudes)
 
-    def test_oracle_route_trajectory_matches_dense_eigh(self, reference_model, monkeypatch):
+    def test_oracle_route_trajectory_matches_dense_eigh(self, reference_model):
         # 1000 oracle-route steps at n_max=20 against a route that diagonalizes
         # H(y) densely at every step, in its exchange-symmetric even-parity
         # block (where the ground state lies; the full 441 x 441 eigh would
@@ -816,17 +815,16 @@ class TestLanczos:
                 h0 + reference_model.g(y) * v_op, subset_by_index=[0, 0]
             )
             u = vecs[:, 0]
-            return -reference_model.g_prime(y) * float(u @ v_op @ u), float(vals[0])
+            return -reference_model.coupling.derivative(y) * float(u @ v_op @ u), float(vals[0])
 
         config = DynamicsConfig(
             y0=1.0, v0=0.0, dt=0.1, t_max=100.0, force_route="oracle", oracle_n_max=n_max
         )
         oracle = evolve(reference_model, config)
-        monkeypatch.setattr(dynamics, "_route", lambda model, config: dense_route)
-        dense = evolve(reference_model, config)
-        assert len(oracle.t) == len(dense.t) == 1001
-        for name in ("y", "p_y", "F", "E_vac", "E_total"):
-            a, b = getattr(oracle, name), getattr(dense, name)
+        (_, *dense), exited = leapfrog(reference_model, config, dense_route)
+        assert len(oracle.t) == len(dense[0]) == 1001 and not exited
+        for name, b in zip(("y", "p_y", "F", "E_vac", "E_total"), dense):
+            a = getattr(oracle, name)
             assert np.all(np.abs(a - b) <= 1e-13 * np.abs(b)), name
 
 
@@ -1288,7 +1286,7 @@ class TestPolynomial:
                 force, energy = oracle.force_route(y)
                 assert oracle.recent == () and math.isnan(oracle.e0)
                 gs = ground_state(oracle, y)
-                contraction = -model.g_prime(y) * oracle.correlation(gs.vector)
+                contraction = -model.coupling.derivative(y) * oracle.correlation(gs.vector)
                 assert abs(force - contraction) <= 32 * eps * abs(contraction), (n_max, u)
                 assert abs(energy - gs.E0) <= 4 * eps * gs.E0, (n_max, u)
 
@@ -1391,7 +1389,7 @@ class TestForceRoute:
             u = model.g(y) / model.k
             assert u == pytest.approx(us[i], rel=1e-9), u
             theta, slope = polynomial_values(n_max, u)
-            assert force == -model.g_prime(y) * (oracle.length_sq * slope), u
+            assert force == -model.coupling.derivative(y) * (oracle.length_sq * slope), u
             assert energy == oracle.hbar_omega * theta, u
             assert force == oracle_force(FockOracle(model, n_max), y), u
             assert oracle.recent == ()

@@ -8,8 +8,9 @@ from hypothesis import given, strategies as st
 
 from casimir_toy import CouplingSpec, ModelParams, validate
 from casimir_toy.errors import ConfigError, DomainError
-from casimir_toy.model import spectrum
+from casimir_toy.model import FAMILIES, spectrum
 from conftest import make_model, valid_model_strategy
+from references import coupling_g, coupling_g_prime
 
 
 class TestValidate:
@@ -175,6 +176,39 @@ class TestInversePowerRange:
                                  textbook_inverse_power(spec, v)):
                 if want == 0 or abs(want) >= tiny:
                     assert got == pytest.approx(want, rel=16 * eps, abs=0)
+
+
+def float_bits(v):
+    """The float64 bit patterns of a float or an array, so that -0.0 and 0.0
+    differ."""
+    return np.asarray(v, dtype=np.float64).view(np.int64)
+
+
+class TestPairFormula:
+    """Each family's one (g, g') formula has the bits of g and g' evaluated
+    by separate formulas, for a float (math) and for an array (numpy)."""
+
+    @given(
+        family=st.sampled_from(FAMILIES),
+        g0=st.floats(min_value=0.0, max_value=0.9),
+        lam=st.one_of(st.floats(min_value=1e-3, max_value=9.0), st.sampled_from([1e-200, 1e-100])),
+        exponent=st.integers(min_value=1, max_value=12),
+        ys=st.lists(st.floats(min_value=0.0, max_value=10.0), max_size=20),
+    )
+    def test_pair_is_the_separate_formulas_bit_for_bit(self, family, g0, lam, exponent, ys):
+        spec = CouplingSpec(family, g0, lam, exponent=exponent)
+        # inverse-power switches from the terms in y/lam to those in lam/y at
+        # y = lam; the window ends bound every trajectory
+        around_lam = [float(np.nextafter(lam, 0.0)), lam, float(np.nextafter(lam, 11.0)),
+                      0.5 * lam, 2.0 * lam]
+        points = [spec.y_min, spec.y_max, *(y for y in around_lam if y <= spec.y_max), *ys]
+        pair = spec._formulas()
+        for y, xp in [*((y, math) for y in points), (np.array(points), np)]:
+            want = coupling_g(spec, y, xp), coupling_g_prime(spec, y, xp)
+            for got in (pair(spec, y, xp), spec.pair(y), (spec.value(y), spec.derivative(y))):
+                assert len(got) == 2
+                for a, b in zip(got, want):
+                    assert np.array_equal(float_bits(a), float_bits(b)), (y, a, b)
 
 
 class TestSpectrum:

@@ -131,7 +131,7 @@ class TestLifshitzForce:
         model = make_model(m=m, k=m, M=1000.0 * m, g0=0.5 * m)
         for y in (0.0, 0.5, 3.0, 9.5, np.linspace(0.0, 9.5, 5)):
             fc = casimir_force(model, y)
-            fl = -model.g_prime(y) * vacuum_fluctuations(model, y).x1x2
+            fl = -model.coupling.derivative(y) * vacuum_fluctuations(model, y).x1x2
             for f in (lifshitz_force(model, y), fl):
                 assert np.all(abs(f - fc) <= 2 * np.finfo(float).eps * abs(fc))
 
@@ -261,7 +261,8 @@ class TestZeroCouplingLimit:
 
 def london_force(model, y):
     """F_L = hbar omega g g' / (4 k^2), London's leading dispersion force."""
-    return model.hbar * model.omega * model.g(y) * model.g_prime(y) / (4.0 * model.k**2)
+    g, gp = model.coupling.pair(y)
+    return model.hbar * model.omega * g * gp / (4.0 * model.k**2)
 
 
 class TestVanDerWaalsLimit:

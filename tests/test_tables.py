@@ -95,7 +95,7 @@ def test_array_outside_domain_names_the_point(reference_model):
     with pytest.raises(DomainError, match="y=10.5 outside"):
         reference_model.g(np.array([0.0, 10.5, 3.0]))
     with pytest.raises(DomainError, match="y=-1.0 outside"):
-        reference_model.g_prime(np.array([-1.0, 2.0]))
+        reference_model.coupling.derivative(np.array([-1.0, 2.0]))
 
 
 def per_value_text(header, rows, precision):
